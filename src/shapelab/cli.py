@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .environment import Environment, model_from_spec
+from .environment import Environment, WeightModel, model_from_spec
 from .lattice import (build_path_family, audit_family, enumerate_targets,
                       norm1)
 from .lorentz import WeightedSample, lorentz_norm
@@ -132,11 +132,21 @@ class Config:
                 + (f" (command at line {line})" if line else ""))
         return self.doc[key]
 
+    def model(self) -> WeightModel:
+        try:
+            return model_from_spec(self.require("model"))
+        except KeyError as err:
+            raise ConfigError(f"'model' is missing key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"invalid 'model': {err}") from None
+
     def seed_list(self, offset: int) -> list[int]:
         spec = self.require("seeds")
         if not (isinstance(spec, dict) and {"start", "count"} <= set(spec)):
             raise ConfigError("'seeds' must be a mapping with start and count")
         start, count = int(spec["start"]), int(spec["count"])
+        if count < 1:
+            raise ConfigError("'seeds' count must be at least 1")
         return [start + offset + i for i in range(count)]
 
 
@@ -192,7 +202,7 @@ def _pmap(fn, items, jobs: int):
 
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
-    model = model_from_spec(cfg.require("model"))
+    model = cfg.model()
     d = int(cfg.require("dimension"))
     seeds = cfg.seed_list(offset)
     dirs = cfg.get("directions")
@@ -234,7 +244,7 @@ def _shape_job(args):
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
-    model = model_from_spec(cfg.require("model"))
+    model = cfg.model()
     d = int(cfg.require("dimension"))
     seeds = cfg.seed_list(offset)
     stats = sample_maximal_stats(model, seeds, int(cfg.require("window_radius")),
@@ -249,12 +259,15 @@ def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
         raw = np.loadtxt(cfg.get("samples_csv"), delimiter=",", ndmin=2)
         sample = WeightedSample(raw[:, 0], raw[:, 1])
     else:
-        model = model_from_spec(cfg.require("model"))
+        model = cfg.model()
         env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
                           dimension=int(cfg.require("dimension")))
+        radius = int(cfg.require("box_radius"))
+        if radius < 0:
+            raise ConfigError("'box_radius' must be nonnegative")
         field = env.sample_field(tuple(cfg.get("box_center",
                                                [0] * env.dimension)),
-                                 int(cfg.require("box_radius")))
+                                 radius)
         sample = WeightedSample.from_values([w for _, _, w in field])
     rows = []
     for pq in cfg.require("indices"):
@@ -420,7 +433,7 @@ def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
-    model = model_from_spec(cfg.require("model"))
+    model = cfg.model()
     env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
                       dimension=int(cfg.require("dimension")))
     sites = [tuple(int(v) for v in s) for s in cfg.require("sites")]

@@ -236,8 +236,6 @@ def model_from_spec(spec: dict) -> WeightModel:
         "pareto": lambda: Pareto(float(spec["shape"]), float(spec.get("scale", 1.0))),
         "two_valued": lambda: TwoValued(float(spec["low"]), float(spec["high"]),
                                         float(spec.get("prob_low", 0.5))),
-        "bernoulli_mix": lambda: TwoValued(float(spec["low"]), float(spec["high"]),
-                                           float(spec.get("prob_low", 0.5))),
         "rotation": lambda: Rotation(
             tuple(spec["alpha"]) if isinstance(spec.get("alpha"), (list, tuple))
             else float(spec.get("alpha", _GOLDEN)),
@@ -313,22 +311,16 @@ class Environment:
     def sample_field(self, center: Site, radius: int, norm: str = "linf",
                      max_edges: int = 2_000_000) -> list[tuple[Site, int, float]]:
         """All canonical edges with both endpoints in the box, with weights."""
-        from .lattice import BoxRegion
+        from .lattice import BoxRegion, forward_neighbors
 
-        box = BoxRegion(tuple(center), radius, norm)
-        sites = box.sites()
-        rows = []
-        for s in sites:
-            for k in range(self.dimension):
-                t = tuple(c + (1 if j == k else 0) for j, c in enumerate(s))
-                if box.contains(t):
-                    rows.append((s, k))
-        if len(rows) > max_edges:
+        coords = BoxRegion(tuple(center), radius, norm).site_array()
+        # row-major nonzero keeps the rows site-major, axes in order
+        site, axis = np.nonzero(forward_neighbors(coords) >= 0)
+        if len(site) > max_edges:
             raise MemoryError(
-                f"box holds {len(rows)} edges, above the limit {max_edges}")
-        if not rows:
+                f"box holds {len(site)} edges, above the limit {max_edges}")
+        if not len(site):
             return []
-        bases = np.asarray([r[0] for r in rows], dtype=np.int64)
-        axes = np.asarray([r[1] for r in rows], dtype=np.int64)
-        w = self.edge_weights(bases, axes)
-        return [(rows[i][0], rows[i][1], float(w[i])) for i in range(len(rows))]
+        bases = coords[site]
+        w = self.edge_weights(bases, axis)
+        return list(zip(zip(*bases.T.tolist()), axis.tolist(), w.tolist()))

@@ -8,19 +8,18 @@ norm throughout (it is the word metric of the standard generators).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Site = tuple[int, ...]
 
 
 def norm1(s: Sequence[int]) -> int:
     return sum(abs(c) for c in s)
-
-
-def add(a: Site, b: Site) -> Site:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def sub(a: Site, b: Site) -> Site:
@@ -55,18 +54,51 @@ class BoxRegion:
         diff = [abs(a - b) for a, b in zip(s, self.center)]
         return (sum(diff) if self.norm == "l1" else max(diff)) <= self.radius
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets of the first d-1 coordinates, lexicographic, with
+        the largest last-coordinate offset each one admits."""
+        d, r = len(self.center), self.radius
+        side = (2 * r + 1,) * (d - 1)
+        head = np.indices(side).reshape(d - 1, math.prod(side)).T - r
+        if self.norm == "l1":
+            reach = r - np.abs(head).sum(axis=1)
+        else:
+            reach = np.full(len(head), r)
+        keep = reach >= 0
+        return head[keep], reach[keep]
+
+    def site_array(self) -> np.ndarray:
+        """The sites as an (n, d) int64 array in lexicographic order."""
+        head, reach = self._rows()
+        counts = 2 * reach + 1
+        # head row j expands to the run of last offsets -reach[j]..reach[j]
+        last = np.arange(counts.sum()) - np.repeat(
+            np.cumsum(counts) - counts + reach, counts)
+        offsets = np.column_stack([np.repeat(head, counts, axis=0), last])
+        return offsets + np.asarray(self.center, dtype=np.int64)
+
     def sites(self) -> list[Site]:
-        d = len(self.center)
-        rng = range(-self.radius, self.radius + 1)
-        if self.norm == "linf":
-            return [add(self.center, off) for off in product(rng, repeat=d)]
-        return [add(self.center, off) for off in product(rng, repeat=d)
-                if norm1(off) <= self.radius]
+        return list(zip(*self.site_array().T.tolist()))
 
     def site_count(self) -> int:
-        if self.norm == "linf":
-            return (2 * self.radius + 1) ** len(self.center)
-        return sum(1 for _ in self.sites())
+        return int((2 * self._rows()[1] + 1).sum())
+
+
+def forward_neighbors(coords: np.ndarray) -> np.ndarray:
+    """Entry (i, k) is the row of coords[i] + e_k in coords, or -1 when
+    that site is absent.  The rows of coords must be distinct sites."""
+    n, d = coords.shape
+    rel = coords - coords.min(axis=0)
+    # dense position lookup over the bounding box, one slot of padding
+    # per axis for the +e_k shift
+    pos = np.full(rel.max(axis=0) + 2, -1, dtype=np.int64)
+    pos[tuple(rel.T)] = np.arange(n)
+    out = np.empty((n, d), dtype=np.int64)
+    for k in range(d):
+        rel[:, k] += 1
+        out[:, k] = pos[tuple(rel.T)]
+        rel[:, k] -= 1
+    return out
 
 
 def is_elementary(vertices: Sequence[Site]) -> bool:

@@ -11,7 +11,6 @@ converged flag.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .environment import Environment
-from .lattice import BoxRegion, LatticePath, Site, norm1, sub
+from .lattice import (BoxRegion, LatticePath, Site, forward_neighbors,
+                      norm1, sub)
 
 
 class ConvergenceError(RuntimeError):
@@ -54,31 +54,21 @@ class BoxGraph:
         self.env = env
         self.box = box
         self.sites = box.sites()  # lexicographic, deterministic
-        self.index = {s: i for i, s in enumerate(self.sites)}
-        arr = np.asarray(self.sites, dtype=np.int64)
-        d = env.dimension
-        rows, cols, bases, axes = [], [], [], []
-        for k in range(d):
-            shifted = arr.copy()
-            shifted[:, k] += 1
-            for i in range(len(self.sites)):
-                j = self.index.get(tuple(shifted[i]))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    bases.append(self.sites[i])
-                    axes.append(k)
-        if bases:
-            w = env.edge_weights(np.asarray(bases, dtype=np.int64),
-                                 np.asarray(axes, dtype=np.int64))
+        self.index = dict(zip(self.sites, range(len(self.sites))))
+        self.coords = np.asarray(self.sites, dtype=np.int64)
+        n = len(self.sites)
+        # nonzero over the (axis, site) table lists the edges grouped by
+        # axis, each group in site order
+        nbr = forward_neighbors(self.coords).T
+        axes, rows = np.nonzero(nbr >= 0)
+        cols = nbr[axes, rows]
+        if len(rows):
+            w = env.edge_weights(self.coords[rows], axes)
         else:
             w = np.zeros(0)
-        n = len(self.sites)
         # explicit zeros must stay stored: zero-weight edges are legal and
         # scipy's sparse dijkstra honors stored zeros as real edges
-        self._graph = csr_matrix(
-            (w, (np.asarray(rows, dtype=np.int64),
-                 np.asarray(cols, dtype=np.int64))), shape=(n, n))
+        self._graph = csr_matrix((w, (rows, cols)), shape=(n, n))
 
     def distances_from(self, source: Site) -> np.ndarray:
         """Exact shortest-path weights from source to every box site."""
@@ -117,85 +107,67 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
                           converged=False)
 
 
+def refine(evaluate, radius: int, cap: int, tol: float):
+    """Double the box radius until two successive evaluations agree within
+    tol, starting from radius and never passing cap.  Boxed values only
+    decrease as the box grows, so agreement certifies stabilization at
+    this scale.  Returns (values, radius_used, converged): the last values
+    computed and the radius they were computed at."""
+    prev = evaluate(radius)
+    while 2 * radius <= cap:
+        radius *= 2
+        cur = evaluate(radius)
+        if np.max(prev - cur) < tol:
+            return cur, radius, True
+        prev = cur
+    return prev, radius, False
+
+
 def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
                        radius_cap: int | None = None) -> DistanceResult:
     """Refine the boxed distance by doubling the radius until two
-    successive values agree within tol.  Values only decrease under
-    refinement, so agreement certifies stabilization at this scale."""
+    successive values agree within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     m, n = tuple(m), tuple(n)
     gap = norm1(sub(n, m))
     if gap == 0:
         return DistanceResult(0.0, 0, True)
-    radius = 2 * gap
     if radius_cap is None:
         radius_cap = 32 * gap
-    prev = distance(env, m, n, radius).value
-    while True:
-        radius *= 2
-        if radius > radius_cap:
-            return DistanceResult(prev, radius // 2, False)
-        cur = distance(env, m, n, radius).value
-        if prev - cur < tol:
-            return DistanceResult(cur, radius, True)
-        prev = cur
-
-
-def _lex_dijkstra(env: Environment, box: BoxRegion, source: Site):
-    """Reference Dijkstra with lexicographic tie-breaking, used for
-    geodesic reconstruction.  Returns (dist, pred) dicts."""
-    dist: dict[Site, float] = {source: 0.0}
-    pred: dict[Site, Site | None] = {source: None}
-    done: set[Site] = set()
-    heap: list[tuple[float, Site]] = [(0.0, source)]
-    d = env.dimension
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in done or du > dist.get(u, math.inf):
-            continue
-        done.add(u)
-        for k in range(d):
-            for sign in (1, -1):
-                v = tuple(c + (sign if j == k else 0)
-                          for j, c in enumerate(u))
-                if not box.contains(v):
-                    continue
-                base = u if sign == 1 else v
-                w = env.edge_weight((base, k))
-                alt = du + w
-                old = dist.get(v, math.inf)
-                if alt < old or (alt == old and v not in done
-                                 and pred.get(v) is not None
-                                 and u < pred[v]):
-                    dist[v] = alt
-                    pred[v] = u
-                    heapq.heappush(heap, (alt, v))
-    return dist, pred
+    return DistanceResult(*refine(lambda r: distance(env, m, n, r).value,
+                                  2 * gap, radius_cap, tol))
 
 
 def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
              box: BoxRegion | None = None) -> Geodesic:
-    """A witness path achieving the boxed distance, with deterministic
-    lexicographic tie-breaking among equally short predecessors.  The
-    weight is accumulated from the lexicographically smaller endpoint,
-    matching distance() exactly; the returned path runs from m to n."""
+    """A witness path achieving the boxed distance.  Among equally short
+    paths the one returned is the branch of scipy's shortest-path search
+    tree, which is deterministic for a given box but follows no
+    lexicographic rule.  Every step satisfies dist[u] + w == dist[v]
+    exactly, so the weight accumulated from the lexicographically smaller
+    endpoint matches distance() exactly; the returned path runs from m to
+    n."""
     m, n = tuple(m), tuple(n)
     if box is None:
         box = _midpoint_box(m, n, box_radius)
     if not (box.contains(m) and box.contains(n)):
         raise ValueError("query endpoints must lie inside the box")
     src, dst = (m, n) if m <= n else (n, m)
-    dist, pred = _lex_dijkstra(env, box, src)
-    if dst not in dist:
+    g = BoxGraph(env, box)
+    s, t = g.index[src], g.index[dst]
+    dist, pred = _csgraph_dijkstra(g._graph, directed=False, indices=s,
+                                   return_predecessors=True)
+    if not math.isfinite(dist[t]):
         raise RuntimeError("target unreachable inside box")
-    verts = [dst]
-    while verts[-1] != src:
-        verts.append(pred[verts[-1]])
-    verts.reverse()
+    verts = [g.sites[t]]
+    i = t
+    while i != s:
+        i = pred[i]
+        verts.append(g.sites[i])
     if verts[0] != m:
         verts.reverse()
-    return Geodesic(path=LatticePath(verts), total_weight=dist[dst])
+    return Geodesic(path=LatticePath(verts), total_weight=float(dist[t]))
 
 
 def ball(env: Environment, center: Site, t: float, box_radius: int) -> list[Site]:
@@ -261,7 +233,6 @@ def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
     hi = tuple(max(s[k] for s in sites) for k in range(env.dimension))
     center = tuple((a + b) // 2 for a, b in zip(lo, hi))
     spread = max(1, max(norm1(sub(s, center)) for s in sites))
-    radius = 2 * spread
     if radius_cap is None:
         radius_cap = 32 * spread
 
@@ -278,15 +249,10 @@ def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
                 out[i, j] = rows[src][g.index[dst]]
         return out
 
-    prev = all_pairs(radius)
-    while True:
-        radius *= 2
-        if radius > radius_cap:
-            raise ConvergenceError(
-                f"pairwise distances did not stabilize within radius cap "
-                f"{radius_cap}")
-        cur = all_pairs(radius)
-        if np.max(prev - cur) < tol:
-            return StructureEmbedding(sites=tuple(sites), dist=cur,
-                                      box_radius_used=radius)
-        prev = cur
+    dist, radius, converged = refine(all_pairs, 2 * spread, radius_cap, tol)
+    if not converged:
+        raise ConvergenceError(
+            f"pairwise distances did not stabilize within radius cap "
+            f"{radius_cap}")
+    return StructureEmbedding(sites=tuple(sites), dist=dist,
+                              box_radius_used=radius)

@@ -11,7 +11,7 @@ to roundoff at any length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,34 +56,16 @@ class PotentialModel:
 class TransferCocycle:
     potential: PotentialModel
     seed: int = 0
+    offset: int = 0  # the shift realized exactly on the hashed index stream
 
     def one_step(self, k: int) -> np.ndarray:
         """S(1, T^k x) = [[0, 1], [-1, energy - V(T^k x)]]; determinant 1."""
-        v = float(self.potential.values(self.seed, np.asarray([k]))[0])
-        return np.array([[0.0, 1.0], [-1.0, self.potential.energy - v]])
-
-    def shifted(self, k: int) -> "TransferCocycle":
-        pot = self.potential
-        if pot.kind == "constant":
-            return self
-        # realize the shift exactly on the hashed index stream
-        return _ShiftedTransferCocycle(pot, self.seed, k)
-
-
-class _ShiftedTransferCocycle(TransferCocycle):
-    def __init__(self, potential, seed, offset):
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_offset", offset)
-
-    def one_step(self, k: int) -> np.ndarray:
         v = float(self.potential.values(
-            self.seed, np.asarray([k + self._offset]))[0])
+            self.seed, np.asarray([k + self.offset]))[0])
         return np.array([[0.0, 1.0], [-1.0, self.potential.energy - v]])
 
     def shifted(self, k: int) -> "TransferCocycle":
-        return _ShiftedTransferCocycle(self.potential, self.seed,
-                                       self._offset + k)
+        return replace(self, offset=self.offset + k)
 
 
 def operator_norm_2x2(a: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environment import Environment, WeightModel
 from .lattice import BoxRegion, Site, norm1
-from .percolation import BoxGraph
+from .percolation import BoxGraph, refine
 
 @dataclass(frozen=True)
 class DirectionalSeries:
@@ -50,23 +50,15 @@ def _direction_profile(env: Environment, theta: Site, n_max: int,
     targets = [tuple(k * t for t in theta) for k in range(1, n_max + 1)]
     gap = norm1(targets[-1])
     center = tuple(c // 2 for c in targets[-1])
-    radius = 2 * gap
-    cap = radius_cap_factor * gap
 
     def profile(r: int) -> np.ndarray:
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
         row = g.distances_from(zero)
         return np.asarray([row[g.index[t]] for t in targets])
 
-    prev = profile(radius)
-    while True:
-        radius *= 2
-        if radius > cap:
-            return prev, np.zeros(n_max, dtype=bool)
-        cur = profile(radius)
-        if np.max(prev - cur) < tol:
-            return cur, np.ones(n_max, dtype=bool)
-        prev = cur
+    values, _, converged = refine(profile, 2 * gap,
+                                  radius_cap_factor * gap, tol)
+    return values, np.full(n_max, converged)
 
 
 def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
@@ -179,12 +171,9 @@ def maximal_function(env: Environment, window_radius: int) -> float:
     zero = (0,) * env.dimension
     g = BoxGraph(env, BoxRegion(zero, 2 * window_radius, "l1"))
     dist = g.distances_from(zero)
-    best = 0.0
-    for i, site in enumerate(g.sites):
-        r = norm1(site)
-        if 0 < r <= window_radius:
-            best = max(best, dist[i] / r)
-    return best
+    r = np.abs(g.coords).sum(axis=1)
+    window = (r > 0) & (r <= window_radius)
+    return max(0.0, float(np.max(dist[window] / r[window])))
 
 
 @dataclass(frozen=True)
@@ -243,23 +232,6 @@ def generator_sup_field(env: Environment, sites: list[Site]) -> np.ndarray:
     return vals
 
 
-def _coordinate_subspace_sites(axes: tuple[int, ...], d: int,
-                               max_norm: int) -> list[Site]:
-    from itertools import product
-
-    if not axes:
-        return [(0,) * d]
-    out = []
-    rng = range(-max_norm, max_norm + 1)
-    for vals in product(rng, repeat=len(axes)):
-        if sum(abs(v) for v in vals) <= max_norm:
-            site = [0] * d
-            for a, v in zip(axes, vals):
-                site[a] = v
-            out.append(tuple(site))
-    return out
-
-
 def maximal_bound_rhs(env: Environment, n: Site, constant: float) -> float:
     """The domination bound for rho(0, n)/|n|: coordinate-subspace
     averages of the incident-edge envelope plus the weighted half-ball
@@ -270,28 +242,20 @@ def maximal_bound_rhs(env: Environment, n: Site, constant: float) -> float:
     if N == 0:
         raise ValueError("n must be nonzero")
 
-    cache: dict[Site, float] = {}
-
-    def f(sites: list[Site]) -> np.ndarray:
-        missing = [s for s in sites if s not in cache]
-        if missing:
-            vals = generator_sup_field(env, missing)
-            cache.update(zip(missing, vals))
-        return np.asarray([cache[s] for s in sites])
+    # every site the bound reads lies in the ball of radius 2|n|: the top
+    # coordinate subspace is that whole ball, and the half-ball around n
+    # stays inside it
+    ball = BoxRegion((0,) * d, 2 * N, "l1").site_array()
+    f = generator_sup_field(env, ball)
 
     subspace_total = 0.0
     for dim_h in range(d + 1):
         for axes in combinations(range(d), dim_h):
-            sites = _coordinate_subspace_sites(axes, d, 2 * N)
-            subspace_total += float(np.sum(f(sites))) / N ** dim_h
+            on = np.all(np.delete(ball, axes, axis=1) == 0, axis=1)
+            subspace_total += float(np.sum(f[on])) / N ** dim_h
 
-    half_ball = [m for m in BoxRegion(n, N // 2, "l1").sites()
-                 if m != n]
-    if half_ball:
-        weights = np.asarray([1.0 / norm1(tuple(a - b for a, b in zip(m, n)))
-                              ** (d - 1) for m in half_ball])
-        near_total = float(np.sum(f(half_ball) * weights))
-    else:
-        near_total = 0.0
-    near_total += float(f([n])[0])
+    gap = np.abs(ball - np.asarray(n)).sum(axis=1)
+    near = (gap > 0) & (gap <= N // 2)
+    near_total = float(np.sum(f[near] * (1.0 / gap[near] ** (d - 1))))
+    near_total += float(f[gap == 0][0])
     return constant * (subspace_total + near_total / N)

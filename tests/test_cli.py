@@ -203,3 +203,61 @@ def test_convergence_failure_exit_code(tmp_path):
         "output": str(tmp_path / "emb.json"),
     }
     assert _run(tmp_path, doc) == 3
+
+
+def _assert_config_error(tmp_path, capsys, doc, key):
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and key in err
+
+
+def _maximal_tail_doc(tmp_path, **overrides):
+    doc = {
+        "command": "maximal-tail",
+        "dimension": 2,
+        "model": {"kind": "exponential", "rate": 1.0},
+        "seeds": {"start": 0, "count": 3},
+        "window_radius": 2,
+        "lambda_grid": [1.0, 2.0],
+        "output": str(tmp_path / "t.csv"),
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["nope", "bernoulli_mix"])
+def test_unknown_model_kind_is_config_error(tmp_path, capsys, kind):
+    doc = _maximal_tail_doc(tmp_path, model={"kind": kind, "low": 1.0,
+                                             "high": 2.0})
+    _assert_config_error(tmp_path, capsys, doc, "model")
+
+
+def test_model_missing_parameter_is_config_error(tmp_path, capsys):
+    doc = _maximal_tail_doc(tmp_path, model={"kind": "two_valued",
+                                             "high": 2.0})
+    _assert_config_error(tmp_path, capsys, doc, "low")
+
+
+def test_empty_seed_range_is_config_error(tmp_path, capsys):
+    doc = {
+        "command": "shape",
+        "dimension": 2,
+        "model": {"kind": "constant", "value": 1.0},
+        "seeds": {"start": 0, "count": 0},
+        "n_max": 4,
+        "output": str(tmp_path / "shape.csv"),
+    }
+    _assert_config_error(tmp_path, capsys, doc, "seeds")
+
+
+def test_negative_box_radius_is_config_error(tmp_path, capsys):
+    doc = {
+        "command": "lorentz-norm",
+        "model": {"kind": "exponential", "rate": 1.0},
+        "dimension": 2,
+        "box_radius": -1,
+        "indices": [[1.0, 1.0]],
+        "output": str(tmp_path / "l.csv"),
+    }
+    _assert_config_error(tmp_path, capsys, doc, "box_radius")

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -34,6 +35,20 @@ def test_box_membership_exact():
     assert linf.contains((2, -2)) and not linf.contains((3, 0))
     assert len(box.sites()) == 2 * 3 * 3 + 2 * 3 + 1
     assert len(linf.sites()) == 25
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_box_sites_match_product_enumeration(d, norm):
+    measure = sum if norm == "l1" else max
+    for center in [(0,) * d, (3, -2, 5)[:d]]:
+        for radius in range(6):
+            box = BoxRegion(center, radius, norm)
+            expect = [tuple(c + o for c, o in zip(center, off))
+                      for off in product(range(-radius, radius + 1), repeat=d)
+                      if measure(abs(o) for o in off) <= radius]
+            assert box.sites() == expect
+            assert box.site_count() == len(expect)
 
 
 def test_lattice_path_rejects_jumps():

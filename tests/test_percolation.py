@@ -143,6 +143,16 @@ def test_geodesic_deterministic_under_ties():
     assert len(g1.path) == 4 and g1.total_weight == 3.0
 
 
+def test_geodesic_under_total_ties_is_elementary_and_exact():
+    # every path weighs 0, so the search tree alone picks the witness
+    env = Environment(Constant(0.0), seed=0, dimension=2)
+    for m, n in [((0, 0), (3, 2)), ((2, -1), (-2, 1)), ((1, 1), (1, 1))]:
+        g = geodesic(env, m, n, 6)
+        assert g.path[0] == m and g.path[-1] == n
+        assert len(set(g.path)) == len(g.path)
+        assert g.total_weight == distance(env, m, n, 6).value == 0.0
+
+
 def test_ball_properties():
     env = Environment(Constant(2.0), seed=0, dimension=2)
     b = ball(env, (0, 0), 4.0, 6)
