@@ -132,6 +132,20 @@ class Config:
                 + (f" (command at line {line})" if line else ""))
         return self.doc[key]
 
+    def positive_int(self, key, default=None) -> int:
+        """An integer that must be at least 1; required when no default
+        is given."""
+        value = (self.require(key) if default is None
+                 else self.get(key, default))
+        try:
+            n = int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{key!r} must be an integer, got {value!r}") from None
+        if n < 1:
+            raise ConfigError(f"{key!r} must be at least 1, got {n}")
+        return n
+
     def model(self) -> WeightModel:
         try:
             return model_from_spec(self.require("model"))
@@ -289,12 +303,10 @@ def _potential_from_spec(spec: dict) -> PotentialModel:
 
 def _run_lyapunov(cfg: Config, offset: int, jobs: int) -> None:
     pot = _potential_from_spec(cfg.require("potential"))
-    est = lyapunov(pot, int(cfg.require("n_steps")),
-                   n_seeds=int(cfg.get("n_seeds", 8)), seed0=offset)
-    lo, hi = est.ci95
+    row = _lyap_job((pot, cfg.positive_int("n_steps"),
+                     cfg.positive_int("n_seeds", 8), offset))
     _write_csv(cfg, cfg.require("output"),
-               ["energy", "estimate", "stderr", "ci_lo", "ci_hi"],
-               [(pot.energy, est.value, est.stderr, lo, hi)])
+               ["energy", "estimate", "stderr", "ci_lo", "ci_hi"], [row])
 
 
 def _lyap_job(args):
@@ -307,8 +319,8 @@ def _lyap_job(args):
 def _run_schrodinger_scan(cfg: Config, offset: int, jobs: int) -> None:
     base = dict(cfg.require("potential"))
     energies = [float(e) for e in cfg.require("energies")]
-    n_steps = int(cfg.require("n_steps"))
-    n_seeds = int(cfg.get("n_seeds", 8))
+    n_steps = cfg.positive_int("n_steps")
+    n_seeds = cfg.positive_int("n_seeds", 8)
     work = []
     for e in sorted(energies):
         spec = dict(base)
@@ -349,13 +361,12 @@ def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
         parts.append(_cocycle.axis_field_generator(
             dim_space, float(gen_spec.get("scale", 1.0))))
     if gkind in ("coboundary", "mixed") and gen_spec.get("coboundary"):
+        if kind != "rotation":
+            raise ConfigError("coboundary profile needs rotation dynamics")
         amp = float(gen_spec.get("coboundary", 1.0))
 
         def g(dyn_, off):
-            x = dyn_.point(off)
-            if not isinstance(x, float):
-                raise ConfigError("coboundary profile needs rotation dynamics")
-            t = 2.0 * math.pi * x
+            t = 2.0 * math.pi * dyn_.point(off)
             return amp * np.array([math.sin(t), math.cos(t)])
 
         parts.append(_cocycle.coboundary_generator(g))
@@ -367,9 +378,9 @@ def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
 
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
     c = _cocycle_from_spec(cfg.require("cocycle"))
-    length = int(cfg.require("length"))
+    length = cfg.positive_int("length")
     kd = _cocycle.kingman_decompose(
-        c, length, drift_orbit=int(cfg.get("drift_orbit", 4 * length)))
+        c, length, drift_orbit=cfg.positive_int("drift_orbit", 4 * length))
     rows = []
     phi_sum = 0.0
     for k in range(1, length + 1):
@@ -384,7 +395,7 @@ def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
 def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
     c = _cocycle_from_spec(cfg.require("cocycle"))
     eta = [float(v) for v in cfg.require("eta")]
-    dm = _cocycle.drift_map(c, int(cfg.get("drift_orbit", 4000)))
+    dm = _cocycle.drift_map(c, cfg.positive_int("drift_orbit", 4000))
     t_grid = [int(t) for t in cfg.get("t_grid", [1 << 10])]
     rows = []
     for n in cfg.require("targets"):

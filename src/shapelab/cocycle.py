@@ -7,6 +7,14 @@ The acting group is Z^d realized either as a seeded hash shift or as an
 irrational rotation of the circle; the value space is R^D.  The optional
 per-axis representation matrices must be orthogonal and commute, which
 keeps staircase evaluation path independent.
+
+A generator is a plain callable f(dynamics, offset, axis, count) ->
+(count, D) array: row j holds f_axis at the site offset + j * e_axis.
+Orbits are evaluated one batch per axis segment, in batches of at most
+ORBIT_CHUNK steps, so memory stays bounded at any orbit length.  Sums
+along an orbit accumulate sequentially, row after row (``np.cumsum``
+seeded with the running total), and norms and inner products stay per
+row, so every value equals the one-step-at-a-time evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .environment import counter_uniform
+from .environment import ORBIT_CHUNK, counter_uniform
 
 Site = tuple[int, ...]
 
@@ -39,8 +47,21 @@ class CircleRotation:
         return len(self.alphas)
 
     def point(self, offset: Site) -> float:
-        val = self.x0 + sum(a * o for a, o in zip(self.alphas, offset))
-        return val % 1.0
+        # a left-to-right loop, not sum(): axis_points repeats this order,
+        # and sum() of floats is compensated from Python 3.12 on
+        shift = 0.0
+        for a, o in zip(self.alphas, offset):
+            shift += a * o
+        return (self.x0 + shift) % 1.0
+
+    def axis_points(self, offset: Site, axis: int, count: int) -> np.ndarray:
+        """point(offset + j * e_axis) for j < count, with the expression
+        order of ``point``, so each entry equals it bit for bit."""
+        shift = 0.0
+        for i, (a, o) in enumerate(zip(self.alphas, offset)):
+            shift = shift + (a * (o + np.arange(count)) if i == axis
+                             else a * o)
+        return np.mod(self.x0 + shift, 1.0)
 
     def translate(self, offset: Site) -> "CircleRotation":
         return CircleRotation(self.alphas, self.point(offset))
@@ -75,14 +96,20 @@ Dynamics = CircleRotation | SeededShift
 
 
 # --------------------------------------------------------------------------
-# generators f_k; signature (dynamics, offset, axis) -> R^D
+# generators f_k; signature (dynamics, offset, axis, count) -> (count, D)
+
+
+def _axis_offsets(offset: Site, axis: int, count: int) -> list[Site]:
+    """offset + j * e_axis for j < count."""
+    return [tuple(o + j if i == axis else o for i, o in enumerate(offset))
+            for j in range(count)]
 
 
 def constant_generator(v) -> Callable:
     v = np.asarray(v, dtype=float)
 
-    def f(dyn, offset, axis):
-        return v
+    def f(dyn, offset, axis, count):
+        return np.broadcast_to(v, (count, len(v)))
 
     return f
 
@@ -91,29 +118,31 @@ def fourier_generator(harmonic: int = 1) -> Callable:
     """Mean-zero loop generator on rotation dynamics:
     x -> (cos 2*pi*h*x, sin 2*pi*h*x)."""
 
-    def f(dyn, offset, axis):
-        x = dyn.point(offset)
-        t = 2.0 * math.pi * harmonic * x
-        return np.array([math.cos(t), math.sin(t)])
+    def f(dyn, offset, axis, count):
+        ts = (2.0 * math.pi * harmonic * dyn.axis_points(offset, axis, count))
+        # math.cos/sin per entry: numpy's vector cos may round differently
+        return np.array([[math.cos(t), math.sin(t)] for t in ts.tolist()]
+                        ).reshape(count, 2)
 
     return f
 
 
 def coboundary_generator(g: Callable) -> Callable:
     """f_k = g - g after one step along axis k; the induced cocycle is
-    the bounded telescope g(x) - g(T_n x)."""
+    the bounded telescope g(x) - g(T_n x).  The scalar profile
+    g(dynamics, offset) -> R^D is called once per orbit site."""
 
-    def f(dyn, offset, axis):
-        step = tuple(1 if j == axis else 0 for j in range(dyn.dim_group))
-        there = tuple(o + s for o, s in zip(offset, step))
-        return np.asarray(g(dyn, offset)) - np.asarray(g(dyn, there))
+    def f(dyn, offset, axis, count):
+        vals = np.array([np.asarray(g(dyn, off), dtype=float)
+                         for off in _axis_offsets(offset, axis, count + 1)])
+        return vals[:-1] - vals[1:]
 
     return f
 
 
 def add_generators(*fs: Callable) -> Callable:
-    def f(dyn, offset, axis):
-        return sum(np.asarray(g(dyn, offset, axis)) for g in fs)
+    def f(dyn, offset, axis, count):
+        return sum(np.asarray(g(dyn, offset, axis, count)) for g in fs)
 
     return f
 
@@ -129,14 +158,18 @@ def axis_field_generator(dim_space: int, scale: float = 1.0,
     because a step along axis j never changes the argument of f_k.
     """
 
-    def f(dyn, offset, axis):
-        coord = dyn.point(offset)[axis]  # seeded shifts only
-        counters = np.asarray(
-            [[23, tag, axis, coord, j] for j in range(2 * dim_space)],
-            dtype=np.int64)
-        u = counter_uniform(dyn.seed, counters)
-        u1 = np.clip(u[:dim_space], 1e-300, 1.0)
-        u2 = u[dim_space:]
+    def f(dyn, offset, axis, count):
+        start = dyn.point(offset)[axis]  # seeded shifts only
+        counters = np.empty((count, 2 * dim_space, 5), dtype=np.int64)
+        counters[..., 0] = 23
+        counters[..., 1] = tag
+        counters[..., 2] = axis
+        counters[..., 3] = start + np.arange(count)[:, None]
+        counters[..., 4] = np.arange(2 * dim_space)
+        u = counter_uniform(dyn.seed, counters.reshape(-1, 5)).reshape(
+            count, 2 * dim_space)
+        u1 = np.clip(u[:, :dim_space], 1e-300, 1.0)
+        u2 = u[:, dim_space:]
         return scale * np.sqrt(-2.0 * np.log(u1)) * np.cos(2 * np.pi * u2)
 
     return f
@@ -149,10 +182,11 @@ def twisted_coboundary_generator(g: Callable,
     g(x) - lambda(n) . g(T_n x)."""
     mats = tuple(np.asarray(m, dtype=float) for m in representation)
 
-    def f(dyn, offset, axis):
-        step = tuple(1 if j == axis else 0 for j in range(dyn.dim_group))
-        there = tuple(o + s for o, s in zip(offset, step))
-        return np.asarray(g(dyn, offset)) - mats[axis] @ np.asarray(g(dyn, there))
+    def f(dyn, offset, axis, count):
+        vals = [np.asarray(g(dyn, off), dtype=float)
+                for off in _axis_offsets(offset, axis, count + 1)]
+        return np.array([here - mats[axis] @ there
+                         for here, there in zip(vals, vals[1:])])
 
     return f
 
@@ -226,28 +260,39 @@ class HilbertCocycle:
             raise ValueError("axis_order must be a permutation")
         total = np.zeros(self.dim_space)
         offset = [0] * self.dim_group
-        trivial = self.representation is None
-        lam = None if trivial else np.eye(self.dim_space)
+        lam = np.eye(self.dim_space)
         for k in order:
             sign = 1 if n[k] >= 0 else -1
-            for _ in range(abs(n[k])):
-                if sign == 1:
-                    fval = np.asarray(
-                        self.generator(self.dynamics, tuple(offset), k),
-                        dtype=float)
-                    total = total + (fval if trivial else lam @ fval)
-                    offset[k] += 1
-                    if not trivial:
+            for vals in self.axis_segment(tuple(offset), k, n[k]):
+                if self.representation is None:
+                    total = _running_sums(total, sign * vals)[-1]
+                elif sign == 1:
+                    for fval in vals:
+                        total = total + lam @ fval
                         lam = lam @ self.representation[k]
                 else:
-                    offset[k] -= 1
-                    if not trivial:
+                    for fval in vals:
                         lam = lam @ self.representation[k].T
-                    fval = np.asarray(
-                        self.generator(self.dynamics, tuple(offset), k),
-                        dtype=float)
-                    total = total - (fval if trivial else lam @ fval)
+                        total = total - lam @ fval
+            offset[k] += n[k]
         return total
+
+    def axis_segment(self, offset: Site, axis: int,
+                     steps: int) -> Iterator[np.ndarray]:
+        """Generator values along |steps| staircase steps from offset on
+        one axis, in the order they are visited, as (rows, D) arrays of
+        at most ORBIT_CHUNK rows.  A forward step from y reads f_axis(y);
+        a backward step reads f_axis(y - e_axis), so steps < 0 visits
+        offset - e_axis, offset - 2 e_axis, ..."""
+        for lo in range(0, abs(steps), ORBIT_CHUNK):
+            count = min(ORBIT_CHUNK, abs(steps) - lo)
+            start = offset[axis] + lo if steps >= 0 else \
+                offset[axis] - lo - count
+            off = tuple(start if i == axis else o
+                        for i, o in enumerate(offset))
+            vals = np.asarray(self.generator(self.dynamics, off, axis, count),
+                              dtype=float)
+            yield vals if steps >= 0 else vals[::-1]
 
     def evaluate_between(self, m: Site, n: Site) -> np.ndarray:
         """s_x(m, n) = lambda(m) . s_{T_m x}(0, n - m)."""
@@ -264,6 +309,12 @@ class HilbertCocycle:
 
 # --------------------------------------------------------------------------
 # ergodic drift and the Kingman split
+
+
+def _running_sums(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0], total + rows[0] + rows[1], ...: one row added at a
+    time, as a step-by-step loop adds them (np.sum would add pairwise)."""
+    return np.cumsum(np.vstack([total, rows]), axis=0)[1:]
 
 
 @dataclass(frozen=True)
@@ -297,9 +348,8 @@ def drift_map(c: HilbertCocycle, orbit_length: int,
     cols = np.zeros((D, d))
     for k in range(d):
         acc = np.zeros(D)
-        for j in range(orbit_length):
-            off = tuple(j if i == k else 0 for i in range(d))
-            acc += np.asarray(c.generator(c.dynamics, off, k), dtype=float)
+        for vals in c.axis_segment((0,) * d, k, orbit_length):
+            acc = _running_sums(acc, vals)[-1]
         cols[:, k] = acc / orbit_length
     diags = []
     for n in diagnostic_points:
@@ -338,7 +388,9 @@ def kingman_decompose(c: HilbertCocycle, length: int, axis: int = 0,
         raise ValueError("kingman_decompose requires the identity representation")
     d, D = c.dim_group, c.dim_space
     if drift_vector is None:
-        drift_vector = drift_map(c, drift_orbit or max(1000, 4 * length)).column(axis)
+        if drift_orbit is None:
+            drift_orbit = max(1000, 4 * length)
+        drift_vector = drift_map(c, drift_orbit).column(axis)
     drift_vector = np.asarray(drift_vector, dtype=float)
     norm = float(np.linalg.norm(drift_vector))
     xi = drift_vector / norm if norm > 0 else None
@@ -346,12 +398,16 @@ def kingman_decompose(c: HilbertCocycle, length: int, axis: int = 0,
     rho = np.zeros(length + 1)
     phi = np.zeros(length)
     total = np.zeros(D)
-    for k in range(length):
-        off = tuple(k if i == axis else 0 for i in range(d))
-        fval = np.asarray(c.generator(c.dynamics, off, axis), dtype=float)
-        total = total + fval
-        rho[k + 1] = np.linalg.norm(total)
-        phi[k] = float(xi @ fval) if xi is not None else 0.0
+    k = 0
+    for vals in c.axis_segment((0,) * d, axis, length):
+        sums = _running_sums(total, vals)
+        # per-row norm and inner product: their batched forms round
+        # differently in the last bit
+        for fval, partial in zip(vals, sums):
+            rho[k + 1] = np.linalg.norm(partial)
+            phi[k] = float(xi @ fval) if xi is not None else 0.0
+            k += 1
+        total = sums[-1]
     remainders = rho - np.concatenate([[0.0], np.cumsum(phi)])
     return KingmanDecomposition(length=length, rho=rho, phi=phi,
                                 remainders=remainders, drift=norm)

@@ -25,6 +25,11 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
 
+# Orbits (transfer products, cocycle generators) are hashed and evaluated
+# in batches of at most this many steps, which bounds their working memory
+# at any orbit length.
+ORBIT_CHUNK = 1024
+
 
 def _mix(h: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""

@@ -6,16 +6,28 @@ recurrence itself.
 Long products are renormalized once their norm passes a threshold, with
 the scale carried separately in log space, so growth rates stay exact up
 to roundoff at any length.
+
+Products run in one scalar kernel.  The coefficient orbit energy - V(T^k x)
+is hashed in batches of at most ORBIT_CHUNK steps by single
+``PotentialModel.values`` calls, and the 2x2 recurrence runs on four
+Python floats: the product's two rows (lag, lead) advance as
+lag, lead <- lead, t * lead - lag.  A forward factor [[0, 1], [-1, t]]
+acts that way on the rows (top, bottom) and its adjugate [[t, -1], [1, 0]]
+on (bottom, top), so the same loop serves n >= 0 and n < 0.  One pass can
+report the product at several lengths (``transfer_products_scaled``), which
+the debiased Lyapunov estimate uses to read n and 2n together.
+``TransferCocycle.one_step`` stays the definition of a single factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .environment import counter_uniform
+from .environment import ORBIT_CHUNK, counter_uniform
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RENORM_THRESHOLD = 1e8
@@ -99,32 +111,73 @@ class ScaledMatrix:
         return self.mat * math.exp(self.log_scale)
 
 
-def transfer_product_scaled(tc: TransferCocycle, n: int) -> ScaledMatrix:
-    """Ordered product S(n, x) with log-scale renormalization.
+def _coefficients(tc: TransferCocycle, n: int,
+                  breaks: Sequence[int] = ()) -> Iterator[list[float]]:
+    """energy - V(T^k x) for the |n| factors of S(n, x) in the order they
+    are applied (k = 0, 1, ..., n-1 for n >= 0 and k = -1, -2, ..., n for
+    n < 0), as lists of Python floats of at most ORBIT_CHUNK entries.  A
+    list also ends after every step count |b| for b in breaks."""
+    pot = tc.potential
+    first, sign = (0, 1) if n >= 0 else (-1, -1)
+    steps = abs(n)
+    cuts = set(range(0, steps, ORBIT_CHUNK))
+    cuts.update(abs(b) for b in breaks if 0 < abs(b) < steps)
+    cuts = sorted(cuts) + [steps]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sites = tc.offset + first + sign * np.arange(lo, hi, dtype=np.int64)
+        yield (pot.energy - pot.values(tc.seed, sites)).tolist()
 
-    For n >= 0 this is S(1, T^{n-1} x) ... S(1, x); negative n uses the
-    cocycle inverse S(-m, x) = S(m, T^{-m} x)^{-1}, exact for unimodular
-    factors."""
-    acc = np.eye(2)
-    log_scale = 0.0
-    if n >= 0:
-        for k in range(n):
-            acc = tc.one_step(k) @ acc
-            m = float(np.max(np.abs(acc)))
-            if m > _RENORM_THRESHOLD:
-                acc /= m
-                log_scale += math.log(m)
-    else:
-        for k in range(-1, n - 1, -1):
-            step = tc.one_step(k)
-            inv = np.array([[step[1, 1], -step[0, 1]],
-                            [-step[1, 0], step[0, 0]]])  # adjugate, det = 1
-            acc = inv @ acc
-            m = float(np.max(np.abs(acc)))
-            if m > _RENORM_THRESHOLD:
-                acc /= m
-                log_scale += math.log(m)
-    return ScaledMatrix(acc, log_scale)
+
+def _advance(rows: tuple[float, ...], log_scale: float,
+             coeffs: list[float]) -> tuple[tuple[float, ...], float]:
+    """The scalar kernel: apply one factor per coefficient t to the rows
+    (lag, lead) = ((la, lb), (ea, eb)) as lag, lead <- lead, t*lead - lag,
+    renormalizing when max |entry| passes the threshold."""
+    la, lb, ea, eb = rows
+    for t in coeffs:
+        la, lb, ea, eb = ea, eb, t * ea - la, t * eb - lb
+        m = max(abs(la), abs(lb), abs(ea), abs(eb))
+        if m > _RENORM_THRESHOLD:
+            la, lb, ea, eb = la / m, lb / m, ea / m, eb / m
+            log_scale += math.log(m)
+    return (la, lb, ea, eb), log_scale
+
+
+def transfer_products_scaled(tc: TransferCocycle,
+                             marks: Sequence[int]) -> list[ScaledMatrix]:
+    """S(m, x) for every m in marks, from one pass of max |m| steps.
+
+    For m >= 0 the product is S(1, T^{m-1} x) ... S(1, x); negative m
+    uses the cocycle inverse S(-m, x) = S(m, T^{-m} x)^{-1}, a product of
+    adjugates, exact for unimodular factors.  The marks must share one
+    sign.  The state is the product's rows (lag, lead): (top, bottom) for
+    forward factors and (bottom, top) for adjugates, which makes both the
+    same recurrence (see the module docstring)."""
+    marks = [int(m) for m in marks]
+    n = max(marks, key=abs)
+    if any(m * n < 0 for m in marks):
+        raise ValueError("marks must share one sign")
+    forward = n >= 0
+    rows = (1.0, 0.0, 0.0, 1.0) if forward else (0.0, 1.0, 1.0, 0.0)
+    log_scale, done = 0.0, 0
+    states = {0: (rows, log_scale)}  # the state after each chunk
+    for chunk in _coefficients(tc, n, marks):
+        rows, log_scale = _advance(rows, log_scale, chunk)
+        done += len(chunk)
+        states[done] = (rows, log_scale)
+
+    def product(m):
+        (la, lb, ea, eb), scale = states[abs(m)]
+        mat = [[la, lb], [ea, eb]] if forward else [[ea, eb], [la, lb]]
+        return ScaledMatrix(np.array(mat), scale)
+
+    return [product(m) for m in marks]
+
+
+def transfer_product_scaled(tc: TransferCocycle, n: int) -> ScaledMatrix:
+    """Ordered product S(n, x) with log-scale renormalization; see
+    ``transfer_products_scaled``."""
+    return transfer_products_scaled(tc, [n])[0]
 
 
 def transfer_product(tc: TransferCocycle, n: int) -> np.ndarray:
@@ -165,15 +218,16 @@ def lyapunov(potential: PotentialModel, n_steps: int, n_seeds: int = 8,
     With debias=True the per-seed estimate is the subadditive increment
     (rho(0, 2n) - rho(0, n)) / n, which cancels the O(1/n) constant from
     the eigenprojection and converges geometrically in the constant-
-    potential case; debias=False gives the plain rho(0, n)/n."""
+    potential case; debias=False gives the plain rho(0, n)/n.  Both log-
+    norms of the debiased estimate come from one pass of 2n steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     vals = []
     for s in range(n_seeds):
         tc = TransferCocycle(potential, seed=seed0 + s)
         if debias:
-            long = max(transfer_product_scaled(tc, 2 * n_steps).log_norm(), 0.0)
-            short = max(transfer_product_scaled(tc, n_steps).log_norm(), 0.0)
+            pair = transfer_products_scaled(tc, [n_steps, 2 * n_steps])
+            short, long = (max(p.log_norm(), 0.0) for p in pair)
             vals.append((long - short) / n_steps)
         else:
             rho = max(transfer_product_scaled(tc, n_steps).log_norm(), 0.0)
@@ -212,15 +266,17 @@ def solve_difference(a: float, b: float, tc: TransferCocycle,
     vals[0] = prev
     if n_steps >= 1:
         vals[1] = cur
-    for k in range(1, n_steps):
-        coeff = float(tc.one_step(k - 1)[1, 1])  # energy - V at step k-1
-        nxt = coeff * cur - prev
-        prev, cur = cur, nxt
-        mag = max(abs(prev), abs(cur))
-        if mag > _RENORM_THRESHOLD:
-            prev /= mag
-            cur /= mag
-            scale += math.log(mag)
-        vals[k + 1] = cur
-        logs[k + 1] = scale
+    k = 1
+    for chunk in _coefficients(tc, max(n_steps - 1, 0)):
+        for coeff in chunk:  # energy - V at step k-1
+            nxt = coeff * cur - prev
+            prev, cur = cur, nxt
+            mag = max(abs(prev), abs(cur))
+            if mag > _RENORM_THRESHOLD:
+                prev /= mag
+                cur /= mag
+                scale += math.log(mag)
+            vals[k + 1] = cur
+            logs[k + 1] = scale
+            k += 1
     return DifferenceSolution(values=vals, log_scales=logs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environment import Environment, WeightModel
 from .lattice import BoxRegion, Site, norm1
-from .percolation import BoxGraph, refine
+from .percolation import BoxGraph, ConvergenceError, refine
 
 @dataclass(frozen=True)
 class DirectionalSeries:
@@ -91,7 +91,7 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
     for i in range(n_max):
         col = rows[flags[:, i], i] / (ks[i] * step)
         if len(col) == 0:
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"no converged distances at k={ks[i]} along {theta}")
         means[i] = col.mean()
         stderrs[i] = col.std(ddof=1) / math.sqrt(len(col)) if len(col) > 1 else 0.0

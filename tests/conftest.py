@@ -1,6 +1,19 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def pytest_configure(config):
+    # pyproject's `pythonpath` puts src/ on this process's path only; the
+    # determinism criterion runs `python -m shapelab.cli` in subprocesses,
+    # which find the package through PYTHONPATH
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if SRC not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, *paths]))
 
 
 def brute_force_distance(env, src, dst, box):

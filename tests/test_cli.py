@@ -261,3 +261,44 @@ def test_negative_box_radius_is_config_error(tmp_path, capsys):
         "output": str(tmp_path / "l.csv"),
     }
     _assert_config_error(tmp_path, capsys, doc, "box_radius")
+
+
+def test_shape_without_converged_distances_exits_3(tmp_path, capsys):
+    doc = {
+        "command": "shape",
+        "dimension": 2,
+        "model": {"kind": "exponential", "rate": 1.0},
+        "seeds": {"start": 0, "count": 1},
+        "directions": [[1, 0]],
+        "n_max": 4,
+        "tolerance": 0,
+        "output": str(tmp_path / "shape.csv"),
+    }
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and "no converged distances" in err
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "schrodinger-scan"])
+def test_nonpositive_n_steps_is_config_error(tmp_path, capsys, command):
+    doc = {
+        "command": command,
+        "potential": {"kind": "bernoulli"},
+        "n_steps": 0,
+        "output": str(tmp_path / "lyap.csv"),
+    }
+    if command == "schrodinger-scan":
+        doc["energies"] = [0.0]
+    _assert_config_error(tmp_path, capsys, doc, "n_steps")
+
+
+def test_zero_drift_orbit_is_config_error(tmp_path, capsys):
+    doc = {
+        "command": "kingman",
+        "cocycle": {"generator": {"kind": "fourier"}},
+        "length": 10,
+        "drift_orbit": 0,
+        "output": str(tmp_path / "k.csv"),
+    }
+    _assert_config_error(tmp_path, capsys, doc, "drift_orbit")

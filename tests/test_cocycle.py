@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shapelab.cli import _cocycle_from_spec
 from shapelab.cocycle import (AutocorrSample, CircleRotation,
                               DegenerateDirectionError, HilbertCocycle,
                               OperatorSample, RotationSample, SeededShift,
@@ -295,3 +296,111 @@ def test_autocorr_sample_validation():
         AutocorrSample("pink")
     with pytest.raises(ValueError):
         AutocorrSample("geometric", ratio=1.5)
+
+
+# --------------------------------------------------------------------------
+# batched orbits against one-step-at-a-time loops
+
+ORBIT_LENGTHS = (1, 1024, 1025, 2049)
+ROTATION = {"kind": "rotation", "alphas": [ALPHAS[0]], "x0": 0.3}
+SHIPPED_GENERATOR_SPECS = {
+    "constant": {"dynamics": {"kind": "shift", "seed": 5, "dimension": 2},
+                 "generator": {"kind": "constant", "value": [3.0, -4.0]}},
+    "fourier": {"dynamics": ROTATION, "generator": {"kind": "fourier"}},
+    "mixed": {"dynamics": ROTATION,
+              "generator": {"kind": "mixed", "value": [2.0, 0.0],
+                            "coboundary": 1.0}},
+    "axis_field": {"dynamics": {"kind": "shift", "seed": 9, "dimension": 2},
+                   "generator": {"kind": "axis_field"}, "dim_space": 3},
+}
+
+
+def _one_step(c, offset, axis):
+    return np.asarray(c.generator(c.dynamics, tuple(offset), axis, 1),
+                      dtype=float)[0]
+
+
+def _stepwise_evaluate(c, n):
+    total = np.zeros(c.dim_space)
+    offset = [0] * c.dim_group
+    reps = c.representation
+    lam = np.eye(c.dim_space)
+    for k in range(c.dim_group):
+        for _ in range(abs(n[k])):
+            if n[k] > 0:
+                fval = _one_step(c, offset, k)
+                total = total + (fval if reps is None else lam @ fval)
+                offset[k] += 1
+                if reps is not None:
+                    lam = lam @ reps[k]
+            else:
+                offset[k] -= 1
+                if reps is not None:
+                    lam = lam @ reps[k].T
+                fval = _one_step(c, offset, k)
+                total = total - (fval if reps is None else lam @ fval)
+    return total
+
+
+def _stepwise_drift(c, length):
+    cols = np.zeros((c.dim_space, c.dim_group))
+    for k in range(c.dim_group):
+        acc = np.zeros(c.dim_space)
+        for j in range(length):
+            acc += _one_step(c, [j if i == k else 0
+                                 for i in range(c.dim_group)], k)
+        cols[:, k] = acc / length
+    return cols
+
+
+def _stepwise_kingman(c, length, xi):
+    rho, phi = np.zeros(length + 1), np.zeros(length)
+    total = np.zeros(c.dim_space)
+    for k in range(length):
+        fval = _one_step(c, [k] + [0] * (c.dim_group - 1), 0)
+        total = total + fval
+        rho[k + 1] = np.linalg.norm(total)
+        phi[k] = float(xi @ fval)
+    return rho, phi
+
+
+@pytest.mark.parametrize("kind", sorted(SHIPPED_GENERATOR_SPECS))
+def test_batched_orbits_match_stepwise_loops(kind):
+    c = _cocycle_from_spec(SHIPPED_GENERATOR_SPECS[kind])
+    d = c.dim_group
+    for length in ORBIT_LENGTHS:
+        cols = drift_map(c, length).columns
+        assert np.array_equal(cols, _stepwise_drift(c, length))
+        drift = cols[:, 0] + 0.5  # keeps the direction away from zero
+        kd = kingman_decompose(c, length, drift_vector=drift)
+        rho, phi = _stepwise_kingman(c, length, drift / np.linalg.norm(drift))
+        assert np.array_equal(kd.rho, rho) and np.array_equal(kd.phi, phi)
+        for sign in (1, -1):
+            n = (sign * length,) + (-3,) * (d - 1)
+            assert np.array_equal(c.evaluate(n), _stepwise_evaluate(c, n))
+            if d == 2:
+                n = (2, -sign * length)
+                assert np.array_equal(c.evaluate(n), _stepwise_evaluate(c, n))
+
+
+def test_twisted_batched_evaluate_matches_stepwise_loop():
+    reps = (_rot(0.3), _rot(1.1))
+
+    def g(dyn_, off):
+        return dyn_.uniforms(off, 55, 2)
+
+    c = HilbertCocycle(2, SeededShift(4, 2),
+                       twisted_coboundary_generator(g, reps), reps)
+    for n in [(1025, -2), (-1025, 3), (0, -1024), (-1, 1)]:
+        assert np.array_equal(c.evaluate(n), _stepwise_evaluate(c, n))
+
+
+def test_rotation_axis_points_match_point():
+    dyn = CircleRotation(ALPHAS, 0.77)
+    for offset in [(0, 0), (-7, 3), (5, -2000)]:
+        for axis in (0, 1):
+            pts = dyn.axis_points(offset, axis, 1025)
+            want = [dyn.point(tuple(o + j if i == axis else o
+                                    for i, o in enumerate(offset)))
+                    for j in range(1025)]
+            assert pts.tolist() == want

@@ -7,7 +7,8 @@ from shapelab.schrodinger import (DifferenceSolution, LyapunovEstimate,
                                   PotentialModel, TransferCocycle, lyapunov,
                                   matrix_semimetric, operator_norm_2x2,
                                   solve_difference, transfer_product,
-                                  transfer_product_scaled)
+                                  transfer_product_scaled,
+                                  transfer_products_scaled)
 
 FREE = PotentialModel("constant", energy=0.0, value=0.0)
 IID = PotentialModel("iid_uniform", energy=0.3, amplitude=1.0)
@@ -173,3 +174,77 @@ def test_matrix_semimetric_shape_smoke():
     assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
     est = lyapunov(pot, 4000, n_seeds=6)
     assert min(means) == pytest.approx(est.value, abs=0.02)
+
+
+KERNEL_POTENTIALS = [
+    PotentialModel("constant", energy=3.0, value=0.5),
+    PotentialModel("iid_uniform", energy=0.3, amplitude=1.5),
+    PotentialModel("bernoulli", energy=0.5, amplitude=1.0),
+    PotentialModel("rotation", energy=0.2, amplitude=2.0),
+]
+
+
+def _reference_log_norm(tc, n):
+    """log |S(n, x)| from one_step matrices multiplied in numpy, with the
+    same renormalization rule; n < 0 multiplies inverse factors."""
+    acc, log_scale = np.eye(2), 0.0
+    steps = range(n) if n >= 0 else range(-1, n - 1, -1)
+    for k in steps:
+        step = tc.one_step(k)
+        acc = (step if n >= 0 else np.linalg.inv(step)) @ acc
+        m = float(np.max(np.abs(acc)))
+        if m > 1e8:
+            acc /= m
+            log_scale += math.log(m)
+    return log_scale + math.log(operator_norm_2x2(acc))
+
+
+@pytest.mark.parametrize("pot", KERNEL_POTENTIALS, ids=lambda p: p.kind)
+def test_scalar_kernel_matches_one_step_products(pot):
+    tc = TransferCocycle(pot, seed=3, offset=-5)
+    for n in (1, -1, 7, -7, 1000, -1000):
+        ref = _reference_log_norm(tc, n)
+        got = transfer_product_scaled(tc, n).log_norm()
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, got, ref)
+
+
+def test_products_at_several_marks_match_separate_passes():
+    tc = TransferCocycle(IID, seed=8)
+    for marks in ([0, 3, 1024, 1500], [-2, -1025]):
+        together = transfer_products_scaled(tc, marks)
+        for m, prod in zip(marks, together):
+            alone = transfer_product_scaled(tc, m)
+            assert np.array_equal(prod.mat, alone.mat)
+            assert prod.log_scale == alone.log_scale
+    with pytest.raises(ValueError):
+        transfer_products_scaled(tc, [3, -3])
+
+
+def test_debiased_lyapunov_single_pass_is_exact():
+    pot = PotentialModel("bernoulli", energy=0.5)
+    n, seeds = 1500, 3
+    vals = []
+    for s in range(seeds):
+        tc = TransferCocycle(pot, seed=10 + s)
+        long = max(transfer_product_scaled(tc, 2 * n).log_norm(), 0.0)
+        short = max(transfer_product_scaled(tc, n).log_norm(), 0.0)
+        vals.append((long - short) / n)
+    arr = np.asarray(vals)
+    est = lyapunov(pot, n, n_seeds=seeds, seed0=10)
+    assert est.value == float(arr.mean())
+    assert est.stderr == float(arr.std(ddof=1) / math.sqrt(seeds))
+
+
+def test_difference_matches_one_step_recurrence():
+    tc = TransferCocycle(PotentialModel("bernoulli", energy=0.1), seed=4,
+                         offset=9)
+    n_steps = 2050
+    sol = solve_difference(0.3, -1.1, tc, n_steps)
+    prev, cur, scale = 0.3, -1.1, 0.0
+    for k in range(1, n_steps):
+        prev, cur = cur, float(tc.one_step(k - 1)[1, 1]) * cur - prev
+        mag = max(abs(prev), abs(cur))
+        if mag > 1e8:
+            prev, cur = prev / mag, cur / mag
+            scale += math.log(mag)
+        assert sol.values[k + 1] == cur and sol.log_scales[k + 1] == scale
