@@ -4,7 +4,9 @@ Everything here works in a canonical frame: the chain's axes are reordered
 so the transversal axis comes last with a positive target coordinate.  In
 that frame the target is (p, M) for d=2 or (p1, p2, M) for d=3, with M
 carrying more than half the ell-1 mass N; the half-ball around the target
-has radius R = floor(N/2).
+has radius R = floor(N/2).  A family is built as one int64 array of the
+vertices of all its paths with per-path offsets; the map back from the
+canonical frame is a column permutation and a sign on the last column.
 
 d=2 is closed form.  Track i marches vertically at a distinct cross offset
 c_i and collapses onto the target along the integer quota ray
@@ -28,285 +30,262 @@ authority for the validated grid d in {2, 3}, |n| <= 8.
 
 from __future__ import annotations
 
-from .lattice import LatticePath, PathFamily, Site
+from functools import lru_cache
+from itertools import count
 
+import numpy as np
 
-def _balanced(i: int) -> int:
-    # 0, 1, -1, 2, -2, ...
-    return (i + 1) // 2 * (1 if i % 2 else -1) if i else 0
+from .lattice import PathFamily, Site, row_keys
 
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _span(a: int, b: int) -> list[int]:
-    step = 1 if b >= a else -1
-    return list(range(a, b + step, step))
-
-
-# --------------------------------------------------------------------------
-# frame mapping
+_RAYS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+_NEVER = np.iinfo(np.int64).min
+_AXES = np.arange(3)
 
 
 def _to_canonical(n: Site, chain: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     coords = tuple(n[a] for a in chain)
-    s = _sign(coords[-1]) or 1
+    s = -1 if coords[-1] < 0 else 1
     return coords[:-1] + (abs(coords[-1]),), s
-
-
-def _from_canonical(site: tuple[int, ...], chain: tuple[int, ...], s: int) -> Site:
-    d = len(chain)
-    out = [0] * d
-    for k, axis in enumerate(chain):
-        out[axis] = site[k] if k < d - 1 else s * site[k]
-    return tuple(out)
 
 
 def build(n: Site, chain: tuple[int, ...]) -> PathFamily:
     d = len(n)
     canon, s = _to_canonical(n, chain)
     if d == 1:
-        paths = [[(x,) for x in _span(0, canon[0])]]
+        rows = np.arange(canon[0] + 1)[:, None]
+        offsets = np.array([0, canon[0] + 1])
         indices = [()]
     elif d == 2:
-        paths, indices = _build_2d(canon[0], canon[1])
+        rows, offsets, indices = _build_2d(*canon)
     else:
-        paths, indices = _build_3d(canon[0], canon[1], canon[2])
-    mapped = tuple(
-        LatticePath([_from_canonical(v, chain, s) for v in p]) for p in paths)
-    return PathFamily(target=n, chain_axes=chain, paths=mapped,
+        rows, offsets, indices = _build_3d(*canon)
+    rows[:, -1] *= s
+    return PathFamily(target=n, chain_axes=chain,
+                      vertices=rows[:, np.argsort(chain)], offsets=offsets,
                       indices=tuple(indices))
+
+
+# --------------------------------------------------------------------------
+# ragged arrays: many paths' rows in one array, grouped by path
+
+
+def _walk(way: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit steps through waypoints: way[i] lists path i's waypoints, each
+    differing from the one before in one coordinate only.  Returns the
+    path index and the site of every step, path after path."""
+    paths, legs, d = way.shape
+    start = way[:, :-1].reshape(-1, d)
+    delta = np.diff(way, axis=1).reshape(-1, d)
+    lens = np.abs(delta).sum(axis=1)
+    j = np.arange(1, lens.sum() + 1) - np.repeat(np.cumsum(lens) - lens, lens)
+    sites = (np.repeat(start, lens, axis=0)
+             + j[:, None] * np.repeat(np.sign(delta), lens, axis=0))
+    return np.repeat(np.arange(paths).repeat(legs - 1), lens), sites
+
+
+def _descents(rows: np.ndarray, offsets: np.ndarray):
+    """Each group of rows walked from its last row back to its first,
+    leaving out the last row itself: (group index, row) pairs."""
+    lens = np.diff(offsets) - 1
+    first = np.cumsum(lens) - lens
+    at = np.repeat(offsets[1:] - 2 + first, lens) - np.arange(lens.sum())
+    return np.repeat(np.arange(len(lens)), lens), rows[at]
+
+
+def _gather(groups: int, *pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Join (group index, row) pieces into one array grouped by index,
+    each group's rows in piece order; returns the rows and the offsets."""
+    ids = np.concatenate([p[0] for p in pieces])
+    rows = np.concatenate([p[1] for p in pieces])[np.argsort(ids,
+                                                             kind="stable")]
+    offsets = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=groups), out=offsets[1:])
+    return rows, offsets
+
+
+def _quota(c_abs, r, N: int):
+    """|xi| of track c at distance r from the target: round(2*|c|*r/N)
+    clamped to |c|.  Saturates no later than r = floor(N/2)."""
+    return np.minimum((4 * c_abs * r + N) // (2 * N), c_abs)
 
 
 # --------------------------------------------------------------------------
 # d = 2
 
 
-def _quota_offset(c: int, r: int, N: int) -> int:
-    """Signed cross offset of track c at distance r from the target:
-    round(2*c*r/N) clamped to c.  Saturates no later than r = floor(N/2)."""
-    if c == 0:
-        return 0
-    mag = min((4 * abs(c) * r + N) // (2 * N), abs(c))
-    return _sign(c) * mag
-
-
 def _build_2d(p: int, M: int):
     N = abs(p) + M
-    paths = []
-    indices = []
-    for i in range(N):
-        c = _balanced(i)
-        traj = []
-        r = 0
-        while True:
-            xi = _quota_offset(c, r, N)
-            u = r - abs(xi)
-            traj.append((p + xi, M - u))
-            if u == M:
-                break
-            r += 1
-        entry = p + c
-        spread = [(x, 0) for x in _span(0, entry)]
-        paths.append(spread[:-1] + traj[::-1])
-        indices.append((i,))
-    return paths, indices
+    tracks = np.arange(N)
+    c = (tracks + 1) // 2 * np.where(tracks % 2, 1, -1)  # 0, 1, -1, 2, ...
+    # a track meets the hyperplane at r = M + |c|; its rows below that
+    # run r = M + |c| - 1 down to 0
+    lens = M + np.abs(c)
+    ids = np.repeat(tracks, lens)
+    r = (np.repeat(np.cumsum(lens) - 1, lens) - np.arange(lens.sum()))
+    xi = np.sign(c)[ids] * _quota(np.abs(c)[ids], r, N)
+    down = np.column_stack([p + xi, M - r + np.abs(xi)])
+    spread = np.zeros((N, 2, 2), dtype=np.int64)
+    spread[:, 1, 0] = p + c
+    rows, offsets = _gather(N, (tracks, np.zeros((N, 2), dtype=np.int64)),
+                            _walk(spread), (ids, down))
+    return rows, offsets, [(i,) for i in range(N)]
 
 
 # --------------------------------------------------------------------------
 # d = 3
 
-_RAYS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def _rot90(d1: int, d2: int) -> tuple[int, int]:
-    return (-d2, d1)
-
-
-class _Family3D:
-    def __init__(self, p1: int, p2: int, M: int):
-        self.p = (p1, p2)
-        self.M = M
-        self.N = abs(p1) + abs(p2) + M
-        self.R = self.N // 2
-        self.bound = 2 * self.N
-
-    def _site(self, xi1: int, xi2: int, u: int) -> tuple[int, int, int]:
-        # offsets relative to the target; u counts levels below it
-        return (self.p[0] + xi1, self.p[1] + xi2, self.M - u)
-
-    def columns(self) -> list[tuple[int, int]]:
-        K = self.R + 1
-        ball = [(a, b) for a in range(-K, K + 1) for b in range(-K, K + 1)
-                if abs(a) + abs(b) <= K]
-        ball.sort(key=lambda c: (abs(c[0]) + abs(c[1]), c))
-        return ball[: self.N ** 2]
-
-    def hook_slots(self) -> list[dict]:
-        """Hook geometry: rise to level -h over the target, run outward
-        along a ray, then descend a personal column on the cross shell
-        R+2.  Height is capped so the apex respects the 2N containment and
-        the shared rise stays inside the half-ball."""
-        out = []
-        hmax = min(self.N - self.R - 2, self.R)
-        for h in range(1, hmax + 1):
-            for ray_idx, (d1, d2) in enumerate(_RAYS):
-                k = h - 1
-                l1, l2 = _rot90(d1, d2)
-                reach = self.R + 2 - k
-                pos = (d1 * reach + l1 * k, d2 * reach + l2 * k)
-                out.append({"h": h, "ray": (d1, d2), "reach": reach,
-                            "k": k, "pos": pos})
-        return out
-
-    def hook_trajectory(self, slot) -> list[tuple[int, int, int]]:
-        """Hook sites from the target outward to its hyperplane entry."""
-        h, (d1, d2) = slot["h"], slot["ray"]
-        k, reach = slot["k"], slot["reach"]
-        l1, l2 = _rot90(d1, d2)
-        traj = [(0, 0, 0)]
-        traj += [(0, 0, -i) for i in range(1, h + 1)]
-        traj += [(d1 * x, d2 * x, -h) for x in range(1, reach + 1)]
-        traj += [(d1 * reach + l1 * i, d2 * reach + l2 * i, -h)
-                 for i in range(1, k + 1)]
-        pos = slot["pos"]
-        traj += [(pos[0], pos[1], u) for u in range(-h + 1, self.M + 1)]
-        return traj
-
-    def build(self):
-        N, M, R = self.N, self.M, self.R
-        cols = self.columns()
-        n_hooks = N * N - len(cols)
-        slots = self.hook_slots()
-        if n_hooks > len(slots):
-            raise ValueError(
-                f"cannot construct the d=3 family for |n|={N}: "
-                f"{n_hooks} overshoot tracks needed, {len(slots)} slots "
-                "available (validated range is |n| <= 8)")
-
-        # count-one bookkeeping outside the half-ball; inside it sharing
-        # is free and only enters the measured near-target constant
-        owner: dict[tuple[int, int, int], int] = {}
-
-        def claim(xi1, xi2, u, who):
-            if abs(xi1) + abs(xi2) + abs(u) <= R:
-                return
-            site = (xi1, xi2, u)
-            if owner.setdefault(site, who) != who:
-                raise AssertionError(
-                    f"multiplicity clash at offset {site} of target "
-                    f"{self._site(0, 0, 0)}")
-
-        trajectories = []
-        for tid, c in enumerate(cols):
-            trajectories.append(self._normal_trajectory(c, tid, claim))
-        for i in range(n_hooks):
-            traj = self.hook_trajectory(slots[i])
-            tid = len(cols) + i
-            for xi1, xi2, u in traj[1:]:
-                if u < M:  # hyperplane entry itself is exempt
-                    claim(xi1, xi2, u, tid)
-            trajectories.append(traj)
-
-        entries = [self._site(*traj[-1])[:2] for traj in trajectories]
-        spreads = self._plan_spreads(entries)
-
-        paths = []
-        for spread, traj in zip(spreads, trajectories):
-            absolute = [self._site(*o) for o in traj]
-            for x, y, t in absolute:
-                if abs(x) + abs(y) + abs(t) > self.bound:
-                    raise AssertionError(
-                        f"containment violated at {(x, y, t)}")
-            paths.append(spread[:-1] + absolute[::-1])
-
-        indices = [(j1, j2) for j1 in range(N) for j2 in range(N)]
-        return paths, indices
-
-    def _normal_trajectory(self, c, tid, claim):
-        """Quota-paced staircase from the target to the column tail at the
-        sphere R+1, then straight up the column to the hyperplane."""
-        N, M, R = self.N, self.M, self.R
-        u_tail = R + 1 - abs(c[0]) - abs(c[1])
-        xi1 = xi2 = u = 0
-        traj = [(0, 0, 0)]
-        for r in range(1, R + 2):
-            lags = []
-            if abs(xi1) < abs(c[0]) or (c[0] == 0) != (xi1 == 0):
-                lags.append((abs(_quota_offset(c[0], r, N)) - abs(xi1), 0))
-            if abs(xi2) < abs(c[1]):
-                lags.append((abs(_quota_offset(c[1], r, N)) - abs(xi2), 1))
-            ideal_u = max(0, r - abs(_quota_offset(c[0], r, N))
-                          - abs(_quota_offset(c[1], r, N)))
-            if u < u_tail:
-                lags.append((ideal_u - u, 2))
-            lags.sort(key=lambda t: (-t[0], t[1]))
-            move = lags[0][1]
-            if move == 0:
-                xi1 += _sign(c[0] - xi1)
-            elif move == 1:
-                xi2 += _sign(c[1] - xi2)
-            else:
-                u += 1
-            claim(xi1, xi2, u, tid)
-            traj.append((xi1, xi2, u))
-        if (xi1, xi2) != c or u != u_tail:
-            raise AssertionError(f"track {c} missed its tail")
-        for uu in range(u_tail + 1, M + 1):
-            claim(c[0], c[1], uu, tid)
-            traj.append((c[0], c[1], uu))
-        return traj
-
-    def _plan_spreads(self, entries):
-        """Hyperplane staircases from the origin to each entry point.
-
-        Vertical rides are budgeted at N per line of the first chain axis;
-        overflow tracks detour over a fresh line so the nested-subspace
-        multiplicity bound keeps holding.
-        """
-        N = self.N
-        riders: dict[int, int] = {}
-        plans: list[tuple[int, tuple[int, int]]] = []
-
-        by_line: dict[int, list[int]] = {}
-        for i, e in enumerate(entries):
-            by_line.setdefault(e[0], []).append(i)
-        choice: dict[int, int | None] = {}
-        for line, ids in by_line.items():
-            ids.sort(key=lambda i: (abs(entries[i][1]), entries[i][1]))
-            for rank, i in enumerate(ids):
-                if rank < N:
-                    choice[i] = None
-                    riders[line] = riders.get(line, 0) + 1
-                else:
-                    choice[i] = -1  # needs a detour line
-
-        detour_line = None
-        if any(v == -1 for v in choice.values()):
-            v = 0
-            while detour_line is None:
-                for cand in sorted({-v, v}):
-                    if riders.get(cand, 0) + sum(
-                            1 for x in choice.values() if x == -1) <= N \
-                            and cand not in by_line:
-                        detour_line = cand
-                        break
-                v += 1
-
-        spreads = []
-        for i, e in enumerate(entries):
-            if choice[i] is None:
-                sp = [(x, 0, 0) for x in _span(0, e[0])]
-                sp += [(e[0], y, 0) for y in _span(0, e[1])][1:]
-            else:
-                b = detour_line
-                sp = [(x, 0, 0) for x in _span(0, b)]
-                sp += [(b, y, 0) for y in _span(0, e[1])][1:]
-                sp += [(x, e[1], 0) for x in _span(b, e[0])][1:]
-            spreads.append(sp)
-        return spreads
-
 
 def _build_3d(p1: int, p2: int, M: int):
-    return _Family3D(p1, p2, M).build()
+    N = abs(p1) + abs(p2) + M
+    traj, toff = _trajectories(N, M)
+    absolute = np.column_stack([p1 + traj[:, 0], p2 + traj[:, 1],
+                                M - traj[:, 2]])
+    outside = np.abs(absolute).sum(axis=1) > 2 * N
+    if outside.any():
+        raise AssertionError(
+            f"containment violated at {tuple(absolute[outside][0].tolist())}")
+
+    tracks = N * N
+    spreads = _spreads(absolute[toff[1:] - 1, :2], N)
+    rows, offsets = _gather(
+        tracks, (np.arange(tracks), np.zeros((tracks, 3), dtype=np.int64)),
+        _walk(spreads), _descents(absolute, toff))
+    indices = [(j1, j2) for j1 in range(N) for j2 in range(N)]
+    return rows, offsets, indices
+
+
+@lru_cache(maxsize=None)
+def _trajectories(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every track's trajectory as offsets (xi1, xi2, u) from the target,
+    u counting levels below it, out to its hyperplane entry at u = M:
+    the rows and per-track offsets, read-only.
+
+    They depend on N and M only, so families with the same pair share
+    them.  The cache stays small: beyond N = 8 construction is refused
+    before anything is cached."""
+    R = N // 2
+    cols = _columns(R + 1, N * N)
+    T = len(cols)
+    hooks = _hooks(N, R, M, N * N - T)
+    tracks = N * N
+
+    pace = _pace(cols, N, R)
+    rise = np.repeat(pace[:, -1:], 2, axis=1)
+    rise[:, 1, 2] = M
+    hook_ids, hook_rows = _walk(hooks)
+    traj, toff = _gather(
+        tracks, (np.repeat(np.arange(T), R + 2), pace.reshape(-1, 3)),
+        _walk(rise), (T + np.arange(len(hooks)), hooks[:, 0]),
+        (T + hook_ids, hook_rows))
+
+    # count-one bookkeeping outside the half-ball: every claimed site has
+    # one owning track.  The target itself, a hook's hyperplane entry and
+    # sites inside the half-ball (whose sharing only enters the measured
+    # near-target constant) are not claimed.
+    tid = np.repeat(np.arange(tracks), np.diff(toff))
+    claimed = (tid < T) | (traj[:, 2] < M)
+    claimed[toff[:-1]] = False
+    claimed &= np.abs(traj).sum(axis=1) > R
+    sites = traj[claimed]
+    site_keys = row_keys(sites)
+    _, first = np.unique(row_keys(np.column_stack([site_keys, tid[claimed]])),
+                         return_index=True)
+    owned = site_keys[first]  # sorted: the site key is the leading column
+    clash = np.flatnonzero(owned[1:] == owned[:-1])
+    if clash.size:
+        raise AssertionError(
+            f"multiplicity clash at offset "
+            f"{tuple(sites[first[clash[0]]].tolist())} for |n|={N}, M={M}")
+    traj.setflags(write=False)
+    toff.setflags(write=False)
+    return traj, toff
+
+
+def _columns(K: int, limit: int) -> np.ndarray:
+    """The cross-plane sites of the ell-1 ball of radius K, by norm and
+    then lexicographically, at most limit of them."""
+    ab = np.indices((2 * K + 1, 2 * K + 1)).reshape(2, -1).T - K
+    norm = np.abs(ab).sum(axis=1)
+    order = np.argsort(norm, kind="stable")
+    return ab[order][norm[order] <= K][:limit]
+
+
+def _hooks(N: int, R: int, M: int, needed: int) -> np.ndarray:
+    """Hook waypoints (needed, 5, 3): rise to level -h over the target,
+    run outward along a ray, turn to the left of it, then descend a
+    personal column on the cross shell R+2 to the hyperplane.  Height is
+    capped so the apex respects the 2N containment and the shared rise
+    stays inside the half-ball; slots go by height, then by ray."""
+    hmax = min(N - R - 2, R)
+    if needed > 4 * max(hmax, 0):
+        raise ValueError(
+            f"cannot construct the d=3 family for |n|={N}: "
+            f"{needed} overshoot tracks needed, {4 * max(hmax, 0)} slots "
+            "available (validated range is |n| <= 8)")
+    slot = np.arange(needed)
+    h = 1 + slot // 4
+    ray = _RAYS[slot % 4]
+    left = np.column_stack([-ray[:, 1], ray[:, 0]])
+    reach = R + 3 - h
+    way = np.zeros((needed, 5, 3), dtype=np.int64)
+    way[:, 1:4, 2] = -h[:, None]
+    way[:, 2, :2] = ray * reach[:, None]
+    way[:, 3, :2] = way[:, 2, :2] + left * (h - 1)[:, None]
+    way[:, 4, :2] = way[:, 3, :2]
+    way[:, 4, 2] = M
+    return way
+
+
+def _pace(cols: np.ndarray, N: int, R: int) -> np.ndarray:
+    """Quota-paced staircases from the target to each column's tail
+    (c, R+1-|c|) at the sphere R+1, one row per track: (T, R+2, 3).
+
+    Step r moves the coordinate lagging furthest behind its quota at r,
+    the lowest axis on ties, one unit toward its goal.  Coordinates only
+    move toward their goals, so a coordinate may move until it meets its
+    own."""
+    ca = np.abs(cols)
+    goal = np.column_stack([cols, R + 1 - ca.sum(axis=1)])
+    r = np.arange(1, R + 2)[:, None, None]
+    quota = np.empty((R + 1,) + goal.shape, dtype=np.int64)
+    quota[..., :2] = _quota(ca, r, N)
+    quota[..., 2] = np.maximum(0, r[..., 0] - quota[..., :2].sum(axis=2))
+    out = np.zeros((R + 2,) + goal.shape, dtype=np.int64)
+    for step, want in enumerate(quota):
+        pos = out[step]
+        move = np.where(pos != goal, want - np.abs(pos), _NEVER).argmax(axis=1)
+        out[step + 1] = pos + (move[:, None] == _AXES) * np.sign(goal - pos)
+    if not np.array_equal(out[-1], goal):
+        raise AssertionError("a track missed its tail")
+    return out.transpose(1, 0, 2)
+
+
+def _spreads(entries: np.ndarray, N: int) -> np.ndarray:
+    """Waypoints (P, 4, 3) of the hyperplane staircases from the origin to
+    each entry point: along the first axis to the entry's line, then
+    along the second.
+
+    Vertical rides are budgeted at N per line of the first chain axis;
+    overflow tracks ride a fresh line instead and return along the first
+    axis at the entry's level, so the nested-subspace multiplicity bound
+    keeps holding.  Riders of one line are ranked by |e1|, then e1.
+    """
+    e0, e1 = entries.T
+    order = np.lexsort((e1, np.abs(e1), e0))
+    line = e0[order]
+    starts = np.flatnonzero(np.r_[True, line[1:] != line[:-1]])
+    rank = np.arange(len(line)) - np.repeat(starts,
+                                            np.diff(np.r_[starts, len(line)]))
+    detour = np.zeros(len(e0), dtype=bool)
+    detour[order] = rank >= N
+    ride = e0.copy()
+    if detour.any():
+        # the nearest unused line, 0, -1, 1, -2, ...: only detours ride it
+        lines = set(e0.tolist())
+        ride[detour] = next(b for v in count() for b in (-v, v)
+                            if b not in lines)
+    way = np.zeros((len(e0), 4, 3), dtype=np.int64)
+    way[:, 1:3, 0] = ride[:, None]
+    way[:, 2:, 1] = e1[:, None]
+    way[:, 3, 0] = e0
+    return way

@@ -365,11 +365,11 @@ def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
             raise ConfigError("coboundary profile needs rotation dynamics")
         amp = float(gen_spec.get("coboundary", 1.0))
 
-        def g(dyn_, off):
-            t = 2.0 * math.pi * dyn_.point(off)
-            return amp * np.array([math.sin(t), math.cos(t)])
+        def g(points):
+            t = 2.0 * math.pi * points
+            return amp * np.column_stack([np.sin(t), np.cos(t)])
 
-        parts.append(_cocycle.coboundary_generator(g))
+        parts.append(_cocycle.coboundary_generator(g, over_points=True))
     if not parts:
         raise ConfigError(f"unknown generator kind {gkind!r}")
     gen = parts[0] if len(parts) == 1 else _cocycle.add_generators(*parts)
@@ -379,8 +379,10 @@ def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
     c = _cocycle_from_spec(cfg.require("cocycle"))
     length = cfg.positive_int("length")
-    kd = _cocycle.kingman_decompose(
-        c, length, drift_orbit=cfg.positive_int("drift_orbit", 4 * length))
+    # without drift_orbit, kingman_decompose picks its own default
+    drift_orbit = (cfg.positive_int("drift_orbit")
+                   if "drift_orbit" in cfg.doc else None)
+    kd = _cocycle.kingman_decompose(c, length, drift_orbit=drift_orbit)
     rows = []
     phi_sum = 0.0
     for k in range(1, length + 1):
@@ -482,7 +484,7 @@ def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
             continue
         a = audit_family(fam)
         failures += 0 if a.exact_ok else 1
-        rows.append((*n, "built", len(fam.paths), a.off_multiplicity,
+        rows.append((*n, "built", fam.path_count, a.off_multiplicity,
                      a.near_constant, int(a.exact_ok)))
     cols = [f"n_{k}" for k in range(d)]
     cols += ["status", "paths", "off_multiplicity", "near_constant", "ok"]

@@ -127,14 +127,22 @@ def fourier_generator(harmonic: int = 1) -> Callable:
     return f
 
 
-def coboundary_generator(g: Callable) -> Callable:
+def coboundary_generator(g: Callable, over_points: bool = False) -> Callable:
     """f_k = g - g after one step along axis k; the induced cocycle is
     the bounded telescope g(x) - g(T_n x).  The scalar profile
-    g(dynamics, offset) -> R^D is called once per orbit site."""
+    g(dynamics, offset) -> R^D is called once per orbit site.  With
+    over_points, g(points) -> (count, D) takes the array of circle points
+    of a whole orbit batch (rotation dynamics only) and is called once
+    per batch."""
 
     def f(dyn, offset, axis, count):
-        vals = np.array([np.asarray(g(dyn, off), dtype=float)
-                         for off in _axis_offsets(offset, axis, count + 1)])
+        if over_points:
+            vals = np.asarray(g(dyn.axis_points(offset, axis, count + 1)),
+                              dtype=float)
+        else:
+            vals = np.array([np.asarray(g(dyn, off), dtype=float)
+                             for off in _axis_offsets(offset, axis,
+                                                      count + 1)])
         return vals[:-1] - vals[1:]
 
     return f

@@ -1,8 +1,12 @@
 """Integer-lattice geometry: sites, boxes, elementary paths, and the
 combinatorial family of spread-out paths from the origin to a target site.
 
-Sites are plain tuples of ints; the ell-1 norm is the canonical lattice
-norm throughout (it is the word metric of the standard generators).
+A single site is a tuple of ints.  Bulk site sets are int64 arrays of
+shape (n, d): box sites, and the vertices of a whole path family stored
+path after path with per-path offsets, which the family audit reads
+directly; ``PathFamily.paths`` is a tuple view built only on request.
+The ell-1 norm is the canonical lattice norm throughout (it is the word
+metric of the standard generators).
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -126,9 +131,13 @@ class LatticePath(tuple):
         return self[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathFamily:
     """The spread-out family of elementary paths from 0 to ``target``.
+
+    The paths are stored as one (V, d) int64 array of their vertices, path
+    after path: path k is ``vertices[offsets[k]:offsets[k + 1]]``.  The
+    tuple view ``paths`` is built on first use only.
 
     chain_axes is the axis permutation (a_1, ..., a_d) realizing the nested
     coordinate subspaces span(e_{a_1}) c span(e_{a_1}, e_{a_2}) c ...; the
@@ -137,40 +146,95 @@ class PathFamily:
 
     target: Site
     chain_axes: tuple[int, ...]
-    paths: tuple[LatticePath, ...]
+    vertices: np.ndarray
+    offsets: np.ndarray
     indices: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        verts = np.asarray(self.vertices, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if verts.ndim != 2 or verts.shape[1] != len(self.target):
+            raise ValueError("vertices must be a (V, d) array of sites")
+        if (offsets.ndim != 1 or len(offsets) == 0 or offsets[0] != 0
+                or offsets[-1] != len(verts) or np.any(np.diff(offsets) < 1)):
+            raise ValueError("every path needs at least one vertex")
+        step = np.abs(np.diff(verts, axis=0)).sum(axis=1) == 1
+        step[offsets[1:-1] - 1] = True  # no step joins a path to the next
+        if not step.all():
+            raise ValueError("vertices must form elementary paths")
+        verts.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "offsets", offsets)
+
+    def __eq__(self, other):
+        if not isinstance(other, PathFamily):
+            return NotImplemented
+        return (self.target == other.target
+                and self.chain_axes == other.chain_axes
+                and self.indices == other.indices
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.vertices, other.vertices))
 
     @property
     def dimension(self) -> int:
         return len(self.target)
 
-    def hyperplane_axes(self, j: int) -> tuple[int, ...]:
-        """Axes spanning the j-th chain subspace (1-based j)."""
-        return self.chain_axes[:j]
+    @property
+    def path_count(self) -> int:
+        return len(self.offsets) - 1
+
+    def path_ids(self) -> np.ndarray:
+        """The index of the path each vertex row belongs to."""
+        return np.repeat(np.arange(self.path_count), np.diff(self.offsets))
+
+    def _bounds(self) -> Iterator[tuple[int, int]]:
+        off = self.offsets.tolist()
+        return zip(off, off[1:])
+
+    @cached_property
+    def paths(self) -> tuple[LatticePath, ...]:
+        rows = self.vertices.tolist()
+        return tuple(LatticePath(rows[a:b]) for a, b in self._bounds())
 
     def to_json(self) -> str:
+        rows = self.vertices.tolist()
         return json.dumps({
             "target": list(self.target),
             "chain_axes": list(self.chain_axes),
             "indices": [list(ix) for ix in self.indices],
-            "paths": [[list(v) for v in p] for p in self.paths],
+            "paths": [rows[a:b] for a, b in self._bounds()],
         }, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "PathFamily":
         doc = json.loads(text)
+        target = tuple(doc["target"])
+        flat = [v for p in doc["paths"] for v in p]
         return PathFamily(
-            target=tuple(doc["target"]),
+            target=target,
             chain_axes=tuple(doc["chain_axes"]),
-            paths=tuple(LatticePath(p) for p in doc["paths"]),
+            vertices=np.array(flat, dtype=np.int64).reshape(len(flat),
+                                                            len(target)),
+            offsets=np.cumsum([0] + [len(p) for p in doc["paths"]]),
             indices=tuple(tuple(ix) for ix in doc["indices"]),
         )
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Int64 keys of the rows of an integer array, equal exactly for equal
+    rows: each row's position in the rows' bounding box (widened to hold
+    the origin).  Raises ValueError when the box has more than 2**63
+    positions."""
+    lo = rows.min(axis=0, initial=0)
+    span = rows.max(axis=0, initial=0) - lo + 1
+    return np.ravel_multi_index(tuple((rows - lo).T), tuple(span))
+
+
 def path_multiplicity(family: PathFamily, m: Sequence[int]) -> int:
     """Number of family paths whose vertex set contains m."""
-    m = tuple(int(c) for c in m)
-    return sum(1 for p in family.paths if m in set(p))
+    hit = np.all(family.vertices == np.asarray(m, dtype=np.int64), axis=1)
+    return int(np.unique(family.path_ids()[hit]).size)
 
 
 def default_chain(n: Site) -> tuple[int, ...]:
@@ -271,49 +335,41 @@ def audit_family(family: PathFamily) -> FamilyAudit:
     n = family.target
     d = len(n)
     N = norm1(n)
-    zero = (0,) * d
+    verts, offsets = family.vertices, family.offsets
+    paths = family.path_count
 
-    counts: dict[Site, int] = {}
-    containment_ok = True
-    start_end_ok = True
-    for p in family.paths:
-        if p.start != zero or p.end != n:
-            start_end_ok = False
-        for v in set(p):
-            counts[v] = counts.get(v, 0) + 1
-            if norm1(v) > 2 * N:
-                containment_ok = False
+    start_end_ok = bool(np.all(verts[offsets[:-1]] == 0)
+                        and np.all(verts[offsets[1:] - 1] == n))
+    containment_ok = bool(np.abs(verts).sum(axis=1).max(initial=0) <= 2 * N)
+    keys = row_keys(verts)
+    distinct = len({keys[a:b].tobytes() for a, b in family._bounds()})
+    cardinality_ok = distinct == paths and paths == N ** (d - 1)
 
-    cardinality_ok = (len(set(family.paths)) == len(family.paths)
-                      and len(family.paths) == N ** (d - 1))
+    # each vertex counted once per path that visits it
+    _, once = np.unique(row_keys(np.column_stack([family.path_ids(), keys])),
+                        return_index=True)
+    _, first, cnt = np.unique(keys[once], return_index=True,
+                              return_counts=True)
+    m = verts[once[first]]
 
-    chain_sets = []
-    for j in range(1, d):
-        axes = set(family.hyperplane_axes(j))
-        chain_sets.append(axes)
-    top = chain_sets[-1] if chain_sets else set()
+    dist = np.abs(m - np.asarray(n)).sum(axis=1)
+    in_half_ball = 2 * dist <= N
+    # need: the least j whose chain subspace span(e_{a_1}..e_{a_j}) holds
+    # m's support (0 for m = 0); the subspaces are j = 1..d-1
+    rank = np.empty(d, dtype=np.int64)
+    rank[list(family.chain_axes)] = np.arange(1, d + 1)
+    need = np.where(m != 0, rank, 0).max(axis=1, initial=0)
+    j_min = np.maximum(need, 1)
 
-    near_constant = 0.0
-    subspace_ok = True
-    off_mult = 0
-    for m, cnt in counts.items():
-        dist = norm1(sub(n, m))
-        in_half_ball = 2 * dist <= N
-        support = {k for k, c in enumerate(m) if c != 0}
-        j_min = None
-        for j, axes in enumerate(chain_sets, start=1):
-            if support <= axes:
-                j_min = j
-                break
-        if in_half_ball:
-            if m != n:
-                near_constant = max(near_constant,
-                                    cnt * (dist / N) ** (d - 1))
-        elif j_min is not None:
-            if cnt > N ** (d - j_min):
-                subspace_ok = False
-        if not in_half_ball and not (support <= top):
-            off_mult = max(off_mult, cnt)
+    near = in_half_ball & (dist > 0)
+    # (k/N)**(d-1) for k = 1..N/2 with Python's float power, as in the
+    # scalar definition, so near_constant matches it bit for bit
+    scale = np.array([(k / N) ** (d - 1) for k in range(1, N // 2 + 1)])
+    near_constant = float(np.max(cnt[near] * scale[dist[near] - 1],
+                                 initial=0.0))
+    chain = ~in_half_ball & (j_min <= d - 1)
+    subspace_ok = bool(np.all(cnt[chain] <= N ** (d - j_min[chain])))
+    off_mult = int(cnt[~in_half_ball & (need > d - 1)].max(initial=0))
 
     return FamilyAudit(
         target=n,

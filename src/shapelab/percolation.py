@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .environment import Environment
 from .lattice import (BoxRegion, LatticePath, Site, forward_neighbors,
@@ -48,9 +46,15 @@ def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
 
 
 class BoxGraph:
-    """Weighted nearest-neighbor graph on the sites of one box."""
+    """Weighted nearest-neighbor graph on the sites of one box.
+
+    scipy is imported where a graph is built or searched, not with the
+    module: most commands build no box graph, and the import is a large
+    share of their start-up."""
 
     def __init__(self, env: Environment, box: BoxRegion):
+        from scipy.sparse import csr_matrix
+
         self.env = env
         self.box = box
         self.sites = box.sites()  # lexicographic, deterministic
@@ -74,8 +78,10 @@ class BoxGraph:
         """Exact shortest-path weights from source to every box site."""
         if source not in self.index:
             raise ValueError(f"source {source} outside box {self.box}")
-        return _csgraph_dijkstra(self._graph, directed=False,
-                                 indices=self.index[source])
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(self._graph, directed=False,
+                        indices=self.index[source])
 
     def distance(self, source: Site, target: Site) -> float:
         if target not in self.index:
@@ -156,8 +162,10 @@ def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
     src, dst = (m, n) if m <= n else (n, m)
     g = BoxGraph(env, box)
     s, t = g.index[src], g.index[dst]
-    dist, pred = _csgraph_dijkstra(g._graph, directed=False, indices=s,
-                                   return_predecessors=True)
+    from scipy.sparse.csgraph import dijkstra
+
+    dist, pred = dijkstra(g._graph, directed=False, indices=s,
+                          return_predecessors=True)
     if not math.isfinite(dist[t]):
         raise RuntimeError("target unreachable inside box")
     verts = [g.sites[t]]

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from shapelab.cli import main
+from shapelab.cli import _cocycle_from_spec, main
+from shapelab.cocycle import kingman_decompose
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -302,3 +305,39 @@ def test_zero_drift_orbit_is_config_error(tmp_path, capsys):
         "output": str(tmp_path / "k.csv"),
     }
     _assert_config_error(tmp_path, capsys, doc, "drift_orbit")
+
+
+def test_commands_without_box_graphs_leave_scipy_unloaded(tmp_path):
+    kingman = {"command": "kingman", "length": 50, "drift_orbit": 200,
+               "cocycle": {"generator": {"kind": "mixed", "value": [2.0, 0.0],
+                                         "coboundary": 1.0}},
+               "output": str(tmp_path / "k.csv")}
+    audit = {"command": "path-family-audit", "dimension": 3, "max_norm": 3,
+             "output": str(tmp_path / "a.csv")}
+    runs = []
+    for doc in (kingman, audit):
+        cfg = tmp_path / f"{doc['command']}.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        runs.append([doc["command"], str(cfg)])
+    code = ("import sys\n"
+            "from shapelab import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.partition('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0] []"
+
+
+def test_kingman_default_drift_orbit_matches_library(tmp_path):
+    spec = {"dynamics": {"kind": "rotation", "alphas": [0.41421356237309515]},
+            "generator": {"kind": "mixed", "value": [2.0, 0.0],
+                          "coboundary": 1.0}}
+    out = tmp_path / "k.csv"
+    doc = {"command": "kingman", "cocycle": spec, "length": 10,
+           "output": str(out)}
+    assert _run(tmp_path, doc) == 0
+    kd = kingman_decompose(_cocycle_from_spec(spec), 10)
+    rows = [line.split(",") for line in _body(out).splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [float(v) for v in kd.rho[1:]]
+    assert [float(r[3]) for r in rows] == [float(v) for v in kd.remainders[1:]]

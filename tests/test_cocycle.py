@@ -404,3 +404,21 @@ def test_rotation_axis_points_match_point():
                                     for i, o in enumerate(offset)))
                     for j in range(1025)]
             assert pts.tolist() == want
+
+
+def test_cli_coboundary_profile_matches_scalar_math():
+    # the CLI profile is evaluated on arrays with np.sin/np.cos; it must
+    # equal the scalar math-module profile on every orbit site, bit for bit
+    amp = 0.7
+    c = _cocycle_from_spec({"dynamics": ROTATION,
+                            "generator": {"kind": "coboundary",
+                                          "coboundary": amp}})
+
+    def g(off):
+        t = 2.0 * math.pi * c.dynamics.point(off)
+        return amp * np.array([math.sin(t), math.cos(t)])
+
+    for offset in [(0,), (-3000,), (123456,)]:
+        rows = c.generator(c.dynamics, offset, 0, 2049)
+        vals = [g((offset[0] + j,)) for j in range(2050)]
+        assert np.array_equal(rows, np.array(vals[:-1]) - np.array(vals[1:]))

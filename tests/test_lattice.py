@@ -1,12 +1,13 @@
+import hashlib
 import json
 from itertools import product
 
 import pytest
 
-from shapelab.lattice import (BoxRegion, LatticePath, PathFamily,
+from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
                               build_path_family, audit_family, default_chain,
                               enumerate_targets, neighbors, norm1,
-                              path_multiplicity)
+                              path_multiplicity, sub)
 
 from frozen import LEMMA_COMB_CONSTANT
 
@@ -135,3 +136,128 @@ def test_default_chain_prefers_identity():
     assert default_chain((1, 0, 4)) == (0, 1, 2)
     # mass on the first axis forces a permutation ending there
     assert default_chain((4, 1, 0))[-1] == 0
+
+
+# --------------------------------------------------------------------------
+# array-stored families against their bytes and the tuple-loop audit
+
+
+def _built_families(d, max_norm):
+    out = []
+    for n in enumerate_targets(d, max_norm):
+        try:
+            out.append(build_path_family(n))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("d, count, digest", [
+    (2, 128, "e265b002765e9e6cab5aeba1a001af12bd10a84325ffccfe5e786132911a2af0"),
+    (3, 528, "58f21080d1793aee6da12168d2b281cec00570e58ce1ff08d0f2fcc1c45f2228"),
+])
+def test_family_bytes_are_pinned(d, count, digest):
+    # the digests are those of the tuple-built families: each family's
+    # JSON on its own line, in enumerate_targets order, |n| <= 8
+    fams = _built_families(d, 8)
+    text = "".join(f.to_json() + "\n" for f in fams)
+    assert len(fams) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _tuple_audit(family):
+    """The audit as a loop over per-vertex tuples: the reference."""
+    n = family.target
+    d = len(n)
+    N = norm1(n)
+    counts = {}
+    containment_ok = start_end_ok = True
+    for p in family.paths:
+        if p.start != (0,) * d or p.end != n:
+            start_end_ok = False
+        for v in set(p):
+            counts[v] = counts.get(v, 0) + 1
+            containment_ok &= norm1(v) <= 2 * N
+    cardinality_ok = (len(set(family.paths)) == len(family.paths)
+                      and len(family.paths) == N ** (d - 1))
+    chain_sets = [set(family.chain_axes[:j]) for j in range(1, d)]
+    top = chain_sets[-1] if chain_sets else set()
+    near_constant, subspace_ok, off_mult = 0.0, True, 0
+    for m, cnt in counts.items():
+        dist = norm1(sub(n, m))
+        support = {k for k, c in enumerate(m) if c != 0}
+        j_min = next((j for j, axes in enumerate(chain_sets, start=1)
+                      if support <= axes), None)
+        if 2 * dist <= N:
+            if m != n:
+                near_constant = max(near_constant, cnt * (dist / N) ** (d - 1))
+        else:
+            if j_min is not None and cnt > N ** (d - j_min):
+                subspace_ok = False
+            if not support <= top:
+                off_mult = max(off_mult, cnt)
+    return FamilyAudit(n, cardinality_ok, containment_ok, near_constant,
+                       subspace_ok, off_mult, start_end_ok)
+
+
+def test_audit_matches_tuple_loop():
+    fams = _built_families(2, 8) + _built_families(3, 6)
+    fams += [build_path_family((-5,)), build_path_family((-5, 2, 1), (2, 1, 0))]
+    for fam in fams:
+        assert audit_family(fam) == _tuple_audit(fam), fam.target
+
+
+def test_path_multiplicity_counts_paths_through_each_vertex():
+    fam = build_path_family((2, -1, 5))
+    for m in sorted({v for p in fam.paths for v in p}):
+        assert path_multiplicity(fam, m) == sum(m in set(p) for p in fam.paths)
+    assert path_multiplicity(fam, (9, 9, 9)) == 0
+
+
+def _tampered(n, edit):
+    doc = json.loads(build_path_family(n).to_json())
+    edit(doc["paths"])
+    fam = PathFamily.from_json(json.dumps(doc))
+    audit = audit_family(fam)
+    assert audit == _tuple_audit(fam)
+    return audit
+
+
+def test_tampered_non_elementary_step_is_rejected():
+    doc = json.loads(build_path_family((2, -3)).to_json())
+    del doc["paths"][1][2]
+    with pytest.raises(ValueError, match="elementary"):
+        PathFamily.from_json(json.dumps(doc))
+
+
+def test_tampered_empty_path_is_rejected():
+    doc = json.loads(build_path_family((2, -3)).to_json())
+    doc["paths"][1] = []
+    with pytest.raises(ValueError, match="at least one vertex"):
+        PathFamily.from_json(json.dumps(doc))
+
+
+def test_tampered_duplicate_path_breaks_cardinality():
+    def duplicate(paths):
+        paths[1] = paths[0]
+
+    audit = _tampered((2, -3), duplicate)
+    assert not audit.cardinality_ok
+    assert audit.containment_ok and audit.start_end_ok
+
+
+def test_tampered_far_vertex_breaks_containment():
+    # an out-and-back excursion from the origin to distance 2N + 1 = 11
+    out = [[-x, 0] for x in range(12)]
+
+    def detour(paths):
+        paths[0] = out + out[-2::-1] + paths[0][1:]
+
+    audit = _tampered((2, -3), detour)
+    assert not audit.containment_ok
+    assert audit.start_end_ok
+
+
+def test_tampered_wrong_endpoint_breaks_start_end():
+    audit = _tampered((2, -3), lambda paths: paths[2].append([3, -3]))
+    assert not audit.start_end_ok
