@@ -27,7 +27,7 @@ from . import __version__
 from .environment import Environment, WeightModel, model_from_spec
 from .lattice import (build_path_family, audit_family, enumerate_targets,
                       norm1)
-from .lorentz import WeightedSample, lorentz_norm
+from .lorentz import WeightedSample, lorentz_norm, sample_from_environment
 from .percolation import ConvergenceError, structure_embed
 from .rkhs import large_scale_compare, random_walk
 from .schrodinger import PotentialModel, lyapunov
@@ -223,7 +223,13 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     if dirs is None:
         dirs = default_directions(d, int(cfg.get("direction_richness", 1)))
     dirs = sorted(tuple(int(c) for c in v) for v in dirs)
-    n_max = int(cfg.require("n_max"))
+    for v in dirs:
+        if len(v) != d or not any(v):
+            raise ConfigError(f"'directions' entry {list(v)} must be a "
+                              f"nonzero vector of {d} integers")
+    n_max = cfg.positive_int("n_max")
+    if n_max < 4:
+        raise ConfigError(f"'n_max' must be at least 4, got {n_max}")
     tol = float(cfg.get("tolerance", 1e-9))
 
     work = [(model, seeds, theta, n_max, d, tol) for theta in dirs]
@@ -261,8 +267,15 @@ def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
     model = cfg.model()
     d = int(cfg.require("dimension"))
     seeds = cfg.seed_list(offset)
-    stats = sample_maximal_stats(model, seeds, int(cfg.require("window_radius")),
-                                 cfg.require("lambda_grid"), d)
+    window = cfg.positive_int("window_radius")
+    try:
+        grid = [float(v) for v in cfg.require("lambda_grid")]
+    except (TypeError, ValueError):
+        grid = []
+    if not grid or min(grid) < 1.0:
+        raise ConfigError("'lambda_grid' must be a nonempty list of numbers "
+                          f"at least 1, got {cfg.get('lambda_grid')!r}")
+    stats = sample_maximal_stats(model, seeds, window, grid, d)
     rows = stats.tail_products(d)
     _write_csv(cfg, cfg.require("output"),
                ["lambda", "tail", "product"], rows)
@@ -279,10 +292,8 @@ def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
         radius = int(cfg.require("box_radius"))
         if radius < 0:
             raise ConfigError("'box_radius' must be nonnegative")
-        field = env.sample_field(tuple(cfg.get("box_center",
-                                               [0] * env.dimension)),
-                                 radius)
-        sample = WeightedSample.from_values([w for _, _, w in field])
+        sample = sample_from_environment(
+            env, cfg.get("box_center", [0] * env.dimension), radius)
     rows = []
     for pq in cfg.require("indices"):
         p, q = float(pq[0]), float(pq[1])
@@ -450,6 +461,11 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
     env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
                       dimension=int(cfg.require("dimension")))
     sites = [tuple(int(v) for v in s) for s in cfg.require("sites")]
+    if (not sites or len(set(sites)) != len(sites)
+            or any(len(s) != env.dimension for s in sites)):
+        raise ConfigError(f"'sites' must be a nonempty list of distinct "
+                          f"sites of {env.dimension} integers, got "
+                          f"{[list(s) for s in sites]}")
     cap = cfg.get("radius_cap")
     emb = structure_embed(env, sites, tol=float(cfg.get("tolerance", 1e-9)),
                           radius_cap=int(cap) if cap is not None else None)
@@ -531,7 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (BudgetError, ConvergenceError) as err:
+    # sample_field raises MemoryError for a box above its edge limit,
+    # before it allocates the box
+    except (BudgetError, ConvergenceError, MemoryError) as err:
         print(f"budget/convergence failure: {err}", file=sys.stderr)
         return 3
     except AssertionError as err:

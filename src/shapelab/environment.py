@@ -315,17 +315,21 @@ class Environment:
 
     def sample_field(self, center: Site, radius: int, norm: str = "linf",
                      max_edges: int = 2_000_000) -> list[tuple[Site, int, float]]:
-        """All canonical edges with both endpoints in the box, with weights."""
-        from .lattice import BoxRegion, forward_neighbors
+        """All canonical edges with both endpoints in the box, with weights.
+        Raises MemoryError, before any site is built, when the box holds
+        more than max_edges edges."""
+        from .lattice import BoxRegion, SiteIndex
 
-        coords = BoxRegion(tuple(center), radius, norm).site_array()
-        # row-major nonzero keeps the rows site-major, axes in order
-        site, axis = np.nonzero(forward_neighbors(coords) >= 0)
-        if len(site) > max_edges:
+        box = BoxRegion(tuple(center), radius, norm)
+        edges = box.edge_count()
+        if edges > max_edges:
             raise MemoryError(
-                f"box holds {len(site)} edges, above the limit {max_edges}")
-        if not len(site):
+                f"box holds {edges} edges, above the limit {max_edges}")
+        if not edges:
             return []
+        coords = box.site_array()
+        # row-major nonzero keeps the rows site-major, axes in order
+        site, axis = np.nonzero(SiteIndex(coords).forward_neighbors() >= 0)
         bases = coords[site]
         w = self.edge_weights(bases, axis)
         return list(zip(zip(*bases.T.tolist()), axis.tolist(), w.tolist()))

@@ -5,6 +5,9 @@ A single site is a tuple of ints.  Bulk site sets are int64 arrays of
 shape (n, d): box sites, and the vertices of a whole path family stored
 path after path with per-path offsets, which the family audit reads
 directly; ``PathFamily.paths`` is a tuple view built only on request.
+``SiteIndex`` is the one site-to-row lookup: a dense table over the
+bounding box of a site array, which gives the box graph its edges and its
+row queries.
 The ell-1 norm is the canonical lattice norm throughout (it is the word
 metric of the standard generators).
 """
@@ -83,27 +86,60 @@ class BoxRegion:
         return offsets + np.asarray(self.center, dtype=np.int64)
 
     def sites(self) -> list[Site]:
+        """The sites as tuples, in the order of ``site_array``."""
         return list(zip(*self.site_array().T.tolist()))
 
     def site_count(self) -> int:
         return int((2 * self._rows()[1] + 1).sum())
 
+    def edge_count(self) -> int:
+        """Nearest-neighbor edges with both ends in the box, counted
+        without building the sites.  Every lattice line meets the box in
+        one run of sites, which holds one edge fewer than sites; both
+        norms are symmetric under permuting axes, so each axis has as
+        many edges as the last."""
+        return len(self.center) * int((2 * self._rows()[1]).sum())
 
-def forward_neighbors(coords: np.ndarray) -> np.ndarray:
-    """Entry (i, k) is the row of coords[i] + e_k in coords, or -1 when
-    that site is absent.  The rows of coords must be distinct sites."""
-    n, d = coords.shape
-    rel = coords - coords.min(axis=0)
-    # dense position lookup over the bounding box, one slot of padding
-    # per axis for the +e_k shift
-    pos = np.full(rel.max(axis=0) + 2, -1, dtype=np.int64)
-    pos[tuple(rel.T)] = np.arange(n)
-    out = np.empty((n, d), dtype=np.int64)
-    for k in range(d):
-        rel[:, k] += 1
-        out[:, k] = pos[tuple(rel.T)]
-        rel[:, k] -= 1
-    return out
+
+class SiteIndex:
+    """Row lookup for distinct lattice sites held as an (n, d) int64 array.
+
+    A dense table over the sites' bounding box holds, per lattice point,
+    the row of that point in ``sites`` or -1.  It has one slot of padding
+    on the high side of every axis, so the +e_k shift of a site never
+    leaves it."""
+
+    def __init__(self, sites: np.ndarray):
+        self.sites = sites
+        self._low = sites.min(axis=0)
+        rel = sites - self._low
+        self._table = np.full(rel.max(axis=0) + 2, -1, dtype=np.int64)
+        self._table[tuple(rel.T)] = np.arange(len(sites))
+
+    def rows(self, points) -> np.ndarray:
+        """The row of each point of an (m, d) array, or -1 for a point that
+        is not a site.  Points off the table are masked before the read:
+        numpy takes a negative offset as an index from the far end."""
+        points = np.asarray(points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != self.sites.shape[1]:
+            raise ValueError("points must be (m, d)")
+        rel = points - self._low
+        inside = np.all((rel >= 0) & (rel < self._table.shape), axis=1)
+        out = np.full(len(rel), -1, dtype=np.int64)
+        out[inside] = self._table[tuple(rel[inside].T)]
+        return out
+
+    def forward_neighbors(self) -> np.ndarray:
+        """Entry (i, k) is the row of sites[i] + e_k, or -1 when that
+        point is not a site."""
+        rel = self.sites - self._low
+        n, d = rel.shape
+        out = np.empty((n, d), dtype=np.int64)
+        for k in range(d):
+            rel[:, k] += 1
+            out[:, k] = self._table[tuple(rel.T)]
+            rel[:, k] -= 1
+        return out
 
 
 def is_elementary(vertices: Sequence[Site]) -> bool:

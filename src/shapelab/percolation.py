@@ -7,6 +7,11 @@ a finite box.  Boxed values only decrease as the box grows, so truncation
 is auditable: refinement doubles the box radius until two successive
 values agree within a tolerance, and the outcome carries an explicit
 converged flag.
+
+A box graph holds the box's sites once, as the lexicographic (n, d) int64
+array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
+module's ``SiteIndex``, and every reader (target profiles, geodesics,
+balls, the embedding) works on rows of that array.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment
-from .lattice import (BoxRegion, LatticePath, Site, forward_neighbors,
-                      norm1, sub)
+from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 
 
 class ConvergenceError(RuntimeError):
@@ -48,6 +52,10 @@ def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
 class BoxGraph:
     """Weighted nearest-neighbor graph on the sites of one box.
 
+    ``sites`` is the box's (n, d) int64 site array in lexicographic order;
+    row i of every distance array belongs to sites[i], and ``rows`` maps
+    points back to rows.
+
     scipy is imported where a graph is built or searched, not with the
     module: most commands build no box graph, and the import is a large
     share of their start-up."""
@@ -57,40 +65,38 @@ class BoxGraph:
 
         self.env = env
         self.box = box
-        self.sites = box.sites()  # lexicographic, deterministic
-        self.index = dict(zip(self.sites, range(len(self.sites))))
-        self.coords = np.asarray(self.sites, dtype=np.int64)
+        self.sites = box.site_array()
+        self._index = SiteIndex(self.sites)
         n = len(self.sites)
         # nonzero over the (axis, site) table lists the edges grouped by
         # axis, each group in site order
-        nbr = forward_neighbors(self.coords).T
+        nbr = self._index.forward_neighbors().T
         axes, rows = np.nonzero(nbr >= 0)
         cols = nbr[axes, rows]
         if len(rows):
-            w = env.edge_weights(self.coords[rows], axes)
+            w = env.edge_weights(self.sites[rows], axes)
         else:
             w = np.zeros(0)
         # explicit zeros must stay stored: zero-weight edges are legal and
         # scipy's sparse dijkstra honors stored zeros as real edges
         self._graph = csr_matrix((w, (rows, cols)), shape=(n, n))
 
+    def rows(self, points) -> np.ndarray:
+        """The row of each point of an (m, d) array, -1 outside the box."""
+        return self._index.rows(points)
+
+    def row(self, site: Site) -> int:
+        """The row of one site; ValueError when it lies outside the box."""
+        i = int(self.rows([site])[0])
+        if i < 0:
+            raise ValueError(f"site {tuple(site)} outside box {self.box}")
+        return i
+
     def distances_from(self, source: Site) -> np.ndarray:
         """Exact shortest-path weights from source to every box site."""
-        if source not in self.index:
-            raise ValueError(f"source {source} outside box {self.box}")
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(self._graph, directed=False,
-                        indices=self.index[source])
-
-    def distance(self, source: Site, target: Site) -> float:
-        if target not in self.index:
-            raise ValueError(f"target {target} outside box {self.box}")
-        val = self.distances_from(source)[self.index[target]]
-        if not math.isfinite(val):
-            raise RuntimeError("box disconnected; should be impossible for "
-                               "ball-shaped regions")
-        return float(val)
+        return dijkstra(self._graph, directed=False, indices=self.row(source))
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -108,8 +114,12 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
     if not (box.contains(m) and box.contains(n)):
         raise ValueError("query endpoints must lie inside the box")
     src, dst = (m, n) if m <= n else (n, m)
-    value = BoxGraph(env, box).distance(src, dst)
-    return DistanceResult(value=value, box_radius_used=box.radius,
+    g = BoxGraph(env, box)
+    value = g.distances_from(src)[g.row(dst)]
+    if not math.isfinite(value):
+        raise RuntimeError("box disconnected; should be impossible for "
+                           "ball-shaped regions")
+    return DistanceResult(value=float(value), box_radius_used=box.radius,
                           converged=False)
 
 
@@ -161,19 +171,18 @@ def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
         raise ValueError("query endpoints must lie inside the box")
     src, dst = (m, n) if m <= n else (n, m)
     g = BoxGraph(env, box)
-    s, t = g.index[src], g.index[dst]
+    s, t = g.row(src), g.row(dst)
     from scipy.sparse.csgraph import dijkstra
 
     dist, pred = dijkstra(g._graph, directed=False, indices=s,
                           return_predecessors=True)
     if not math.isfinite(dist[t]):
         raise RuntimeError("target unreachable inside box")
-    verts = [g.sites[t]]
-    i = t
-    while i != s:
-        i = pred[i]
-        verts.append(g.sites[i])
-    if verts[0] != m:
+    chain = [t]
+    while chain[-1] != s:
+        chain.append(pred[chain[-1]])
+    verts = g.sites[chain].tolist()
+    if tuple(verts[0]) != m:
         verts.reverse()
     return Geodesic(path=LatticePath(verts), total_weight=float(dist[t]))
 
@@ -182,11 +191,10 @@ def ball(env: Environment, center: Site, t: float, box_radius: int) -> list[Site
     """All box sites within semimetric distance t of the center, sorted."""
     if t < 0:
         raise ValueError("radius t must be nonnegative")
-    center = tuple(center)
-    box = BoxRegion(center, box_radius, "l1")
-    g = BoxGraph(env, box)
-    dist = g.distances_from(center)
-    return sorted(g.sites[i] for i in np.nonzero(dist <= t)[0])
+    g = BoxGraph(env, BoxRegion(tuple(center), box_radius, "l1"))
+    # the site array is lexicographic, so the selection comes out sorted
+    inside = g.sites[g.distances_from(center) <= t]
+    return list(zip(*inside.T.tolist()))
 
 
 def sites_to_csv(sites: list[Site]) -> str:
@@ -244,18 +252,20 @@ def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
     if radius_cap is None:
         radius_cap = 32 * spread
 
+    points = np.asarray(sites, dtype=np.int64)
+    # lex_le[i, j]: sites[i] <= sites[j] as tuples (the sites are distinct,
+    # so comparing lexicographic ranks is the same)
+    rank = np.lexsort(points.T[::-1]).argsort()
+    lex_le = rank[:, None] <= rank[None, :]
+
     def all_pairs(r: int) -> np.ndarray:
-        box = BoxRegion(center, r, "l1")
-        g = BoxGraph(env, box)
-        rows = {s: g.distances_from(s) for s in sites}
-        out = np.zeros((len(sites), len(sites)))
-        for i, s in enumerate(sites):
-            for j, t in enumerate(sites):
-                # evaluate from the lexicographically smaller endpoint so
-                # the matrix is symmetric bit for bit
-                src, dst = (s, t) if s <= t else (t, s)
-                out[i, j] = rows[src][g.index[dst]]
-        return out
+        g = BoxGraph(env, BoxRegion(center, r, "l1"))
+        cols = g.rows(points)
+        # out[i, j] = rho(sites[i], sites[j]) searched from sites[i]
+        out = np.stack([g.distances_from(s)[cols] for s in sites])
+        # keep the value searched from the lexicographically smaller
+        # endpoint, so the matrix is symmetric bit for bit
+        return np.where(lex_le, out, out.T)
 
     dist, radius, converged = refine(all_pairs, 2 * spread, radius_cap, tol)
     if not converged:

@@ -47,14 +47,13 @@ def _direction_profile(env: Environment, theta: Site, n_max: int,
     common refining box.  Returns (values, converged flags)."""
     theta = tuple(theta)
     zero = (0,) * env.dimension
-    targets = [tuple(k * t for t in theta) for k in range(1, n_max + 1)]
-    gap = norm1(targets[-1])
-    center = tuple(c // 2 for c in targets[-1])
+    targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
+    gap = norm1(theta) * n_max
+    center = tuple(c // 2 for c in targets[-1].tolist())
 
     def profile(r: int) -> np.ndarray:
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
-        row = g.distances_from(zero)
-        return np.asarray([row[g.index[t]] for t in targets])
+        return g.distances_from(zero)[g.rows(targets)]
 
     values, _, converged = refine(profile, 2 * gap,
                                   radius_cap_factor * gap, tol)
@@ -171,7 +170,7 @@ def maximal_function(env: Environment, window_radius: int) -> float:
     zero = (0,) * env.dimension
     g = BoxGraph(env, BoxRegion(zero, 2 * window_radius, "l1"))
     dist = g.distances_from(zero)
-    r = np.abs(g.coords).sum(axis=1)
+    r = np.abs(g.sites).sum(axis=1)
     window = (r > 0) & (r <= window_radius)
     return max(0.0, float(np.max(dist[window] / r[window])))
 

@@ -63,9 +63,9 @@ def test_criterion_01_semimetric_axioms():
                 def d(a, b):
                     # the engine's convention: evaluate from the lex-min end
                     lo, hi = (a, b) if a <= b else (b, a)
-                    return rows[lo][g.index[hi]]
+                    return rows[lo][g.row(hi)]
 
-                assert d(m, m) == 0.0 and rows[m][g.index[m]] == 0.0
+                assert d(m, m) == 0.0 and rows[m][g.row(m)] == 0.0
                 assert d(m, n) == d(n, m)
                 # equality cases round at machine epsilon in the leg sum
                 assert d(m, n) <= d(m, k) + d(k, n) + 4e-16 * max(d(m, n), 1)
@@ -161,7 +161,7 @@ def test_criterion_03_brute_force_oracle():
                 for dst in box.sites():
                     if dst < src:
                         continue  # engine evaluates from the lex-min end
-                    assert row[g.index[dst]] == oracle[dst]
+                    assert row[g.row(dst)] == oracle[dst]
                     checked += 1
     report(3, checked > 0,
            f"boxed search equals exhaustive path enumeration on {checked} "
@@ -183,6 +183,9 @@ class _rect_box:
         rng = range(self.side)
         return [tuple(l + o for l, o in zip(self.lo, off))
                 for off in itertools.product(rng, repeat=len(self.lo))]
+
+    def site_array(self):
+        return np.asarray(self.sites(), dtype=np.int64)
 
 
 def test_criterion_04_constant_weight_shape():

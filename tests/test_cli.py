@@ -266,6 +266,62 @@ def test_negative_box_radius_is_config_error(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, doc, "box_radius")
 
 
+def _shape_doc(tmp_path, **overrides):
+    doc = {
+        "command": "shape",
+        "dimension": 2,
+        "model": {"kind": "constant", "value": 1.0},
+        "seeds": {"start": 0, "count": 1},
+        "directions": [[1, 0], [0, 1]],
+        "n_max": 4,
+        "output": str(tmp_path / "shape.csv"),
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("make, overrides, key", [
+    (_shape_doc, {"n_max": 3}, "n_max"),
+    (_shape_doc, {"directions": [[1, 0], [0, 1, 0]]}, "directions"),
+    (_maximal_tail_doc, {"window_radius": 0}, "window_radius"),
+    (_maximal_tail_doc, {"lambda_grid": [0.5, 2.0]}, "lambda_grid"),
+], ids=["n_max", "directions", "window_radius", "lambda_grid"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, make,
+                                            overrides, key):
+    _assert_config_error(tmp_path, capsys, make(tmp_path, **overrides), key)
+
+
+@pytest.mark.parametrize("sites", [[[0, 0], [1, 1], [0, 0]],
+                                   [[0, 0, 0], [1, 1, 1]]],
+                         ids=["duplicate", "wrong_length"])
+def test_bad_embed_sites_is_config_error(tmp_path, capsys, sites):
+    doc = {
+        "command": "embed-check",
+        "model": {"kind": "exponential", "rate": 1.0},
+        "dimension": 2,
+        "sites": sites,
+        "output": str(tmp_path / "emb.json"),
+    }
+    _assert_config_error(tmp_path, capsys, doc, "sites")
+
+
+def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys):
+    # a d=1 box of radius R holds 2R edges: two above sample_field's
+    # default limit of 2_000_000, and refused before any site is built
+    doc = {
+        "command": "lorentz-norm",
+        "model": {"kind": "exponential", "rate": 1.0},
+        "dimension": 1,
+        "box_radius": 1_000_001,
+        "indices": [[1.0, 1.0]],
+        "output": str(tmp_path / "l.csv"),
+    }
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and "2000002 edges" in err
+
+
 def test_shape_without_converged_distances_exits_3(tmp_path, capsys):
     doc = {
         "command": "shape",

@@ -105,6 +105,19 @@ def test_sample_field_consistency_and_guard():
         env.sample_field((0, 0), 300, max_edges=100)
 
 
+def test_sample_field_checks_the_limit_before_building_sites(monkeypatch):
+    from shapelab.lattice import BoxRegion
+
+    def refuse(box):
+        raise AssertionError("sites built for a box above the limit")
+
+    monkeypatch.setattr(BoxRegion, "site_array", refuse)
+    env = Environment(Exponential(1.0), seed=4, dimension=2)
+    # 1101 x 1101 sites and 2 * 1101 * 1100 edges
+    with pytest.raises(MemoryError, match="2422200 edges"):
+        env.sample_field((0, 0), 550)
+
+
 def test_model_spec_round_trip():
     for model in MODELS:
         again = model_from_spec(model.spec())

@@ -50,6 +50,10 @@ def test_box_sites_match_product_enumeration(d, norm):
                       if measure(abs(o) for o in off) <= radius]
             assert box.sites() == expect
             assert box.site_count() == len(expect)
+            inside = set(expect)
+            assert box.edge_count() == sum(
+                tuple(c + (j == k) for j, c in enumerate(s)) in inside
+                for s in expect for k in range(d))
 
 
 def test_lattice_path_rejects_jumps():

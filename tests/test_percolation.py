@@ -7,8 +7,8 @@ import pytest
 from shapelab.environment import (Constant, Environment, Exponential, Pareto,
                                   TwoValued)
 from shapelab.lattice import BoxRegion, norm1, sub
-from shapelab.percolation import (ConvergenceError, ball, distance,
-                                  distance_converged, geodesic,
+from shapelab.percolation import (BoxGraph, ConvergenceError, ball,
+                                  distance, distance_converged, geodesic,
                                   structure_embed)
 
 from conftest import brute_force_distance
@@ -163,6 +163,40 @@ def test_ball_properties():
     assert (0, 0) in small and small <= big
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_box_graph_row_lookup(d, norm):
+    env = Environment(Constant(1.0), seed=0, dimension=d)
+    for radius in range(6):
+        center = (3, -2, 5)[:d]
+        box = BoxRegion(center, radius, norm)
+        g = BoxGraph(env, box)
+        n = len(g.sites)
+        assert g.sites.shape == (n, d) and g.sites.dtype == np.int64
+        assert g.rows(box.sites()).tolist() == list(range(n))
+        # every point 1 .. 2r+3 steps outside the box along each axis, on
+        # both sides: far enough below the low corner that an unmasked
+        # read would wrap round to a real row
+        outside = [tuple(c + sign * step * (j == k)
+                         for j, c in enumerate(center))
+                   for k in range(d) for sign in (1, -1)
+                   for step in range(radius + 1, 2 * radius + 4)]
+        assert g.rows(outside).tolist() == [-1] * len(outside)
+        if d > 1 and norm == "l1" and radius:
+            corner = tuple(c + radius for c in center)
+            assert g.rows([corner]).tolist() == [-1]
+        with pytest.raises(ValueError, match="outside box"):
+            g.distances_from(outside[-1])
+
+
+def test_ball_is_sorted_list():
+    env = Environment(Exponential(1.0), seed=6, dimension=3)
+    b = ball(env, (1, 0, -1), 2.0, 5)
+    assert isinstance(b, list) and len(b) > 1
+    assert b == sorted(b)
+    assert all(type(s) is tuple and all(type(c) is int for c in s) for s in b)
+
+
 def test_mean_subadditivity():
     vals1, vals2 = [], []
     for seed in range(200):
@@ -186,6 +220,19 @@ def test_structure_embedding_identities():
         for l in range(k):
             gap = emb.vector(i, l) + emb.vector(l, j) - emb.vector(i, j)
             assert np.max(np.abs(gap)) <= 1e-12
+
+
+def test_structure_embedding_matches_pairwise_loop():
+    env = Environment(Exponential(1.0), seed=21, dimension=3)
+    sites = [(1, -2, 0), (-1, 2, 1), (0, 0, 0), (-1, -1, 2), (2, 1, -1)]
+    emb = structure_embed(env, sites)
+    center = tuple((min(c) + max(c)) // 2 for c in zip(*sites))
+    g = BoxGraph(env, BoxRegion(center, emb.box_radius_used, "l1"))
+    rows = {s: g.distances_from(s) for s in sites}
+    for i, s in enumerate(sites):
+        for j, t in enumerate(sites):
+            src, dst = (s, t) if s <= t else (t, s)
+            assert emb.dist[i, j] == rows[src][g.row(dst)]
 
 
 def test_structure_embedding_single_site_trivial():
