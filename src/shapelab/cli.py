@@ -146,6 +146,20 @@ class Config:
             raise ConfigError(f"{key!r} must be at least 1, got {n}")
         return n
 
+    def tolerance(self) -> float:
+        """The optional 'tolerance': a finite number at least 0.  YAML reads
+        an exponent without a decimal point (1e-9) as a string, so strings
+        that spell a number are taken too."""
+        value = self.get("tolerance", 1e-9)
+        try:
+            tol = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError):
+            tol = None
+        if tol is None or not (math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"'tolerance' must be a finite number at "
+                              f"least 0, got {value!r}")
+        return tol
+
     def model(self) -> WeightModel:
         try:
             return model_from_spec(self.require("model"))
@@ -217,7 +231,7 @@ def _pmap(fn, items, jobs: int):
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     model = cfg.model()
-    d = int(cfg.require("dimension"))
+    d = cfg.positive_int("dimension")
     seeds = cfg.seed_list(offset)
     dirs = cfg.get("directions")
     if dirs is None:
@@ -230,7 +244,7 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     n_max = cfg.positive_int("n_max")
     if n_max < 4:
         raise ConfigError(f"'n_max' must be at least 4, got {n_max}")
-    tol = float(cfg.get("tolerance", 1e-9))
+    tol = cfg.tolerance()
 
     work = [(model, seeds, theta, n_max, d, tol) for theta in dirs]
     series = _pmap(_shape_job, work, jobs)
@@ -265,7 +279,7 @@ def _shape_job(args):
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
     model = cfg.model()
-    d = int(cfg.require("dimension"))
+    d = cfg.positive_int("dimension")
     seeds = cfg.seed_list(offset)
     window = cfg.positive_int("window_radius")
     try:
@@ -287,13 +301,18 @@ def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
         sample = WeightedSample(raw[:, 0], raw[:, 1])
     else:
         model = cfg.model()
+        d = cfg.positive_int("dimension")
         env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
-                          dimension=int(cfg.require("dimension")))
+                          dimension=d)
         radius = int(cfg.require("box_radius"))
         if radius < 0:
             raise ConfigError("'box_radius' must be nonnegative")
-        sample = sample_from_environment(
-            env, cfg.get("box_center", [0] * env.dimension), radius)
+        center = cfg.get("box_center", [0] * d)
+        if not (isinstance(center, list) and len(center) == d
+                and all(type(c) is int for c in center)):
+            raise ConfigError(f"'box_center' must be a list of {d} "
+                              f"integers, got {center!r}")
+        sample = sample_from_environment(env, center, radius)
     rows = []
     for pq in cfg.require("indices"):
         p, q = float(pq[0]), float(pq[1])
@@ -459,7 +478,7 @@ def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
     model = cfg.model()
     env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
-                      dimension=int(cfg.require("dimension")))
+                      dimension=cfg.positive_int("dimension"))
     sites = [tuple(int(v) for v in s) for s in cfg.require("sites")]
     if (not sites or len(set(sites)) != len(sites)
             or any(len(s) != env.dimension for s in sites)):
@@ -467,7 +486,7 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
                           f"sites of {env.dimension} integers, got "
                           f"{[list(s) for s in sites]}")
     cap = cfg.get("radius_cap")
-    emb = structure_embed(env, sites, tol=float(cfg.get("tolerance", 1e-9)),
+    emb = structure_embed(env, sites, tol=cfg.tolerance(),
                           radius_cap=int(cap) if cap is not None else None)
     k = len(sites)
     sup_defect = add_defect = 0.0
@@ -488,7 +507,7 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
-    d = int(cfg.require("dimension"))
+    d = cfg.positive_int("dimension")
     max_norm = int(cfg.require("max_norm"))
     rows = []
     failures = 0
@@ -547,8 +566,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    # sample_field raises MemoryError for a box above its edge limit,
-    # before it allocates the box
+    # sample_field and BoxGraph raise MemoryError for a box above their
+    # edge or site limit, before they allocate the box
     except (BudgetError, ConvergenceError, MemoryError) as err:
         print(f"budget/convergence failure: {err}", file=sys.stderr)
         return 3

@@ -70,6 +70,12 @@ class WeightModel:
     def weights(self, seed: int, bases: np.ndarray, axes: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def floor(self) -> float:
+        """A deterministic lower bound on every float ``weights`` returns.
+        0 is always one, since environments reject negative weights; a
+        positive floor lets refinement certify boxed distances as exact."""
+        return 0.0
+
     def spec(self) -> dict:
         raise NotImplementedError
 
@@ -84,6 +90,9 @@ class Constant(WeightModel):
 
     def weights(self, seed, bases, axes):
         return np.full(len(bases), float(self.value))
+
+    def floor(self):
+        return float(self.value)
 
     def spec(self):
         return {"kind": "constant", "value": self.value}
@@ -121,6 +130,11 @@ class Pareto(WeightModel):
         u = counter_uniform(seed, _edge_counters(bases, axes, 2))
         return self.scale * np.power(1.0 - u, -1.0 / self.shape)
 
+    def floor(self):
+        # the power of 1 - u in (0, 1] to a negative exponent is at least 1
+        # exactly, so its rounding is too, and so is scale times it
+        return float(self.scale)
+
     def spec(self):
         return {"kind": "pareto", "shape": self.shape, "scale": self.scale}
 
@@ -141,6 +155,9 @@ class TwoValued(WeightModel):
         u = counter_uniform(seed, _edge_counters(bases, axes, 3))
         return np.where(u < self.prob_low, float(self.low), float(self.high))
 
+    def floor(self):
+        return float(min(self.low, self.high))
+
     def spec(self):
         return {"kind": "two_valued", "low": self.low, "high": self.high,
                 "prob_low": self.prob_low}
@@ -153,6 +170,9 @@ _PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "cosine": lambda x: 0.5 * (1.0 - np.cos(2.0 * math.pi * x)),
     "shifted": lambda x: 0.5 + x,
 }
+# the least value of each profile on [0,1), rounding included
+_PROFILE_FLOORS = {"identity": 0.0, "tent": 0.0, "cosine": 0.0,
+                   "shifted": 0.5}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -198,6 +218,14 @@ class Rotation(WeightModel):
                 out[mask] = self._profile(k)(pts[mask])
         return out
 
+    def floor(self):
+        names = ((self.profiles,) if isinstance(self.profiles, str)
+                 else self.profiles)
+        try:
+            return min(_PROFILE_FLOORS[name] for name in names)
+        except KeyError as err:
+            raise ValueError(f"unknown profile {err.args[0]!r}") from None
+
     def spec(self):
         alpha = list(self.alpha) if isinstance(self.alpha, tuple) else self.alpha
         prof = list(self.profiles) if isinstance(self.profiles, tuple) else self.profiles
@@ -224,6 +252,15 @@ class MovingAverage(WeightModel):
                 shifted = np.array(bases, copy=True)
                 shifted[np.arange(len(bases)), axes] += j
             out += coef * self.base.weights(seed, shifted, axes)
+        return out
+
+    def floor(self):
+        # accumulated in the order weights() accumulates: rounding is
+        # monotone, so each partial sum stays at or below the computed
+        # one; sum(kernel) * base floor rounds differently and need not
+        base, out = self.base.floor(), 0.0
+        for coef in self.kernel:
+            out += coef * base
         return out
 
     def spec(self):

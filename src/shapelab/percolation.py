@@ -4,9 +4,18 @@ additive difference tables.
 
 The infimum over all lattice paths is approximated by computation inside
 a finite box.  Boxed values only decrease as the box grows, so truncation
-is auditable: refinement doubles the box radius until two successive
-values agree within a tolerance, and the outcome carries an explicit
-converged flag.
+is auditable: refinement doubles the box radius and gives every value one
+of three states.  A value is exact when it lies below the truncation
+certificate's margin (``exact_margin``): with every edge weighing at least
+the model's floor a > 0, a path that leaves the ell-1 box of radius R
+around c from a source s has at least k = R + 1 - |s - c|_1 edges and a
+computed weight of at least a*k*(1 - k*2**-52), so a boxed value below
+that is the unboxed value, bit for bit.  A value is converged when it
+moved by less than a tolerance since the previous round, and open
+otherwise.  Refinement stops once no value is open, or at its radius cap.
+Later rounds search only as far as the previous round's largest value,
+since no value can rise.  A box graph refuses, before it builds any site,
+a box of more than ``MAX_BOX_SITES`` sites.
 
 A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
@@ -18,12 +27,24 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import Environment
 from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
+
+
+# The most sites a box graph builds.  Building and searching one takes
+# about 480 bytes of peak memory per site in d=3 (152193 sites: +73 MB,
+# 508225 sites: +242 MB), so a graph at the limit takes about 0.5 GB.  The
+# largest box that the shipped configs, the benchmark workloads and the
+# test suite build holds 152193 sites (d=3, ell-1 radius 48).
+MAX_BOX_SITES = 1_000_000
+
+# per-value refinement states
+EXACT, CONVERGED, OPEN = 0, 1, 2
 
 
 class ConvergenceError(RuntimeError):
@@ -36,6 +57,7 @@ class DistanceResult:
     value: float
     box_radius_used: int
     converged: bool
+    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,12 @@ class BoxGraph:
     def __init__(self, env: Environment, box: BoxRegion):
         from scipy.sparse import csr_matrix
 
+        # any region with a site_array() can be searched; a BoxRegion is
+        # counted first, so no site of an oversized box is built
+        if (isinstance(box, BoxRegion)
+                and (count := box.site_count()) > MAX_BOX_SITES):
+            raise MemoryError(f"box holds {count} sites, above the limit "
+                              f"{MAX_BOX_SITES}")
         self.env = env
         self.box = box
         self.sites = box.site_array()
@@ -92,11 +120,15 @@ class BoxGraph:
             raise ValueError(f"site {tuple(site)} outside box {self.box}")
         return i
 
-    def distances_from(self, source: Site) -> np.ndarray:
-        """Exact shortest-path weights from source to every box site."""
+    def distances_from(self, source: Site, limit: float = math.inf
+                       ) -> np.ndarray:
+        """Exact shortest-path weights from source to every box site.  With
+        a limit the search stops there: weights at or below it are the
+        same bit for bit, and the sites beyond it read inf."""
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(self._graph, directed=False, indices=self.row(source))
+        return dijkstra(self._graph, directed=False, indices=self.row(source),
+                        limit=limit)
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -123,36 +155,93 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
                           converged=False)
 
 
-def refine(evaluate, radius: int, cap: int, tol: float):
-    """Double the box radius until two successive evaluations agree within
-    tol, starting from radius and never passing cap.  Boxed values only
-    decrease as the box grows, so agreement certifies stabilization at
-    this scale.  Returns (values, radius_used, converged): the last values
-    computed and the radius they were computed at."""
-    prev = evaluate(radius)
-    while 2 * radius <= cap:
+def exact_margin(floor: float, steps: int) -> float:
+    """The truncation certificate: boxed values strictly below this float
+    equal the unboxed values bit for bit, for searches from a source that
+    lies ``steps`` = R + 1 - |s - c|_1 steps from the outside of the ell-1
+    box of radius R around c, when no edge weighs less than ``floor``.
+
+    Derivation.  Let a = floor and k = steps.  Each step changes |x - c|_1
+    by one, so a path from s that leaves the box has at least k edges
+    before its first site outside.  The search weighs a path as the left
+    fold S_0 = 0, S_j = fl(S_{j-1} + w_j), and the unboxed value is the
+    least fold over all lattice paths.  Rounding to nearest is monotone
+    and fl(x + w) >= x for w >= 0, so the fold of a leaving path is at
+    least T_k, the fold of k copies of a.  With u = 2**-53, T_1 = a
+    exactly and T_j >= (T_{j-1} + a)(1 - u) (addition keeps that relative
+    error even for subnormal sums), so by induction
+    T_k >= k*a*(1 - u)**(k-1) >= k*a*(1 - (k-1)*u) >= a*k*(1 - k*2**-52).
+    A boxed value V below that bound is the unboxed value: a path of
+    smaller fold would have to leave the box, and every leaving path
+    weighs at least the bound.  The bound is evaluated exactly, as a ratio
+    of integers, and rounded down to a float, so its own rounding cannot
+    raise it; the margin is 0, and certifies nothing, unless a > 0 and
+    1 <= k < 2**52."""
+    if floor <= 0 or not 1 <= steps < 2 ** 52:
+        return 0.0
+    p, q = floor.as_integer_ratio()
+    num, den = p * steps * (2 ** 52 - steps), q * 2 ** 52
+    try:
+        margin = num / den  # integer true division rounds correctly
+    except OverflowError:
+        return sys.float_info.max
+    mp, mq = margin.as_integer_ratio()
+    return margin if mp * den <= num * mq else math.nextafter(margin, 0)
+
+
+def refine(evaluate, radius: int, cap: int, tol: float, floor: float = 0.0,
+           depth: int = 0):
+    """Refine boxed values by doubling the radius of an ell-1 box, starting
+    from radius and never passing cap.  Returns (values, radius_used,
+    states): the last round's values, its radius and one state per value.
+
+    ``evaluate(radius, prev)`` computes the values in the box of that
+    radius; prev is None in the first round and the previous round's
+    values after it.  Boxed values only decrease as the box grows, so a
+    later round needs no search beyond max(prev).
+
+    A value is EXACT when it lies strictly below the certificate margin
+    ``exact_margin(floor, radius + 1 - depth)``, for values searched from
+    a source at ell-1 distance depth from the box center in a field whose
+    weights are at least floor (with the default floor 0 nothing is
+    exact).  It is CONVERGED when prev - value < tol, and OPEN otherwise;
+    first-round values are exact or open.  Refinement stops as soon as no
+    value is open."""
+    def states(values, prev, radius):
+        out = np.full(np.shape(values), OPEN, dtype=np.int8)
+        if prev is not None:
+            out[prev - values < tol] = CONVERGED
+        out[values < exact_margin(floor, radius + 1 - depth)] = EXACT
+        return out
+
+    values = evaluate(radius, None)
+    state = states(values, None, radius)
+    while (state == OPEN).any() and 2 * radius <= cap:
         radius *= 2
-        cur = evaluate(radius)
-        if np.max(prev - cur) < tol:
-            return cur, radius, True
-        prev = cur
-    return prev, radius, False
+        prev, values = values, evaluate(radius, values)
+        state = states(values, prev, radius)
+    return values, radius, state
 
 
 def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
                        radius_cap: int | None = None) -> DistanceResult:
-    """Refine the boxed distance by doubling the radius until two
-    successive values agree within tol."""
+    """Refine the boxed distance by doubling the radius until the value is
+    certified exact or two successive values agree within tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     m, n = tuple(m), tuple(n)
     gap = norm1(sub(n, m))
     if gap == 0:
-        return DistanceResult(0.0, 0, True)
+        return DistanceResult(0.0, 0, True, True)
     if radius_cap is None:
         radius_cap = 32 * gap
-    return DistanceResult(*refine(lambda r: distance(env, m, n, r).value,
-                                  2 * gap, radius_cap, tol))
+    # distance() searches from the lexicographically smaller endpoint
+    depth = norm1(sub(min(m, n), _midpoint_box(m, n, 0).center))
+    value, radius, state = refine(
+        lambda r, prev: np.array([distance(env, m, n, r).value]),
+        2 * gap, radius_cap, tol, env.model.floor(), depth)
+    return DistanceResult(float(value[0]), radius, bool(state[0] != OPEN),
+                          bool(state[0] == EXACT))
 
 
 def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
@@ -267,8 +356,12 @@ def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
         # endpoint, so the matrix is symmetric bit for bit
         return np.where(lex_le, out, out.T)
 
-    dist, radius, converged = refine(all_pairs, 2 * spread, radius_cap, tol)
-    if not converged:
+    # the tolerance test only (no floor), with unlimited searches: the
+    # matrix mixes values searched from either end of a pair, so its rows
+    # are not the values of any one search
+    dist, radius, state = refine(lambda r, prev: all_pairs(r), 2 * spread,
+                                 radius_cap, tol)
+    if (state == OPEN).any():
         raise ConvergenceError(
             f"pairwise distances did not stabilize within radius cap "
             f"{radius_cap}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .environment import Environment, WeightModel
 from .lattice import BoxRegion, Site, norm1
-from .percolation import BoxGraph, ConvergenceError, refine
+from .percolation import OPEN, BoxGraph, ConvergenceError, refine
 
 @dataclass(frozen=True)
 class DirectionalSeries:
@@ -44,20 +44,23 @@ class DirectionalSeries:
 def _direction_profile(env: Environment, theta: Site, n_max: int,
                        tol: float, radius_cap_factor: int = 16):
     """rho(0, k*theta) for k = 1..n_max from single-source searches in a
-    common refining box.  Returns (values, converged flags)."""
+    common refining box.  Returns (values, states): one refine state per
+    value, certified against the model's weight floor."""
     theta = tuple(theta)
     zero = (0,) * env.dimension
     targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
     gap = norm1(theta) * n_max
     center = tuple(c // 2 for c in targets[-1].tolist())
 
-    def profile(r: int) -> np.ndarray:
+    def profile(r: int, prev) -> np.ndarray:
+        # the graph is released on return, before the next round builds
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
-        return g.distances_from(zero)[g.rows(targets)]
+        limit = math.inf if prev is None else float(np.max(prev))
+        return g.distances_from(zero, limit)[g.rows(targets)]
 
-    values, _, converged = refine(profile, 2 * gap,
-                                  radius_cap_factor * gap, tol)
-    return values, np.full(n_max, converged)
+    values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap,
+                               tol, env.model.floor(), norm1(center))
+    return values, states
 
 
 def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
@@ -65,7 +68,8 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
                          tol: float = 1e-9) -> DirectionalSeries:
     """The per-direction convergence series and its inf-of-means limit.
 
-    Nonconverged distances are excluded from the means and counted; a
+    Distances that refinement leaves open (neither certified exact nor
+    converged within tol) are excluded from the means and counted; a
     series with more than 10% exclusions is flagged.
     """
     theta = tuple(theta)
@@ -79,9 +83,9 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
     flags = []
     for seed in sorted(seeds):
         env = Environment(model, seed=int(seed), dimension=d)
-        vals, ok = _direction_profile(env, theta, n_max, tol)
+        vals, states = _direction_profile(env, theta, n_max, tol)
         rows.append(vals)
-        flags.append(ok)
+        flags.append(states != OPEN)
     rows = np.asarray(rows)
     flags = np.asarray(flags)
     ks = np.arange(1, n_max + 1)

@@ -397,3 +397,107 @@ def test_kingman_default_drift_orbit_matches_library(tmp_path):
     rows = [line.split(",") for line in _body(out).splitlines()[1:]]
     assert [float(r[1]) for r in rows] == [float(v) for v in kd.rho[1:]]
     assert [float(r[3]) for r in rows] == [float(v) for v in kd.remainders[1:]]
+
+
+def _lorentz_doc(tmp_path, **overrides):
+    doc = {
+        "command": "lorentz-norm",
+        "model": {"kind": "exponential", "rate": 1.0},
+        "dimension": 2,
+        "box_radius": 3,
+        "indices": [[1.0, 1.0]],
+        "output": str(tmp_path / "l.csv"),
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _embed_doc(tmp_path, **overrides):
+    doc = {
+        "command": "embed-check",
+        "model": {"kind": "exponential", "rate": 1.0},
+        "dimension": 2,
+        "sites": [[0, 0], [1, 1]],
+        "output": str(tmp_path / "emb.json"),
+    }
+    doc.update(overrides)
+    return doc
+
+
+def _audit_doc(tmp_path, **overrides):
+    doc = {"command": "path-family-audit", "dimension": 2, "max_norm": 3,
+           "output": str(tmp_path / "a.csv")}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("make", [_shape_doc, _maximal_tail_doc,
+                                  _lorentz_doc, _embed_doc, _audit_doc],
+                         ids=["shape", "maximal-tail", "lorentz-norm",
+                              "embed-check", "path-family-audit"])
+@pytest.mark.parametrize("dimension", ["two", 0, None])
+def test_bad_dimension_is_config_error(tmp_path, capsys, make, dimension):
+    _assert_config_error(tmp_path, capsys,
+                         make(tmp_path, dimension=dimension), "dimension")
+
+
+@pytest.mark.parametrize("center", [[0, 0, 0], [0], "origin", [0.5, 0],
+                                    [True, 0]])
+def test_bad_box_center_is_config_error(tmp_path, capsys, center):
+    _assert_config_error(tmp_path, capsys,
+                         _lorentz_doc(tmp_path, box_center=center),
+                         "box_center")
+
+
+@pytest.mark.parametrize("make", [_shape_doc, _embed_doc],
+                         ids=["shape", "embed-check"])
+@pytest.mark.parametrize("tolerance", ["abc", -1e-9, float("nan"),
+                                       float("inf"), True, [1e-9]])
+def test_bad_tolerance_is_config_error(tmp_path, capsys, make, tolerance):
+    _assert_config_error(tmp_path, capsys,
+                         make(tmp_path, tolerance=tolerance), "tolerance")
+
+
+def test_tolerance_in_exponent_form_is_accepted(tmp_path):
+    # YAML reads 1e-9 (no decimal point) as a string
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(_shape_doc(tmp_path)) + "tolerance: 1e-9\n")
+    assert yaml.safe_load(cfg.read_text())["tolerance"] == "1e-9"
+    assert main(["shape", str(cfg)]) == 0
+
+
+def test_two_valued_shape_with_zero_tolerance_is_certified(tmp_path):
+    # no value ever moves by less than 0, but every two-valued distance
+    # here is certified exact in the first box
+    doc = _shape_doc(tmp_path, model={"kind": "two_valued", "low": 1.0,
+                                      "high": 2.0, "prob_low": 0.5},
+                     seeds={"start": 0, "count": 3}, tolerance=0)
+    assert _run(tmp_path, doc) == 0
+    lines = [ln for ln in (tmp_path / "shape.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    excluded = lines[0].split(",").index("excluded")
+    assert [float(ln.split(",")[excluded]) for ln in lines[1:]] == [0.0, 0.0]
+
+
+def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # exponential distances never certify and tolerance 0 never converges,
+    # so refinement runs to radius 96 = 16 * gap, a ball of 1198337 sites
+    from shapelab.lattice import BoxRegion
+    from shapelab.percolation import MAX_BOX_SITES
+
+    build = BoxRegion.site_array
+
+    def guarded(self):
+        if self.site_count() > MAX_BOX_SITES:
+            raise RuntimeError("site array built above the limit")
+        return build(self)
+
+    monkeypatch.setattr(BoxRegion, "site_array", guarded)
+    doc = _shape_doc(tmp_path, dimension=3,
+                     model={"kind": "exponential", "rate": 1.0},
+                     directions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     n_max=6, tolerance=0)
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and "1198337 sites" in err

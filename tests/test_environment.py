@@ -146,3 +146,43 @@ def test_field_csv_export():
     base0, base1, axis, w = lines[1].split(",")
     assert repr(float(w)) == w
     assert float(w) == env.edge_weight(((int(base0), int(base1)), int(axis)))
+
+
+@pytest.mark.parametrize("model, floor", [
+    (Constant(2.5), 2.5),
+    (Exponential(1.0), 0.0),
+    (Pareto(1.5, 0.7), 0.7),
+    (TwoValued(3.0, 1.5, 0.5), 1.5),
+    (Rotation(), 0.0),
+    (Rotation(profiles="shifted"), 0.5),
+    (Rotation(profiles=("shifted", "shifted", "shifted")), 0.5),
+    (Rotation(profiles=("shifted", "cosine", "shifted")), 0.0),
+    (MovingAverage((0.1, 0.2)), 0.0),
+    (MovingAverage((0.1, 0.2), TwoValued(1.0, 2.0)), 0.1 * 1.0 + 0.2 * 1.0),
+], ids=lambda v: None if isinstance(v, float) else type(v).__name__)
+def test_floor_bounds_every_sampled_weight(model, floor):
+    assert model.floor() == floor
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        bases = rng.integers(-10**6, 10**6, size=(20000, d))
+        axes = rng.integers(0, d, size=20000)
+        for seed in (0, 9):
+            w = Environment(model, seed=seed, dimension=d).edge_weights(
+                bases, axes)
+            assert w.min() >= model.floor()
+
+
+def test_moving_average_floor_follows_the_kernel_order():
+    # with a constant base every weight is the floor's own accumulation;
+    # sum(kernel) * base rounds to a larger float here, which no weight
+    # reaches
+    model = MovingAverage((0.1, 0.2), Constant(0.50375))
+    w = Environment(model, seed=0, dimension=2).edge_weights(
+        np.zeros((4, 2), dtype=np.int64), np.array([0, 1, 0, 1]))
+    assert np.all(w == model.floor())
+    assert sum(model.kernel) * 0.50375 > model.floor()
+
+
+def test_rotation_floor_rejects_unknown_profiles():
+    with pytest.raises(ValueError):
+        Rotation(profiles="square").floor()

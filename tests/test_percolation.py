@@ -7,12 +7,15 @@ import pytest
 from shapelab.environment import (Constant, Environment, Exponential, Pareto,
                                   TwoValued)
 from shapelab.lattice import BoxRegion, norm1, sub
-from shapelab.percolation import (BoxGraph, ConvergenceError, ball,
-                                  distance, distance_converged, geodesic,
-                                  structure_embed)
+from shapelab.percolation import (EXACT, MAX_BOX_SITES, OPEN, BoxGraph,
+                                  ConvergenceError, ball, distance,
+                                  distance_converged, exact_margin, geodesic,
+                                  refine, structure_embed)
 
 from conftest import brute_force_distance
 from frozen import GOLDEN_TWO_VALUED_DISTANCE
+from test_acceptance import (_box_weight_table, _enumeration_oracle,
+                             _rect_box)
 
 
 def test_constant_weights_word_metric():
@@ -265,3 +268,107 @@ def test_sites_to_csv_export():
     assert len(lines) == 1 + len(b)
     g = geodesic(env, (0, 0), (1, 1), 4)
     assert sites_to_csv(list(g.path)).count("\n") == len(g.path) + 1
+
+
+# --------------------------------------------------------------------------
+# truncation certificates, per-value states and limited searches
+
+
+@pytest.mark.parametrize("model", [Constant(1.0), TwoValued(1.0, 2.0, 0.5),
+                                   Pareto(2.0)],
+                         ids=["constant", "two_valued", "pareto"])
+def test_certified_values_match_enumeration_oracle(model):
+    # one refinement round in the ell-1 box of radius 2 around the source;
+    # what it certifies must be the least path weight over the 7x7 square
+    # around the source, found by criterion 03's exhaustive enumeration
+    certified = 0
+    square = _rect_box((-3, -3), 7)
+    for seed in range(8):
+        env = Environment(model, seed=seed, dimension=2)
+        graphs = []
+
+        def evaluate(r, prev):
+            graphs.append(BoxGraph(env, BoxRegion((0, 0), r, "l1")))
+            return graphs[-1].distances_from((0, 0))
+
+        values, radius, states = refine(evaluate, 2, 2, 1e-9, model.floor())
+        oracle = _enumeration_oracle(env, (0, 0), square,
+                                     _box_weight_table(env, square))
+        exact = states == EXACT
+        for site, v in zip(graphs[0].sites[exact].tolist(), values[exact]):
+            assert v == oracle[tuple(site)]
+        assert radius == 2 and set(states.tolist()) <= {EXACT, OPEN}
+        certified += int(exact.sum())
+    assert certified >= 8 * 5  # at least the source and its neighbors
+
+
+def test_certified_distance_equals_the_4r_box():
+    certified = 0
+    for model in (Constant(1.0), TwoValued(1.0, 2.0, 0.5), Pareto(2.0)):
+        for seed in range(6):
+            env = Environment(model, seed=seed, dimension=2)
+            m, n = (0, 0), (3, -2)
+            r = distance_converged(env, m, n)
+            if r.exact:
+                far = distance(env, m, n, 4 * r.box_radius_used).value
+                assert r.converged and r.value == far
+                certified += 1
+    assert certified > 0
+    env = Environment(Constant(1.0), seed=0, dimension=2)
+    r = distance_converged(env, (0, 0), (3, 2))
+    assert r.exact and r.box_radius_used == 10 and r.value == 5.0
+
+
+def test_exponential_distance_is_never_exact():
+    assert Exponential(1.0).floor() == 0.0
+    assert exact_margin(0.0, 100) == 0.0
+    for seed in range(4):
+        env = Environment(Exponential(1.0), seed=seed, dimension=2)
+        r = distance_converged(env, (0, 0), (2, 1))
+        assert r.converged and not r.exact
+
+
+@pytest.mark.parametrize("floor", [1.0, 0.1, 1.0 / 3.0, 0.7, 5e-324, 1e300,
+                                   1.7e308])
+def test_exact_margin_is_below_the_fold_of_its_steps(floor):
+    from fractions import Fraction
+
+    fold = 0.0
+    for k in range(1, 3001):
+        fold += floor
+        m = exact_margin(floor, k)
+        bound = Fraction(floor) * k * (1 - Fraction(k, 2**52))
+        # the largest float at or below the bound, which the fold of k
+        # copies of the floor never undercuts
+        up = math.nextafter(m, math.inf)
+        assert Fraction(m) <= bound
+        assert up == math.inf or Fraction(up) > bound
+        assert m <= fold
+    assert exact_margin(floor, 0) == 0.0 == exact_margin(floor, -3)
+    assert exact_margin(1.0, 10) < exact_margin(1.0, 11)
+
+
+def test_limited_search_equals_unlimited_on_reached_sites():
+    for model in (Exponential(1.0), TwoValued(1.0, 2.0, 0.5)):
+        env = Environment(model, seed=3, dimension=3)
+        g = BoxGraph(env, BoxRegion((1, 0, -1), 9, "l1"))
+        full = g.distances_from((0, 0, 0))
+        # a limit equal to a reached value keeps that value
+        for limit in (float(np.sort(full)[len(full) // 7]), 2.5):
+            part = g.distances_from((0, 0, 0), limit)
+            near = full <= limit
+            assert 0 < near.sum() < len(full)
+            assert np.array_equal(part[near], full[near])
+            assert np.all(np.isinf(part[~near]))
+
+
+def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
+    def fail(self):
+        raise AssertionError("site_array called")
+
+    monkeypatch.setattr(BoxRegion, "site_array", fail)
+    box = BoxRegion((0, 0, 0), 92, "l1")  # 1055425 sites
+    assert box.site_count() > MAX_BOX_SITES
+    env = Environment(Exponential(1.0), seed=0, dimension=3)
+    with pytest.raises(MemoryError, match=f"1055425 sites.*{MAX_BOX_SITES}"):
+        BoxGraph(env, box)

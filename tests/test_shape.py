@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from shapelab.environment import (Constant, Environment, Exponential,
+from shapelab import shape
+from shapelab.environment import (Constant, Environment, Exponential, Pareto,
                                   Rotation, TwoValued)
 from shapelab.lattice import BoxRegion, norm1
-from shapelab.percolation import distance
+from shapelab.percolation import EXACT, OPEN, BoxGraph, distance
 from shapelab.shape import (default_directions, directional_constant,
                             estimate_shape, generator_sup_field,
                             maximal_bound_rhs, maximal_function,
@@ -181,3 +183,78 @@ def test_two_valued_self_oracle_at_scale():
     # inf over a longer series can only be lower
     assert small.estimate >= big.estimate - band
     assert gap <= band + 0.05
+
+
+@pytest.mark.parametrize("model", [Constant(1.0), TwoValued(1.0, 2.0, 0.5),
+                                   Pareto(2.0)],
+                         ids=["constant", "two_valued", "pareto"])
+def test_certified_profile_values_equal_the_4r_box(model):
+    # one round at R = 2 * gap; certified values must equal, bit for bit,
+    # those of the box of radius 4R
+    certified = 0
+    for d, theta, n_max in ((2, (2, 1), 5), (3, (1, 0, 0), 4)):
+        targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
+        center = tuple(c // 2 for c in targets[-1].tolist())
+        R = 2 * norm1(theta) * n_max
+        for seed in range(4):
+            env = Environment(model, seed=seed, dimension=d)
+            values, states = shape._direction_profile(
+                env, theta, n_max, 1e-9, radius_cap_factor=2)
+            g = BoxGraph(env, BoxRegion(center, 4 * R, "l1"))
+            far = g.distances_from((0,) * d)[g.rows(targets)]
+            exact = states == EXACT
+            assert np.array_equal(values[exact], far[exact])
+            certified += int(exact.sum())
+    assert certified > 0
+
+
+def test_exponential_profile_is_never_exact():
+    for seed in range(3):
+        env = Environment(Exponential(1.0), seed=seed, dimension=2)
+        values, states = shape._direction_profile(env, (1, 1), 6, 1e-9)
+        assert not np.any(states == EXACT) and not np.any(states == OPEN)
+
+
+def test_later_rounds_keep_unlimited_values(monkeypatch):
+    # with tolerance 0 an exponential profile runs every round up to its
+    # cap; its limited searches must give what unlimited searches give
+    env = Environment(Exponential(1.0), seed=5, dimension=2)
+    search = BoxGraph.distances_from
+    limits = []
+
+    def spy(self, source, limit=math.inf):
+        limits.append(limit)
+        return search(self, source, limit)
+
+    monkeypatch.setattr(BoxGraph, "distances_from", spy)
+    limited = shape._direction_profile(env, (1, 0), 5, 0.0)
+    assert limits[0] == math.inf and len(limits) == 4
+    assert all(math.isfinite(v) for v in limits[1:])
+    monkeypatch.setattr(BoxGraph, "distances_from",
+                        lambda self, source, limit=math.inf:
+                        search(self, source))
+    unlimited = shape._direction_profile(env, (1, 0), 5, 0.0)
+    assert np.array_equal(limited[0], unlimited[0])
+    assert np.array_equal(limited[1], unlimited[1])
+
+
+def test_excluded_fraction_is_the_open_share(monkeypatch):
+    # a radius cap of one round leaves some two-valued distances above
+    # their certificate margin: only those are excluded
+    model, theta, n_max, seeds = TwoValued(1.0, 3.0, 0.5), (1, 0), 6, range(8)
+    capped = functools.partial(shape._direction_profile, radius_cap_factor=2)
+    profiles = [capped(Environment(model, seed=s, dimension=2), theta, n_max,
+                       1e-9) for s in seeds]
+    values = np.array([v for v, _ in profiles])
+    kept = np.array([states != OPEN for _, states in profiles])
+    assert 0 < kept.mean() < 1 and kept.any(axis=0).all()
+
+    monkeypatch.setattr(shape, "_direction_profile", capped)
+    series = shape.directional_constant(model, seeds, theta, n_max,
+                                        dimension=2)
+    assert series.excluded_fraction == pytest.approx(1 - kept.mean(),
+                                                     abs=1e-15)
+    assert series.flagged == (series.excluded_fraction > 0.10)
+    ks = np.arange(1, n_max + 1)
+    means = [(values[kept[:, i], i] / ks[i]).mean() for i in range(n_max)]
+    assert np.array_equal(series.means, means)
