@@ -132,9 +132,9 @@ class Config:
                 + (f" (command at line {line})" if line else ""))
         return self.doc[key]
 
-    def positive_int(self, key, default=None) -> int:
-        """An integer that must be at least 1; required when no default
-        is given."""
+    def integer(self, key, default=None, minimum: int | None = 1) -> int:
+        """An integer of at least minimum (None: any integer); required
+        when no default is given."""
         value = (self.require(key) if default is None
                  else self.get(key, default))
         try:
@@ -142,8 +142,8 @@ class Config:
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{key!r} must be an integer, got {value!r}") from None
-        if n < 1:
-            raise ConfigError(f"{key!r} must be at least 1, got {n}")
+        if minimum is not None and n < minimum:
+            raise ConfigError(f"{key!r} must be at least {minimum}, got {n}")
         return n
 
     def tolerance(self) -> float:
@@ -160,9 +160,12 @@ class Config:
                               f"least 0, got {value!r}")
         return tol
 
-    def model(self) -> WeightModel:
+    def model(self, dimension: int) -> WeightModel:
+        """The 'model', checked against the lattice dimension."""
         try:
-            return model_from_spec(self.require("model"))
+            model = model_from_spec(self.require("model"))
+            model.check_dimension(dimension)
+            return model
         except KeyError as err:
             raise ConfigError(f"'model' is missing key {err}") from None
         except (TypeError, ValueError) as err:
@@ -230,18 +233,18 @@ def _pmap(fn, items, jobs: int):
 
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
-    model = cfg.model()
-    d = cfg.positive_int("dimension")
+    d = cfg.integer("dimension")
+    model = cfg.model(d)
     seeds = cfg.seed_list(offset)
     dirs = cfg.get("directions")
     if dirs is None:
-        dirs = default_directions(d, int(cfg.get("direction_richness", 1)))
+        dirs = default_directions(d, cfg.integer("direction_richness", 1))
     dirs = sorted(tuple(int(c) for c in v) for v in dirs)
     for v in dirs:
         if len(v) != d or not any(v):
             raise ConfigError(f"'directions' entry {list(v)} must be a "
                               f"nonzero vector of {d} integers")
-    n_max = cfg.positive_int("n_max")
+    n_max = cfg.integer("n_max")
     if n_max < 4:
         raise ConfigError(f"'n_max' must be at least 4, got {n_max}")
     tol = cfg.tolerance()
@@ -278,10 +281,10 @@ def _shape_job(args):
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
-    model = cfg.model()
-    d = cfg.positive_int("dimension")
+    d = cfg.integer("dimension")
+    model = cfg.model(d)
     seeds = cfg.seed_list(offset)
-    window = cfg.positive_int("window_radius")
+    window = cfg.integer("window_radius")
     try:
         grid = [float(v) for v in cfg.require("lambda_grid")]
     except (TypeError, ValueError):
@@ -300,13 +303,12 @@ def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
         raw = np.loadtxt(cfg.get("samples_csv"), delimiter=",", ndmin=2)
         sample = WeightedSample(raw[:, 0], raw[:, 1])
     else:
-        model = cfg.model()
-        d = cfg.positive_int("dimension")
-        env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
+        d = cfg.integer("dimension")
+        env = Environment(cfg.model(d),
+                          seed=cfg.integer("seed", 0, minimum=None) + offset,
                           dimension=d)
-        radius = int(cfg.require("box_radius"))
-        if radius < 0:
-            raise ConfigError("'box_radius' must be nonnegative")
+        # a box of radius 0 holds no edge, so no sample
+        radius = cfg.integer("box_radius")
         center = cfg.get("box_center", [0] * d)
         if not (isinstance(center, list) and len(center) == d
                 and all(type(c) is int for c in center)):
@@ -333,8 +335,8 @@ def _potential_from_spec(spec: dict) -> PotentialModel:
 
 def _run_lyapunov(cfg: Config, offset: int, jobs: int) -> None:
     pot = _potential_from_spec(cfg.require("potential"))
-    row = _lyap_job((pot, cfg.positive_int("n_steps"),
-                     cfg.positive_int("n_seeds", 8), offset))
+    row = _lyap_job((pot, cfg.integer("n_steps"),
+                     cfg.integer("n_seeds", 8), offset))
     _write_csv(cfg, cfg.require("output"),
                ["energy", "estimate", "stderr", "ci_lo", "ci_hi"], [row])
 
@@ -349,8 +351,8 @@ def _lyap_job(args):
 def _run_schrodinger_scan(cfg: Config, offset: int, jobs: int) -> None:
     base = dict(cfg.require("potential"))
     energies = [float(e) for e in cfg.require("energies")]
-    n_steps = cfg.positive_int("n_steps")
-    n_seeds = cfg.positive_int("n_seeds", 8)
+    n_steps = cfg.integer("n_steps")
+    n_seeds = cfg.integer("n_seeds", 8)
     work = []
     for e in sorted(energies):
         spec = dict(base)
@@ -408,9 +410,9 @@ def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
 
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
     c = _cocycle_from_spec(cfg.require("cocycle"))
-    length = cfg.positive_int("length")
+    length = cfg.integer("length")
     # without drift_orbit, kingman_decompose picks its own default
-    drift_orbit = (cfg.positive_int("drift_orbit")
+    drift_orbit = (cfg.integer("drift_orbit")
                    if "drift_orbit" in cfg.doc else None)
     kd = _cocycle.kingman_decompose(c, length, drift_orbit=drift_orbit)
     rows = []
@@ -427,7 +429,7 @@ def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
 def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
     c = _cocycle_from_spec(cfg.require("cocycle"))
     eta = [float(v) for v in cfg.require("eta")]
-    dm = _cocycle.drift_map(c, cfg.positive_int("drift_orbit", 4000))
+    dm = _cocycle.drift_map(c, cfg.integer("drift_orbit", 4000))
     t_grid = [int(t) for t in cfg.get("t_grid", [1 << 10])]
     rows = []
     for n in cfg.require("targets"):
@@ -467,8 +469,8 @@ def _run_spectral_rate(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
-    inc = random_walk(int(cfg.get("seed", 0)) + offset,
-                      int(cfg.require("length")),
+    inc = random_walk(cfg.integer("seed", 0, minimum=None) + offset,
+                      cfg.integer("length"),
                       float(cfg.get("step_scale", 0.25)))
     rows = large_scale_compare(inc)
     _write_csv(cfg, cfg.require("output"),
@@ -476,18 +478,18 @@ def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
-    model = cfg.model()
-    env = Environment(model, seed=int(cfg.get("seed", 0)) + offset,
-                      dimension=cfg.positive_int("dimension"))
+    d = cfg.integer("dimension")
+    env = Environment(cfg.model(d),
+                      seed=cfg.integer("seed", 0, minimum=None) + offset,
+                      dimension=d)
     sites = [tuple(int(v) for v in s) for s in cfg.require("sites")]
     if (not sites or len(set(sites)) != len(sites)
             or any(len(s) != env.dimension for s in sites)):
         raise ConfigError(f"'sites' must be a nonempty list of distinct "
                           f"sites of {env.dimension} integers, got "
                           f"{[list(s) for s in sites]}")
-    cap = cfg.get("radius_cap")
-    emb = structure_embed(env, sites, tol=cfg.tolerance(),
-                          radius_cap=int(cap) if cap is not None else None)
+    cap = cfg.integer("radius_cap") if "radius_cap" in cfg.doc else None
+    emb = structure_embed(env, sites, tol=cfg.tolerance(), radius_cap=cap)
     k = len(sites)
     sup_defect = add_defect = 0.0
     for i in range(k):
@@ -507,8 +509,8 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
-    d = cfg.positive_int("dimension")
-    max_norm = int(cfg.require("max_norm"))
+    d = cfg.integer("dimension")
+    max_norm = cfg.integer("max_norm")
     rows = []
     failures = 0
     for n in enumerate_targets(d, max_norm):

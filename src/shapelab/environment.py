@@ -76,6 +76,10 @@ class WeightModel:
         positive floor lets refinement certify boxed distances as exact."""
         return 0.0
 
+    def check_dimension(self, d: int) -> None:
+        """Raise ValueError when the model cannot weigh the edges of Z^d;
+        environments call it when they are made."""
+
     def spec(self) -> dict:
         raise NotImplementedError
 
@@ -191,23 +195,38 @@ class Rotation(WeightModel):
     alpha: float | tuple[float, ...] = _GOLDEN
     profiles: str | tuple[str, ...] = "identity"
 
+    def __post_init__(self):
+        for name in self._names():
+            if name not in _PROFILES:
+                raise ValueError(f"unknown profile {name!r}")
+
+    def _names(self) -> tuple[str, ...]:
+        return ((self.profiles,) if isinstance(self.profiles, str)
+                else self.profiles)
+
+    def check_dimension(self, d):
+        # axis k reads alpha[k] and profiles[k]; profiles past the last
+        # axis are never read
+        if isinstance(self.alpha, tuple) and len(self.alpha) != d:
+            raise ValueError(f"rotation alpha has {len(self.alpha)} "
+                             f"entries, dimension {d} needs {d}")
+        if isinstance(self.profiles, tuple) and len(self.profiles) < d:
+            raise ValueError(f"rotation profiles has {len(self.profiles)} "
+                             f"entries, dimension {d} needs {d}")
+
     def _alphas(self, d: int) -> np.ndarray:
         if isinstance(self.alpha, tuple):
-            if len(self.alpha) != d:
-                raise ValueError("alpha tuple length must equal dimension")
             return np.asarray(self.alpha, dtype=float)
         return np.asarray([math.fmod(self.alpha * _GOLDEN ** k, 1.0)
                            for k in range(d)], dtype=float)
 
     def _profile(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
         name = self.profiles if isinstance(self.profiles, str) else self.profiles[k]
-        try:
-            return _PROFILES[name]
-        except KeyError:
-            raise ValueError(f"unknown profile {name!r}") from None
+        return _PROFILES[name]
 
     def weights(self, seed, bases, axes):
         d = bases.shape[1]
+        self.check_dimension(d)
         alphas = self._alphas(d)
         x0 = float(counter_uniform(seed, np.asarray([[4]], dtype=np.int64))[0])
         pts = np.mod(x0 + bases @ alphas, 1.0)
@@ -219,12 +238,7 @@ class Rotation(WeightModel):
         return out
 
     def floor(self):
-        names = ((self.profiles,) if isinstance(self.profiles, str)
-                 else self.profiles)
-        try:
-            return min(_PROFILE_FLOORS[name] for name in names)
-        except KeyError as err:
-            raise ValueError(f"unknown profile {err.args[0]!r}") from None
+        return min(_PROFILE_FLOORS[name] for name in self._names())
 
     def spec(self):
         alpha = list(self.alpha) if isinstance(self.alpha, tuple) else self.alpha
@@ -253,6 +267,9 @@ class MovingAverage(WeightModel):
                 shifted[np.arange(len(bases)), axes] += j
             out += coef * self.base.weights(seed, shifted, axes)
         return out
+
+    def check_dimension(self, d):
+        self.base.check_dimension(d)
 
     def floor(self):
         # accumulated in the order weights() accumulates: rounding is
@@ -312,6 +329,7 @@ class Environment:
         off = self.origin_offset or (0,) * self.dimension
         if len(off) != self.dimension:
             raise ValueError("origin_offset dimension mismatch")
+        self.model.check_dimension(self.dimension)
         object.__setattr__(self, "origin_offset", tuple(int(c) for c in off))
 
     def shift(self, k: Sequence[int]) -> "Environment":
@@ -351,8 +369,10 @@ class Environment:
         return "\n".join(lines) + "\n"
 
     def sample_field(self, center: Site, radius: int, norm: str = "linf",
-                     max_edges: int = 2_000_000) -> list[tuple[Site, int, float]]:
-        """All canonical edges with both endpoints in the box, with weights.
+                     max_edges: int = 2_000_000, weights_only: bool = False):
+        """All canonical edges with both endpoints in the box, with weights,
+        as (base, axis, weight) rows; with weights_only, just the (m,)
+        weight array in the same order, without the per-edge rows.
         Raises MemoryError, before any site is built, when the box holds
         more than max_edges edges."""
         from .lattice import BoxRegion, SiteIndex
@@ -363,10 +383,12 @@ class Environment:
             raise MemoryError(
                 f"box holds {edges} edges, above the limit {max_edges}")
         if not edges:
-            return []
+            return np.zeros(0) if weights_only else []
         coords = box.site_array()
         # row-major nonzero keeps the rows site-major, axes in order
         site, axis = np.nonzero(SiteIndex(coords).forward_neighbors() >= 0)
         bases = coords[site]
         w = self.edge_weights(bases, axis)
+        if weights_only:
+            return w
         return list(zip(zip(*bases.T.tolist()), axis.tolist(), w.tolist()))

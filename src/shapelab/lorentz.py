@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,27 @@ class WeightedSample:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
+
+    @cached_property
+    def rearrangement(self) -> "StepFunction":
+        """The nonincreasing rearrangement: sort values descending and lay
+        the masses out along [0, total_mass).  Computed once per sample
+        and shared by every norm of it, so it must not be modified."""
+        order = np.argsort(-self.values, kind="stable")
+        v = self.values[order]
+        m = self.masses[order]
+        keep = np.ones(len(v), dtype=bool)
+        keep[1:] = v[1:] != v[:-1]
+        levels = v[keep]
+        widths = np.add.reduceat(m, np.nonzero(keep)[0])
+        positive = levels > 0
+        levels = levels[positive]
+        widths = widths[positive]
+        if len(levels) == 0:
+            return StepFunction(np.array([0.0, self.total_mass]),
+                                np.array([0.0]))
+        breaks = np.concatenate([[0.0], np.cumsum(widths)])
+        return StepFunction(breaks, levels)
 
     def scaled(self, c: float) -> "WeightedSample":
         return WeightedSample(np.abs(c) * self.values, self.masses)
@@ -83,22 +105,8 @@ def distribution_function(sample: WeightedSample, alpha: float) -> float:
 
 
 def decreasing_rearrangement(sample: WeightedSample) -> StepFunction:
-    """The nonincreasing rearrangement: sort values descending and lay the
-    masses out along [0, total_mass)."""
-    order = np.argsort(-sample.values, kind="stable")
-    v = sample.values[order]
-    m = sample.masses[order]
-    keep = np.ones(len(v), dtype=bool)
-    keep[1:] = v[1:] != v[:-1]
-    levels = v[keep]
-    widths = np.add.reduceat(m, np.nonzero(keep)[0])
-    positive = levels > 0
-    levels = levels[positive]
-    widths = widths[positive]
-    if len(levels) == 0:
-        return StepFunction(np.array([0.0, sample.total_mass]), np.array([0.0]))
-    breaks = np.concatenate([[0.0], np.cumsum(widths)])
-    return StepFunction(breaks, levels)
+    """The sample's nonincreasing rearrangement (``sample.rearrangement``)."""
+    return sample.rearrangement
 
 
 def lorentz_norm(sample: WeightedSample, p: float, q: float) -> float:
@@ -140,5 +148,5 @@ def lp_norm(sample: WeightedSample, p: float) -> float:
 
 def sample_from_environment(env, center, radius: int) -> WeightedSample:
     """Edge weights in a box as a probability sample (equal masses)."""
-    rows = env.sample_field(center, radius)
-    return WeightedSample.from_values([w for _, _, w in rows])
+    return WeightedSample.from_values(
+        env.sample_field(center, radius, weights_only=True))

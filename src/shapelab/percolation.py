@@ -21,6 +21,14 @@ A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
 module's ``SiteIndex``, and every reader (target profiles, geodesics,
 balls, the embedding) works on rows of that array.
+
+A box graph can also hold a stack of E environments over one box, for
+statistics over many seeds.  The sites, their index and the edge list are
+built once; the graph is block diagonal, one block of n nodes per
+environment, and one search from the source's row in every block returns
+an (E, n) array equal, bit for bit, to E separate searches.  The site
+limit counts the whole stack; the shape module sizes its stacks by
+``shape.STACK_SITES``.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,26 +81,36 @@ def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
 
 
 class BoxGraph:
-    """Weighted nearest-neighbor graph on the sites of one box.
+    """Weighted nearest-neighbor graph on the sites of one box, for one
+    environment or a stack of them.
 
     ``sites`` is the box's (n, d) int64 site array in lexicographic order;
     row i of every distance array belongs to sites[i], and ``rows`` maps
-    points back to rows.
+    points back to rows.  A stack of E environments is one block-diagonal
+    graph on E*n nodes: the sites, their index and the edge list are built
+    once, and block e holds environment e's weights on nodes e*n..e*n+n-1.
 
     scipy is imported where a graph is built or searched, not with the
     module: most commands build no box graph, and the import is a large
     share of their start-up."""
 
-    def __init__(self, env: Environment, box: BoxRegion):
+    def __init__(self, env: Environment | Sequence[Environment],
+                 box: BoxRegion):
         from scipy.sparse import csr_matrix
 
+        self.stacked = not isinstance(env, Environment)
+        self.envs = tuple(env) if self.stacked else (env,)
+        if not self.envs:
+            raise ValueError("a stack needs at least one environment")
         # any region with a site_array() can be searched; a BoxRegion is
-        # counted first, so no site of an oversized box is built
-        if (isinstance(box, BoxRegion)
-                and (count := box.site_count()) > MAX_BOX_SITES):
-            raise MemoryError(f"box holds {count} sites, above the limit "
-                              f"{MAX_BOX_SITES}")
-        self.env = env
+        # counted first, so no site of an oversized graph is built
+        if isinstance(box, BoxRegion):
+            count = box.site_count() * len(self.envs)
+            if count > MAX_BOX_SITES:
+                what = ("box" if len(self.envs) == 1
+                        else f"stack of {len(self.envs)} boxes")
+                raise MemoryError(f"{what} holds {count} sites, above the "
+                                  f"limit {MAX_BOX_SITES}")
         self.box = box
         self.sites = box.site_array()
         self._index = SiteIndex(self.sites)
@@ -101,13 +120,21 @@ class BoxGraph:
         nbr = self._index.forward_neighbors().T
         axes, rows = np.nonzero(nbr >= 0)
         cols = nbr[axes, rows]
+        w = np.zeros(0)
         if len(rows):
-            w = env.edge_weights(self.sites[rows], axes)
-        else:
-            w = np.zeros(0)
+            bases = self.sites[rows]
+            w = [e.edge_weights(bases, axes) for e in self.envs]
+            w = w[0] if len(w) == 1 else np.concatenate(w)
+        if len(self.envs) > 1:
+            # block e of the stack holds its copy of the edges at offset
+            # e*n (one environment skips these copies of the edge arrays)
+            offsets = n * np.arange(len(self.envs))[:, None]
+            rows = (rows + offsets).ravel()
+            cols = (cols + offsets).ravel()
+        size = n * len(self.envs)
         # explicit zeros must stay stored: zero-weight edges are legal and
         # scipy's sparse dijkstra honors stored zeros as real edges
-        self._graph = csr_matrix((w, (rows, cols)), shape=(n, n))
+        self._graph = csr_matrix((w, (rows, cols)), shape=(size, size))
 
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, -1 outside the box."""
@@ -120,15 +147,32 @@ class BoxGraph:
             raise ValueError(f"site {tuple(site)} outside box {self.box}")
         return i
 
-    def distances_from(self, source: Site, limit: float = math.inf
-                       ) -> np.ndarray:
-        """Exact shortest-path weights from source to every box site.  With
-        a limit the search stops there: weights at or below it are the
-        same bit for bit, and the sites beyond it read inf."""
+    def distances_from(self, source: Site, limit: float = math.inf,
+                       predecessors: bool = False):
+        """Exact shortest-path weights from source to every box site: an
+        (n,) array, or for a stack an (E, n) array whose row e is searched
+        in environment e.  With a limit the search stops there: weights at
+        or below it are the same bit for bit, and the sites beyond it read
+        inf.
+
+        A stack is searched in one call from the source's row in every
+        block.  The blocks share no edge, so each block reads the least
+        path fold from its own source (see exact_margin); float addition
+        rounds monotonically, so that least fold is what the search finds
+        whatever order it settles the blocks in, and each row equals the
+        block's separate search bit for bit.
+        With predecessors (one environment only) the search tree's
+        predecessor rows come back too, as (weights, predecessors)."""
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(self._graph, directed=False, indices=self.row(source),
-                        limit=limit)
+        if self.stacked and predecessors:
+            raise ValueError("predecessors need a one-environment graph")
+        row, n, stack = self.row(source), len(self.sites), len(self.envs)
+        sources = ({"indices": row + n * np.arange(stack), "min_only": True}
+                   if self.stacked else {"indices": row})
+        out = dijkstra(self._graph, directed=False, limit=limit,
+                       return_predecessors=predecessors, **sources)
+        return out.reshape(stack, n) if self.stacked else out
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -261,10 +305,7 @@ def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
     src, dst = (m, n) if m <= n else (n, m)
     g = BoxGraph(env, box)
     s, t = g.row(src), g.row(dst)
-    from scipy.sparse.csgraph import dijkstra
-
-    dist, pred = dijkstra(g._graph, directed=False, indices=s,
-                          return_predecessors=True)
+    dist, pred = g.distances_from(src, predecessors=True)
     if not math.isfinite(dist[t]):
         raise RuntimeError("target unreachable inside box")
     chain = [t]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -166,17 +167,38 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 # maximal function and its tail
 
 
-def maximal_function(env: Environment, window_radius: int) -> float:
+# Maximal functions are searched in stacks of environments over one box
+# (see BoxGraph), of at most this many sites in all; a box larger than
+# this is searched alone.  Building and searching a stack takes about 100
+# bytes of transient memory per site.  500 seeds of a 545-site box (d=2,
+# W=8) take as long in stacks of 4096 sites as in stacks of 8192, and the
+# smaller stacks keep that run's peak memory 0.5 MB lower.
+STACK_SITES = 4096
+
+
+def maximal_function(env: Environment | Sequence[Environment],
+                     window_radius: int):
     """max over 0 < |n| <= W of rho(0, n)/|n|, from one multi-target
-    search on the box of radius 2W."""
+    search on the box of radius 2W.  For a sequence of environments, the
+    array of their values, from stacked searches of at most STACK_SITES
+    sites each; one environment is the one-seed case of the same search."""
     if window_radius < 1:
         raise ValueError("window radius must be at least 1")
-    zero = (0,) * env.dimension
-    g = BoxGraph(env, BoxRegion(zero, 2 * window_radius, "l1"))
-    dist = g.distances_from(zero)
-    r = np.abs(g.sites).sum(axis=1)
-    window = (r > 0) & (r <= window_radius)
-    return max(0.0, float(np.max(dist[window] / r[window])))
+    envs = [env] if isinstance(env, Environment) else list(env)
+    if not envs:
+        return np.zeros(0)
+    zero = (0,) * envs[0].dimension
+    box = BoxRegion(zero, 2 * window_radius, "l1")
+    size = max(1, STACK_SITES // box.site_count())
+    values = []
+    for i in range(0, len(envs), size):
+        g = BoxGraph(envs[i:i + size], box)
+        dist = g.distances_from(zero)
+        r = np.abs(g.sites).sum(axis=1)
+        window = (r > 0) & (r <= window_radius)
+        values.append(np.max(dist[:, window] / r[window], axis=1))
+    values = np.maximum(0.0, np.concatenate(values))
+    return float(values[0]) if isinstance(env, Environment) else values
 
 
 @dataclass(frozen=True)
@@ -204,12 +226,10 @@ def sample_maximal_stats(model: WeightModel, seeds, window_radius: int,
                          lambda_grid, dimension: int) -> MaximalStats:
     if np.min(np.asarray(lambda_grid, dtype=float)) < 1.0:
         raise ValueError("the tail grid starts at 1")
-    vals = []
-    for seed in sorted(seeds):
-        env = Environment(model, seed=int(seed), dimension=dimension)
-        vals.append(maximal_function(env, window_radius))
+    envs = [Environment(model, seed=int(seed), dimension=dimension)
+            for seed in sorted(seeds)]
     return MaximalStats(window_radius=window_radius,
-                        values=np.asarray(vals),
+                        values=maximal_function(envs, window_radius),
                         lambda_grid=np.asarray(lambda_grid, dtype=float))
 
 

@@ -501,3 +501,55 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err and "1198337 sites" in err
+
+
+def _rkhs_doc(tmp_path, **overrides):
+    doc = {"command": "rkhs-walk", "length": 5,
+           "output": str(tmp_path / "r.csv")}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (_embed_doc, "radius_cap", "abc"),
+    (_embed_doc, "radius_cap", 0),
+    (_audit_doc, "max_norm", "abc"),
+    (_audit_doc, "max_norm", 0),
+    (_lorentz_doc, "seed", "abc"),
+    (_embed_doc, "seed", [1]),
+    (_rkhs_doc, "seed", "abc"),
+    (_lorentz_doc, "box_radius", "abc"),
+    (_lorentz_doc, "box_radius", 0),
+    (_rkhs_doc, "length", "abc"),
+    (_shape_doc, "direction_richness", "abc"),
+], ids=["radius_cap", "radius_cap_zero", "max_norm", "max_norm_zero",
+        "seed_lorentz", "seed_embed", "seed_rkhs", "box_radius",
+        "box_radius_zero", "length", "direction_richness"])
+def test_bad_integer_key_is_config_error(tmp_path, capsys, make, key, value):
+    doc = make(tmp_path, **{key: value})
+    doc.pop("directions", None)
+    _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_negative_seed_is_accepted(tmp_path):
+    assert _run(tmp_path, _lorentz_doc(tmp_path, seed=-3)) == 0
+
+
+@pytest.mark.parametrize("make", [_shape_doc, _maximal_tail_doc,
+                                  _lorentz_doc, _embed_doc],
+                         ids=["shape", "maximal-tail", "lorentz-norm",
+                              "embed-check"])
+@pytest.mark.parametrize("model, key", [
+    ({"kind": "rotation", "profiles": ["shifted"]}, "profiles"),
+    ({"kind": "rotation", "alpha": [0.3]}, "alpha"),
+    ({"kind": "rotation", "alpha": [0.3, 0.1, 0.2]}, "alpha"),
+    ({"kind": "rotation", "profiles": "square"}, "square"),
+    ({"kind": "moving_average", "kernel": [0.5, 0.5],
+      "base": {"kind": "rotation", "profiles": ["tent"]}}, "profiles"),
+], ids=["short_profiles", "short_alpha", "long_alpha", "unknown_profile",
+        "moving_average_base"])
+def test_rotation_not_matching_the_dimension_is_config_error(
+        tmp_path, capsys, make, model, key):
+    doc = make(tmp_path, model=model)
+    _assert_config_error(tmp_path, capsys, doc, key)
+    assert not Path(doc["output"]).exists()

@@ -186,3 +186,45 @@ def test_moving_average_floor_follows_the_kernel_order():
 def test_rotation_floor_rejects_unknown_profiles():
     with pytest.raises(ValueError):
         Rotation(profiles="square").floor()
+
+
+@pytest.mark.parametrize("model", [
+    Rotation(profiles=("shifted",)),
+    Rotation(alpha=(0.3,)),
+    Rotation(alpha=(0.3, 0.1, 0.2)),
+    MovingAverage((0.5, 0.5), Rotation(profiles=("tent",))),
+], ids=["short_profiles", "short_alpha", "long_alpha", "moving_average"])
+def test_rotation_tuples_must_cover_the_dimension(model):
+    with pytest.raises(ValueError, match="dimension 2"):
+        Environment(model, seed=0, dimension=2)
+    with pytest.raises(ValueError, match="dimension 2"):
+        model.weights(0, np.zeros((3, 2), dtype=np.int64), np.arange(3) % 2)
+
+
+def test_rotation_profiles_past_the_last_axis_are_unused():
+    # a profile per axis of d=3 serves d=1 and d=2 as well
+    model = Rotation(profiles=("shifted", "cosine", "tent"))
+    for d in (1, 2):
+        env = Environment(model, seed=1, dimension=d)
+        short = Environment(Rotation(profiles=model.profiles[:d]), seed=1,
+                            dimension=d)
+        bases = np.arange(8 * d).reshape(8, d)
+        axes = np.arange(8) % d
+        assert np.array_equal(env.edge_weights(bases, axes),
+                              short.edge_weights(bases, axes))
+
+
+def test_rotation_rejects_unknown_profile_when_made():
+    with pytest.raises(ValueError, match="square"):
+        Rotation(profiles=("identity", "square"))
+
+
+def test_sample_field_weights_only_keeps_the_order():
+    env = Environment(Exponential(1.0), seed=6, dimension=3)
+    rows = env.sample_field((1, 0, -1), 2)
+    w = env.sample_field((1, 0, -1), 2, weights_only=True)
+    assert isinstance(w, np.ndarray)
+    assert w.tolist() == [r[2] for r in rows]
+    # a box of radius 0 holds one site and no edge
+    assert env.sample_field((0, 0, 0), 0, weights_only=True).shape == (0,)
+    assert env.sample_field((0, 0, 0), 0) == []

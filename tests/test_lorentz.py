@@ -141,3 +141,31 @@ def test_validation_rejects_bad_samples():
         WeightedSample(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         lorentz_norm(WeightedSample(np.array([1.0]), np.array([1.0])), 0.5, 1.0)
+
+
+def test_rearrangement_is_sorted_once_per_sample(monkeypatch):
+    rng = np.random.default_rng(3)
+    s = _random_sample(rng)
+    fresh = WeightedSample(s.values.copy(), s.masses.copy())
+    norms = [lorentz_norm(fresh, p, q) for p, q in
+             [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (4.0, math.inf)]]
+    sorts = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    again = [lorentz_norm(s, p, q) for p, q in
+             [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (4.0, math.inf)]]
+    assert len(sorts) == 1 and again == norms
+    assert decreasing_rearrangement(s) is s.rearrangement
+
+
+def test_sample_from_environment_takes_the_field_weights_in_order():
+    env = Environment(Exponential(1.0), seed=8, dimension=2)
+    s = sample_from_environment(env, (1, -1), 4)
+    rows = env.sample_field((1, -1), 4)
+    assert s.values.tolist() == [w for _, _, w in rows]
+    assert np.all(s.masses == 1.0 / len(rows))

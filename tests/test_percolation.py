@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from shapelab.environment import (Constant, Environment, Exponential, Pareto,
-                                  TwoValued)
+from shapelab.environment import (Constant, Environment, Exponential,
+                                  MovingAverage, Pareto, Rotation, TwoValued)
 from shapelab.lattice import BoxRegion, norm1, sub
 from shapelab.percolation import (EXACT, MAX_BOX_SITES, OPEN, BoxGraph,
                                   ConvergenceError, ball, distance,
@@ -372,3 +372,75 @@ def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
     env = Environment(Exponential(1.0), seed=0, dimension=3)
     with pytest.raises(MemoryError, match=f"1055425 sites.*{MAX_BOX_SITES}"):
         BoxGraph(env, box)
+
+
+STACK_MODELS = [Constant(1.5), Exponential(1.0), TwoValued(1.0, 2.0, 0.5),
+                Rotation(profiles="shifted"), MovingAverage((0.3, 0.7))]
+
+
+@pytest.mark.parametrize("model", STACK_MODELS,
+                         ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_graph_rows_equal_single_graphs(model, d):
+    box = BoxRegion((1,) + (0,) * (d - 1), 5, "l1")
+    envs = [Environment(model, seed=s, dimension=d) for s in (4, 0, 9)]
+    source = (0,) * d
+    stack = BoxGraph(envs, box)
+    assert stack.sites.shape == (box.site_count(), d)
+    dist = stack.distances_from(source)
+    assert dist.shape == (3, box.site_count())
+    for env, row in zip(envs, dist):
+        one = BoxGraph(env, box)
+        assert np.array_equal(stack.sites, one.sites)
+        full = one.distances_from(source)
+        assert np.array_equal(row, full)
+        limit = float(np.median(full))
+        part = stack.distances_from(source, limit)[envs.index(env)]
+        assert np.array_equal(part, one.distances_from(source, limit))
+
+
+def test_one_environment_stack_keeps_single_arrays():
+    env = Environment(TwoValued(1.0, 2.0, 0.5), seed=2, dimension=2)
+    box = BoxRegion((0, 0), 6, "l1")
+    stack = BoxGraph([env], box)
+    single = BoxGraph(env, box)
+    assert single.distances_from((1, 1)).shape == (box.site_count(),)
+    assert np.array_equal(stack.distances_from((1, 1)),
+                          single.distances_from((1, 1))[None, :])
+    with pytest.raises(ValueError):
+        stack.distances_from((1, 1), predecessors=True)
+    with pytest.raises(ValueError):
+        BoxGraph([], box)
+
+
+def test_stack_is_counted_against_the_site_limit(monkeypatch):
+    from shapelab import percolation
+
+    box = BoxRegion((0, 0), 5, "l1")  # 61 sites
+    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
+    envs = [Environment(Exponential(1.0), seed=s, dimension=2)
+            for s in range(3)]
+    assert BoxGraph(envs[:2], box).distances_from((0, 0)).shape == (2, 61)
+
+    def fail(self):
+        raise AssertionError("site_array called")
+
+    monkeypatch.setattr(BoxRegion, "site_array", fail)
+    with pytest.raises(MemoryError, match="stack of 3 boxes holds 183 sites"):
+        BoxGraph(envs, box)
+
+
+class _NegativeForSeed(Constant):
+    """Weight 1 everywhere, except -1 for one seed."""
+
+    def weights(self, seed, bases, axes):
+        return np.full(len(bases), -1.0 if seed == 2 else 1.0)
+
+
+def test_negative_weight_in_one_stacked_environment_raises():
+    envs = [Environment(_NegativeForSeed(1.0), seed=s, dimension=2)
+            for s in range(4)]
+    box = BoxRegion((0, 0), 3, "l1")
+    BoxGraph(envs[:2], box)
+    with pytest.raises(ValueError, match="negative"):
+        BoxGraph(envs, box)

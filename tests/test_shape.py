@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from shapelab import shape
-from shapelab.environment import (Constant, Environment, Exponential, Pareto,
-                                  Rotation, TwoValued)
+from shapelab.environment import (Constant, Environment, Exponential,
+                                  MovingAverage, Pareto, Rotation, TwoValued)
 from shapelab.lattice import BoxRegion, norm1
 from shapelab.percolation import EXACT, OPEN, BoxGraph, distance
 from shapelab.shape import (default_directions, directional_constant,
@@ -258,3 +258,85 @@ def test_excluded_fraction_is_the_open_share(monkeypatch):
     ks = np.arange(1, n_max + 1)
     means = [(values[kept[:, i], i] / ks[i]).mean() for i in range(n_max)]
     assert np.array_equal(series.means, means)
+
+
+def _separate_maximal(env, W):
+    """The maximal function from its own one-environment graph, as
+    computed before searches were stacked."""
+    zero = (0,) * env.dimension
+    g = BoxGraph(env, BoxRegion(zero, 2 * W, "l1"))
+    dist = g.distances_from(zero)
+    r = np.abs(g.sites).sum(axis=1)
+    window = (r > 0) & (r <= W)
+    return max(0.0, float(np.max(dist[window] / r[window])))
+
+
+@pytest.mark.parametrize("model", [
+    Constant(1.5), Exponential(1.0), TwoValued(1.0, 2.0, 0.5),
+    Rotation(profiles="shifted"), MovingAverage((0.3, 0.7))],
+    ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("d, W", [(1, 5), (2, 3), (3, 2)])
+def test_stacked_maximal_values_equal_separate_searches(monkeypatch, model,
+                                                        d, W):
+    # three environments to a stack; seed counts around the stack size
+    sites = BoxRegion((0,) * d, 2 * W, "l1").site_count()
+    monkeypatch.setattr(shape, "STACK_SITES", 3 * sites + 1)
+    builds = []
+    build = BoxGraph.__init__
+
+    def spy(self, env, box):
+        builds.append(1)
+        build(self, env, box)
+
+    for count in (1, 2, 3, 4):
+        seeds = range(10, 10 + count)
+        monkeypatch.setattr(BoxGraph, "__init__", spy)
+        builds.clear()
+        values = sample_maximal_stats(model, seeds, W, [1.0], d).values
+        assert len(builds) == -(-count // 3)
+        monkeypatch.setattr(BoxGraph, "__init__", build)
+        want = [_separate_maximal(Environment(model, seed=s, dimension=d), W)
+                for s in seeds]
+        assert values.tolist() == want
+
+
+def test_stack_size_constant_with_a_benchmark_window():
+    # W=8 in d=2: a 545-site box, seven to a stack of STACK_SITES
+    size = shape.STACK_SITES // BoxRegion((0, 0), 16, "l1").site_count()
+    for count in (1, size - 1, size, size + 1):
+        values = sample_maximal_stats(Exponential(1.0), range(count), 8,
+                                      [1.0], 2).values
+        want = [_separate_maximal(Environment(Exponential(1.0), seed=s,
+                                              dimension=2), 8)
+                for s in range(count)]
+        assert values.tolist() == want
+
+
+def test_maximal_function_is_the_one_seed_stack(monkeypatch):
+    env = Environment(Exponential(1.0), seed=7, dimension=2)
+    stacked = []
+    search = BoxGraph.distances_from
+
+    def spy(self, source, limit=math.inf, predecessors=False):
+        stacked.append(self.stacked)
+        return search(self, source, limit, predecessors)
+
+    monkeypatch.setattr(BoxGraph, "distances_from", spy)
+    got = maximal_function(env, 5)
+    assert stacked == [True]
+    assert got == _separate_maximal(env, 5)
+    assert maximal_function([env], 5).tolist() == [got]
+    assert maximal_function([], 5).shape == (0,)
+
+
+def test_maximal_window_above_the_site_limit_builds_no_site(monkeypatch):
+    def fail(self):
+        raise AssertionError("site_array called")
+
+    monkeypatch.setattr(BoxRegion, "site_array", fail)
+    env = Environment(Exponential(1.0), seed=0, dimension=3)
+    # W=46: the radius-92 box holds 1055425 sites
+    with pytest.raises(MemoryError, match="1055425 sites"):
+        maximal_function(env, 46)
+    with pytest.raises(MemoryError, match="1055425 sites"):
+        sample_maximal_stats(Exponential(1.0), range(3), 46, [1.0], 3)
