@@ -54,6 +54,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _to_int(value, what: str, minimum: int | None = None) -> int:
+    """value as an integer of at least minimum (None: any integer); the
+    error names what was read."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {n}")
+    return n
+
+
 def _find_line(text: str, key: str) -> int | None:
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0]
@@ -137,14 +150,7 @@ class Config:
         when no default is given."""
         value = (self.require(key) if default is None
                  else self.get(key, default))
-        try:
-            n = int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{key!r} must be an integer, got {value!r}") from None
-        if minimum is not None and n < minimum:
-            raise ConfigError(f"{key!r} must be at least {minimum}, got {n}")
-        return n
+        return _to_int(value, repr(key), minimum)
 
     def tolerance(self) -> float:
         """The optional 'tolerance': a finite number at least 0.  YAML reads
@@ -175,9 +181,8 @@ class Config:
         spec = self.require("seeds")
         if not (isinstance(spec, dict) and {"start", "count"} <= set(spec)):
             raise ConfigError("'seeds' must be a mapping with start and count")
-        start, count = int(spec["start"]), int(spec["count"])
-        if count < 1:
-            raise ConfigError("'seeds' count must be at least 1")
+        start = _to_int(spec["start"], "'seeds' start")
+        count = _to_int(spec["count"], "'seeds' count", minimum=1)
         return [start + offset + i for i in range(count)]
 
 
@@ -299,6 +304,20 @@ def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
+    indices = cfg.require("indices")
+    if not isinstance(indices, list):
+        raise ConfigError(f"'indices' must be a list of pairs, got "
+                          f"{indices!r}")
+    pairs = []
+    for pq in indices:
+        try:
+            p, q = (float(v) for v in pq)
+        except (TypeError, ValueError):
+            p = q = math.nan
+        if not (p >= 1 and q >= 1):
+            raise ConfigError(f"'indices' entries must be pairs of numbers "
+                              f"at least 1, got {pq!r}")
+        pairs.append((p, q))
     if cfg.get("samples_csv"):
         raw = np.loadtxt(cfg.get("samples_csv"), delimiter=",", ndmin=2)
         sample = WeightedSample(raw[:, 0], raw[:, 1])
@@ -315,10 +334,7 @@ def _run_lorentz(cfg: Config, offset: int, jobs: int) -> None:
             raise ConfigError(f"'box_center' must be a list of {d} "
                               f"integers, got {center!r}")
         sample = sample_from_environment(env, center, radius)
-    rows = []
-    for pq in cfg.require("indices"):
-        p, q = float(pq[0]), float(pq[1])
-        rows.append((p, q, lorentz_norm(sample, p, q)))
+    rows = [(p, q, lorentz_norm(sample, p, q)) for p, q in pairs]
     _write_csv(cfg, cfg.require("output"), ["p", "q", "norm"], rows)
 
 
@@ -482,7 +498,11 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
     env = Environment(cfg.model(d),
                       seed=cfg.integer("seed", 0, minimum=None) + offset,
                       dimension=d)
-    sites = [tuple(int(v) for v in s) for s in cfg.require("sites")]
+    sites = cfg.require("sites")
+    if not (isinstance(sites, list)
+            and all(isinstance(s, list) for s in sites)):
+        raise ConfigError(f"'sites' must be a list of sites, got {sites!r}")
+    sites = [tuple(_to_int(v, "'sites' entry") for v in s) for s in sites]
     if (not sites or len(set(sites)) != len(sites)
             or any(len(s) != env.dimension for s in sites)):
         raise ConfigError(f"'sites' must be a nonempty list of distinct "

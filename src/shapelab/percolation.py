@@ -23,12 +23,19 @@ module's ``SiteIndex``, and every reader (target profiles, geodesics,
 balls, the embedding) works on rows of that array.
 
 A box graph can also hold a stack of E environments over one box, for
-statistics over many seeds.  The sites, their index and the edge list are
-built once; the graph is block diagonal, one block of n nodes per
-environment, and one search from the source's row in every block returns
-an (E, n) array equal, bit for bit, to E separate searches.  The site
-limit counts the whole stack; the shape module sizes its stacks by
-``shape.STACK_SITES``.
+statistics over many seeds.  The sites, their index and the neighbour
+table are built once, each environment fills its own block of edge
+weights, and one search from the source's row in every block returns an
+(E, n) array equal, bit for bit, to E separate searches.  The site limit
+counts the whole stack; the shape module sizes its stacks by
+``shape.STACK_SITES``.  In the same way one search from k sources of a
+one-environment graph returns the (k, n) array of k separate searches.
+
+Every search is ``_search``, a bucketed label-correcting search over
+those index tables.  Its weights are the least left folds of path
+weights (see ``BoxGraph.distances_from``), the one fixed point that any
+exact shortest-path search reaches, so they do not depend on the order in
+which it relaxes edges.
 """
 
 from __future__ import annotations
@@ -46,11 +53,19 @@ from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 
 
 # The most sites a box graph builds.  Building and searching one takes
-# about 480 bytes of peak memory per site in d=3 (152193 sites: +73 MB,
-# 508225 sites: +242 MB), so a graph at the limit takes about 0.5 GB.  The
-# largest box that the shipped configs, the benchmark workloads and the
-# test suite build holds 152193 sites (d=3, ell-1 radius 48).
+# about 475 bytes of peak memory per site in d=3 (152193 sites: +69 MB,
+# 508225 sites: +230 MB), most of it while the edge weights are hashed,
+# so a graph at the limit takes about 0.5 GB.  The largest box that the
+# shipped configs, the benchmark workloads and the test suite build holds
+# 152193 sites (d=3, ell-1 radius 48).
 MAX_BOX_SITES = 1_000_000
+
+# A search relaxes a frontier of at most this many nodes whole, bucket or
+# not: a pass costs some twenty numpy calls whatever it relaxes, so on
+# small frontiers fewer, larger passes win.  On boxes of 181 to 152193
+# sites (2-core x86_64, numpy 2.4) this halves the search time of the
+# smallest boxes and leaves the largest unchanged.
+WHOLE_FRONTIER = 512
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
@@ -80,24 +95,91 @@ def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
     return BoxRegion(center, radius, "l1")
 
 
+def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
+            limit: float = math.inf, predecessors: bool = False):
+    """Least path weights in B blocks of one graph: block b searches from
+    row sources[b] with the weight table wt[b % E].
+
+    nbr is the (n, 2d) neighbour-row table, a row's own row where it has
+    no neighbour, and wt the (E, n, 2d) table of the matching edge
+    weights, inf on those self-loops.  Node b*n + i is row i of block b.
+    Returns the (B, n) weights, inf beyond limit, and with predecessors
+    also the (B, n) predecessor rows, -9999 at the sources and at the
+    sites beyond limit.
+
+    A bucketed label-correcting search (delta-stepping, Meyer and Sanders
+    2003) with the mean edge weight as bucket width: each pass relaxes
+    every frontier node below the bucket's bound at once, or the whole
+    frontier while it holds at most WHOLE_FRONTIER nodes, and puts the
+    nodes it improved back on the frontier.  Weights at or below limit are
+    final once the frontier's least weight passes limit."""
+    n = len(nbr)
+    blocks = len(sources)
+    # the node step to each neighbour, the same in every block
+    step = nbr - np.arange(n)[:, None]
+    wt = wt.reshape(-1, nbr.shape[1])
+    dist = np.full(blocks * n, np.inf)
+    queued = np.zeros(blocks * n, dtype=bool)
+    front = np.arange(blocks) * n + sources
+    dist[front] = 0.0
+    queued[front] = True
+    pred = np.full(blocks * n, -9999) if predecessors else None
+    finite = wt[np.isfinite(wt)]
+    width = (float(finite.mean()) if finite.size else 0.0) or 1.0
+    bound = -math.inf
+    while front.size:
+        here = dist[front]
+        low = here.min()
+        if low > limit:
+            break
+        if low >= bound:
+            bound = low + width
+        node = front
+        if len(node) > WHOLE_FRONTIER:
+            take = here < bound
+            node, here = node[take], here[take]
+        queued[node] = False
+        row = node % n
+        target = node[:, None] + step[row]
+        # a stack's node indexes its own weight block, k sources share one
+        cand = here[:, None] + wt[node % len(wt)]
+        better = cand < dist[target]
+        target, cand = target[better], cand[better]
+        np.minimum.at(dist, target, cand)
+        if predecessors:
+            # every target was improved; of the candidates that set its
+            # new weight the lowest row becomes its predecessor
+            origin = np.broadcast_to(row[:, None], better.shape)[better]
+            won = cand == dist[target]
+            pred[target] = n
+            np.minimum.at(pred, target[won], origin[won])
+        queued[target] = True
+        front = queued.nonzero()[0]
+    dist = dist.reshape(blocks, n)
+    beyond = dist > limit
+    dist[beyond] = np.inf
+    if not predecessors:
+        return dist
+    pred = pred.reshape(blocks, n)
+    pred[beyond] = -9999
+    return dist, pred
+
+
 class BoxGraph:
     """Weighted nearest-neighbor graph on the sites of one box, for one
     environment or a stack of them.
 
     ``sites`` is the box's (n, d) int64 site array in lexicographic order;
     row i of every distance array belongs to sites[i], and ``rows`` maps
-    points back to rows.  A stack of E environments is one block-diagonal
-    graph on E*n nodes: the sites, their index and the edge list are built
-    once, and block e holds environment e's weights on nodes e*n..e*n+n-1.
-
-    scipy is imported where a graph is built or searched, not with the
-    module: most commands build no box graph, and the import is a large
-    share of their start-up."""
+    points back to rows.  The graph is two tables over the rows: the
+    (n, 2d) neighbour rows, forward along each axis and then backward (a
+    row's own row where the box ends), and the (E, n, 2d) weights of those
+    edges (inf on the self-loops), one block per environment.  A stack of
+    E environments shares the sites, their index and the neighbour table,
+    and environment e fills weight block e."""
 
     def __init__(self, env: Environment | Sequence[Environment],
                  box: BoxRegion):
-        from scipy.sparse import csr_matrix
-
         self.stacked = not isinstance(env, Environment)
         self.envs = tuple(env) if self.stacked else (env,)
         if not self.envs:
@@ -114,27 +196,27 @@ class BoxGraph:
         self.box = box
         self.sites = box.site_array()
         self._index = SiteIndex(self.sites)
-        n = len(self.sites)
+        n, d = self.sites.shape
+        forward = self._index.forward_neighbors()
         # nonzero over the (axis, site) table lists the edges grouped by
         # axis, each group in site order
-        nbr = self._index.forward_neighbors().T
-        axes, rows = np.nonzero(nbr >= 0)
-        cols = nbr[axes, rows]
-        w = np.zeros(0)
-        if len(rows):
-            bases = self.sites[rows]
-            w = [e.edge_weights(bases, axes) for e in self.envs]
-            w = w[0] if len(w) == 1 else np.concatenate(w)
-        if len(self.envs) > 1:
-            # block e of the stack holds its copy of the edges at offset
-            # e*n (one environment skips these copies of the edge arrays)
-            offsets = n * np.arange(len(self.envs))[:, None]
-            rows = (rows + offsets).ravel()
-            cols = (cols + offsets).ravel()
-        size = n * len(self.envs)
-        # explicit zeros must stay stored: zero-weight edges are legal and
-        # scipy's sparse dijkstra honors stored zeros as real edges
-        self._graph = csr_matrix((w, (rows, cols)), shape=(size, size))
+        axes, rows = np.nonzero(forward.T >= 0)
+        # hashing the weights is the build's peak of memory, so the tables
+        # are allocated after it
+        bases = self.sites[rows]
+        weights = [e.edge_weights(bases, axes) for e in self.envs]
+        del bases
+        cols = forward[rows, axes]
+        # each edge's two slots in the flattened (n, 2d) tables: forward
+        # from its base row, backward from the row it reaches
+        ahead = rows * (2 * d) + axes
+        back = cols * (2 * d) + (axes + d)
+        self._nbr = np.repeat(np.arange(n), 2 * d).reshape(n, 2 * d)
+        self._nbr.reshape(-1)[ahead] = cols
+        self._nbr.reshape(-1)[back] = rows
+        self._wt = np.full((len(self.envs), n, 2 * d), np.inf)
+        for wt, w in zip(self._wt.reshape(len(self.envs), -1), weights):
+            wt[ahead] = wt[back] = w
 
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, -1 outside the box."""
@@ -147,32 +229,45 @@ class BoxGraph:
             raise ValueError(f"site {tuple(site)} outside box {self.box}")
         return i
 
-    def distances_from(self, source: Site, limit: float = math.inf,
-                       predecessors: bool = False):
+    def distances_from(self, source: Site | Sequence[Site],
+                       limit: float = math.inf, predecessors: bool = False):
         """Exact shortest-path weights from source to every box site: an
-        (n,) array, or for a stack an (E, n) array whose row e is searched
-        in environment e.  With a limit the search stops there: weights at
-        or below it are the same bit for bit, and the sites beyond it read
-        inf.
+        (n,) array, for a stack an (E, n) array whose row e is searched in
+        environment e, and for a sequence of k sources (one environment
+        only) a (k, n) array whose row i is searched from source i.  With a
+        limit the search stops there: weights at or below it are the same
+        bit for bit, and the sites beyond it read inf.
 
-        A stack is searched in one call from the source's row in every
-        block.  The blocks share no edge, so each block reads the least
-        path fold from its own source (see exact_margin); float addition
-        rounds monotonically, so that least fold is what the search finds
-        whatever order it settles the blocks in, and each row equals the
-        block's separate search bit for bit.
-        With predecessors (one environment only) the search tree's
-        predecessor rows come back too, as (weights, predecessors)."""
-        from scipy.sparse.csgraph import dijkstra
+        Every row is the least left fold S_0 = 0, S_j = fl(S_{j-1} + w_j)
+        over the box paths from its source (see exact_margin), whatever
+        order the search relaxes the edges in.  Each weight the search
+        holds is the fold of some path, so never below that least fold; and
+        when no edge relaxes any more, a weight above it is impossible:
+        along a least path each site's weight is at most the fold of the
+        path's prefix, by induction, since float addition rounds
+        monotonically and fl(x + w) >= x for w >= 0.  So a stack's rows and
+        a multi-source call's rows equal separate searches bit for bit, and
+        so does any exact search of the same graph.
 
-        if self.stacked and predecessors:
-            raise ValueError("predecessors need a one-environment graph")
-        row, n, stack = self.row(source), len(self.sites), len(self.envs)
-        sources = ({"indices": row + n * np.arange(stack), "min_only": True}
-                   if self.stacked else {"indices": row})
-        out = dijkstra(self._graph, directed=False, limit=limit,
-                       return_predecessors=predecessors, **sources)
-        return out.reshape(stack, n) if self.stacked else out
+        With predecessors (one environment and one source) the search
+        tree's predecessor rows come back too, as (weights, predecessors)."""
+        sources = np.asarray(source)
+        many = sources.ndim == 2
+        if many and self.stacked:
+            raise ValueError("several sources need a one-environment graph")
+        if (self.stacked or many) and predecessors:
+            raise ValueError("predecessors need one environment and one "
+                             "source")
+        if many:
+            rows = self.rows(sources)
+            if (rows < 0).any():
+                raise ValueError(f"sources outside box {self.box}")
+        else:
+            rows = np.full(len(self.envs), self.row(source))
+        out = _search(self._nbr, self._wt, rows, limit, predecessors)
+        if self.stacked or many:
+            return out
+        return tuple(a[0] for a in out) if predecessors else out[0]
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -291,12 +386,13 @@ def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
 def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
              box: BoxRegion | None = None) -> Geodesic:
     """A witness path achieving the boxed distance.  Among equally short
-    paths the one returned is the branch of scipy's shortest-path search
-    tree, which is deterministic for a given box but follows no
-    lexicographic rule.  Every step satisfies dist[u] + w == dist[v]
-    exactly, so the weight accumulated from the lexicographically smaller
-    endpoint matches distance() exactly; the returned path runs from m to
-    n."""
+    paths the one returned is the branch of the search's predecessor tree
+    (``_search``: a site's predecessor is the lowest row among the
+    candidates that last lowered its weight), which is deterministic for a
+    given box but follows no lexicographic rule.  Every step satisfies
+    dist[u] + w == dist[v] exactly, so the weight accumulated from the
+    lexicographically smaller endpoint matches distance() exactly; the
+    returned path runs from m to n."""
     m, n = tuple(m), tuple(n)
     if box is None:
         box = _midpoint_box(m, n, box_radius)
@@ -390,9 +486,8 @@ def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
 
     def all_pairs(r: int) -> np.ndarray:
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
-        cols = g.rows(points)
         # out[i, j] = rho(sites[i], sites[j]) searched from sites[i]
-        out = np.stack([g.distances_from(s)[cols] for s in sites])
+        out = g.distances_from(points)[:, g.rows(points)]
         # keep the value searched from the lexicographically smaller
         # endpoint, so the matrix is symmetric bit for bit
         return np.where(lex_le, out, out.T)

@@ -170,10 +170,12 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 # Maximal functions are searched in stacks of environments over one box
 # (see BoxGraph), of at most this many sites in all; a box larger than
 # this is searched alone.  Building and searching a stack takes about 100
-# bytes of transient memory per site.  500 seeds of a 545-site box (d=2,
-# W=8) take as long in stacks of 4096 sites as in stacks of 8192, and the
-# smaller stacks keep that run's peak memory 0.5 MB lower.
-STACK_SITES = 4096
+# (d=2) to 200 (d=3) bytes of transient memory per site.  A search costs
+# mostly its passes, whose number does not grow with the stack, so larger
+# stacks pay off: 500 seeds of a 545-site box (d=2, W=8) take a median
+# 0.24 s in stacks of 16384 sites against 0.34 s in stacks of 4096, for
+# 1.4 MB more peak memory.
+STACK_SITES = 16384
 
 
 def maximal_function(env: Environment | Sequence[Environment],

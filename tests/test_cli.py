@@ -364,25 +364,29 @@ def test_zero_drift_orbit_is_config_error(tmp_path, capsys):
 
 
 def test_commands_without_box_graphs_leave_scipy_unloaded(tmp_path):
+    # no command imports scipy, those that search box graphs included
     kingman = {"command": "kingman", "length": 50, "drift_orbit": 200,
                "cocycle": {"generator": {"kind": "mixed", "value": [2.0, 0.0],
                                          "coboundary": 1.0}},
                "output": str(tmp_path / "k.csv")}
     audit = {"command": "path-family-audit", "dimension": 3, "max_norm": 3,
              "output": str(tmp_path / "a.csv")}
+    shape = _shape_doc(tmp_path)
+    tail = _maximal_tail_doc(tmp_path)
+    embed = _embed_doc(tmp_path)
     runs = []
-    for doc in (kingman, audit):
+    for doc in (kingman, audit, shape, tail, embed):
         cfg = tmp_path / f"{doc['command']}.yaml"
         cfg.write_text(yaml.safe_dump(doc))
         runs.append([doc["command"], str(cfg)])
     code = ("import sys\n"
             "from shapelab import cli\n"
-            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-            "print(codes, sorted(m for m in sys.modules\n"
-            "                    if m.partition('.')[0] == 'scipy'))\n")
+            "for argv in " + repr(runs) + ":\n"
+            "    print(cli.main(argv), sorted(m for m in sys.modules\n"
+            "          if m.partition('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[0, 0] []"
+    assert out.splitlines() == ["0 []"] * len(runs)
 
 
 def test_kingman_default_drift_orbit_matches_library(tmp_path):
@@ -552,4 +556,23 @@ def test_rotation_not_matching_the_dimension_is_config_error(
         tmp_path, capsys, make, model, key):
     doc = make(tmp_path, model=model)
     _assert_config_error(tmp_path, capsys, doc, key)
+    assert not Path(doc["output"]).exists()
+
+
+@pytest.mark.parametrize("make, key, value, named", [
+    (_maximal_tail_doc, "seeds", {"start": "abc", "count": 3}, "start"),
+    (_maximal_tail_doc, "seeds", {"start": 0, "count": "abc"}, "count"),
+    (_embed_doc, "sites", [[0, 0], [1, "x"]], "sites"),
+    (_embed_doc, "sites", [[0, 0], 1], "sites"),
+    (_lorentz_doc, "indices", [[1.0, "x"]], "indices"),
+    (_lorentz_doc, "indices", [[1.0]], "indices"),
+    (_lorentz_doc, "indices", [[0.5, 1.0]], "indices"),
+    (_lorentz_doc, "indices", "abc", "indices"),
+], ids=["seeds_start", "seeds_count", "sites_entry", "sites_not_a_site",
+        "indices_entry", "indices_short", "indices_below_one",
+        "indices_not_a_list"])
+def test_bad_list_or_mapping_entry_is_config_error(tmp_path, capsys, make,
+                                                   key, value, named):
+    doc = make(tmp_path, **{key: value})
+    _assert_config_error(tmp_path, capsys, doc, named)
     assert not Path(doc["output"]).exists()

@@ -6,7 +6,8 @@ import pytest
 
 from shapelab.environment import (Constant, Environment, Exponential,
                                   MovingAverage, Pareto, Rotation, TwoValued)
-from shapelab.lattice import BoxRegion, norm1, sub
+from shapelab import percolation
+from shapelab.lattice import BoxRegion, SiteIndex, norm1, sub
 from shapelab.percolation import (EXACT, MAX_BOX_SITES, OPEN, BoxGraph,
                                   ConvergenceError, ball, distance,
                                   distance_converged, exact_margin, geodesic,
@@ -444,3 +445,124 @@ def test_negative_weight_in_one_stacked_environment_raises():
     BoxGraph(envs[:2], box)
     with pytest.raises(ValueError, match="negative"):
         BoxGraph(envs, box)
+
+
+# --------------------------------------------------------------------------
+# the box graph's own search against scipy's Dijkstra
+
+
+ORACLE_MODELS = [Constant(0.0), Constant(1.0), TwoValued(1.0, 2.0, 0.5),
+                 Exponential(1.0), Pareto(2.5), MovingAverage((0.3, 0.7)),
+                 Rotation(profiles="shifted")]
+
+
+def _scipy_search(envs, region, sources, limit):
+    """Row i: scipy's Dijkstra from sources[i] in envs[i], on a sparse
+    matrix of the region's lattice edges assembled without BoxGraph."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sites = region.site_array()
+    row = {s: i for i, s in enumerate(map(tuple, sites.tolist()))}
+    n, d = sites.shape
+    near, far, axes = [], [], []
+    for s, i in row.items():
+        for k in range(d):
+            j = row.get(s[:k] + (s[k] + 1,) + s[k + 1:])
+            if j is not None:
+                near.append(i)
+                far.append(j)
+                axes.append(k)
+    out = []
+    for env, src in zip(envs, sources):
+        w = env.edge_weights(sites[near], np.asarray(axes, dtype=np.int64))
+        # zero weights stay stored, and scipy searches stored zeros
+        graph = sparse.csr_matrix((w, (near, far)), shape=(n, n))
+        out.append(csgraph.dijkstra(graph, directed=False, indices=row[src],
+                                    limit=limit))
+    return np.array(out)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# these boxes are small enough for the search to relax every frontier
+# whole; WHOLE_FRONTIER = 0 makes it step through its buckets instead
+@pytest.mark.parametrize("whole", [0, None], ids=["buckets", "whole"])
+@pytest.mark.parametrize("model", ORACLE_MODELS,
+                         ids=lambda m: f"{type(m).__name__}")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_search_equals_scipy_dijkstra_bit_for_bit(monkeypatch, model, d,
+                                                  whole):
+    if whole is not None:
+        monkeypatch.setattr(percolation, "WHOLE_FRONTIER", whole)
+    envs = [Environment(model, seed=s, dimension=d) for s in (3, 0, 8)]
+    regions = [BoxRegion((1,) + (0,) * (d - 1), 5 if d < 3 else 3, "l1"),
+               BoxRegion((0,) * d, 2, "linf"), _rect_box((-1,) * d, 3)]
+    for region in regions:
+        sites = [tuple(s) for s in region.site_array().tolist()]
+        sources = [sites[0], sites[len(sites) // 2], sites[-1]]
+        src = sources[1]
+        one, stack = BoxGraph(envs[0], region), BoxGraph(envs, region)
+        full = _scipy_search(envs[:1], region, [src], math.inf)[0]
+        positive = np.sort(full[full > 0])
+        # no limit, a limit equal to a reached value, and one below every
+        # value but the source's (and those of its zero-weight neighbours)
+        limits = [math.inf]
+        if positive.size:
+            limits += [float(positive[len(positive) // 2]),
+                       float(positive[0]) / 2]
+        for limit in limits:
+            want = _scipy_search(envs, region, [src] * 3, limit)
+            assert _same_bits(one.distances_from(src, limit), want[0])
+            assert _same_bits(stack.distances_from(src, limit), want)
+            want = _scipy_search(envs[:1] * 3, region, sources, limit)
+            assert _same_bits(one.distances_from(sources, limit), want)
+            assert _same_bits(one.distances_from(np.array(sources), limit),
+                              want)
+
+
+@pytest.mark.parametrize("whole", [0, None], ids=["buckets", "whole"])
+@pytest.mark.parametrize("model", ORACLE_MODELS,
+                         ids=lambda m: f"{type(m).__name__}")
+def test_predecessor_rows_form_an_exact_search_tree(monkeypatch, model,
+                                                    whole):
+    if whole is not None:
+        monkeypatch.setattr(percolation, "WHOLE_FRONTIER", whole)
+    env = Environment(model, seed=5, dimension=2)
+    g = BoxGraph(env, BoxRegion((0, 0), 6, "l1"))
+    source = g.row((1, -2))
+    dist, pred = g.distances_from((1, -2), predecessors=True)
+    # the weights from one call over the box's edges in the graph's own
+    # order: Rotation weighs some edges, in a one-edge call, differently
+    # in the last bit from the same edges in a batch
+    axes, rows = np.nonzero(SiteIndex(g.sites).forward_neighbors().T >= 0)
+    weight = dict(zip(zip(rows.tolist(), axes.tolist()),
+                      env.edge_weights(g.sites[rows], axes).tolist()))
+    assert pred[source] == -9999
+    for v in range(len(g.sites)):
+        if v == source:
+            continue
+        u = int(pred[v])
+        step = g.sites[v] - g.sites[u]
+        axis = int(np.flatnonzero(step)[0])
+        assert np.abs(step).sum() == 1
+        w = weight[(u if step[axis] > 0 else v, axis)]
+        assert dist[u] + w == dist[v]
+        # following the tree from v reaches the source
+        seen = {v}
+        while u != source:
+            assert u not in seen
+            seen.add(u)
+            u = int(pred[u])
+
+
+def test_multi_source_search_rejects_stacks_and_outside_sites():
+    env = Environment(Exponential(1.0), seed=1, dimension=2)
+    box = BoxRegion((0, 0), 3, "l1")
+    with pytest.raises(ValueError, match="one-environment"):
+        BoxGraph([env, env], box).distances_from([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="outside box"):
+        BoxGraph(env, box).distances_from([(0, 0), (3, 3)])
+    with pytest.raises(ValueError, match="predecessors"):
+        BoxGraph(env, box).distances_from([(0, 0)], predecessors=True)
