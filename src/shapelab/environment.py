@@ -11,7 +11,7 @@ identity rather than a statistical property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,11 +81,19 @@ class WeightModel:
         environments call it when they are made."""
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The model as a config spec, which model_from_spec inverts."""
+        spec = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            spec[f.name] = (v.spec() if isinstance(v, WeightModel)
+                            else list(v) if isinstance(v, tuple) else v)
+        return spec
 
 
 @dataclass(frozen=True)
 class Constant(WeightModel):
+    kind = "constant"
+
     value: float
 
     def __post_init__(self):
@@ -98,12 +106,11 @@ class Constant(WeightModel):
     def floor(self):
         return float(self.value)
 
-    def spec(self):
-        return {"kind": "constant", "value": self.value}
-
 
 @dataclass(frozen=True)
 class Exponential(WeightModel):
+    kind = "exponential"
+
     rate: float = 1.0
 
     def __post_init__(self):
@@ -114,14 +121,13 @@ class Exponential(WeightModel):
         u = counter_uniform(seed, _edge_counters(bases, axes, 1))
         return -np.log1p(-u) / self.rate
 
-    def spec(self):
-        return {"kind": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Pareto(WeightModel):
     """Heavy-tailed weights; shape at or below the lattice dimension probes
     the integrability boundary of the shape theorem."""
+
+    kind = "pareto"
 
     shape: float
     scale: float = 1.0
@@ -139,12 +145,11 @@ class Pareto(WeightModel):
         # exactly, so its rounding is too, and so is scale times it
         return float(self.scale)
 
-    def spec(self):
-        return {"kind": "pareto", "shape": self.shape, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class TwoValued(WeightModel):
+    kind = "two_valued"
+
     low: float
     high: float
     prob_low: float = 0.5
@@ -161,10 +166,6 @@ class TwoValued(WeightModel):
 
     def floor(self):
         return float(min(self.low, self.high))
-
-    def spec(self):
-        return {"kind": "two_valued", "low": self.low, "high": self.high,
-                "prob_low": self.prob_low}
 
 
 _PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -191,6 +192,8 @@ class Rotation(WeightModel):
     alpha * g^k (g the golden ratio) so the Z^d action stays ergodic.
     profiles: profile name, or one name per axis.
     """
+
+    kind = "rotation"
 
     alpha: float | tuple[float, ...] = _GOLDEN
     profiles: str | tuple[str, ...] = "identity"
@@ -229,7 +232,13 @@ class Rotation(WeightModel):
         self.check_dimension(d)
         alphas = self._alphas(d)
         x0 = float(counter_uniform(seed, np.asarray([[4]], dtype=np.int64))[0])
-        pts = np.mod(x0 + bases @ alphas, 1.0)
+        # an elementwise left fold over the axes, not bases @ alphas: a
+        # matmul may sum a one-row product in another order than a batch,
+        # and a weight must not depend on the edges weighed with it
+        shift = bases[:, 0] * alphas[0]
+        for k in range(1, d):
+            shift = shift + bases[:, k] * alphas[k]
+        pts = np.mod(x0 + shift, 1.0)
         out = np.empty(len(bases), dtype=float)
         for k in range(d):
             mask = axes == k
@@ -240,16 +249,13 @@ class Rotation(WeightModel):
     def floor(self):
         return min(_PROFILE_FLOORS[name] for name in self._names())
 
-    def spec(self):
-        alpha = list(self.alpha) if isinstance(self.alpha, tuple) else self.alpha
-        prof = list(self.profiles) if isinstance(self.profiles, tuple) else self.profiles
-        return {"kind": "rotation", "alpha": alpha, "profiles": prof}
-
 
 @dataclass(frozen=True)
 class MovingAverage(WeightModel):
     """Finite-range dependent field: kernel-weighted sum of an IID base field
     along each edge's own axis."""
+
+    kind = "moving_average"
 
     kernel: tuple[float, ...]
     base: WeightModel = field(default_factory=Exponential)
@@ -280,33 +286,14 @@ class MovingAverage(WeightModel):
             out += coef * base
         return out
 
-    def spec(self):
-        return {"kind": "moving_average", "kernel": list(self.kernel),
-                "base": self.base.spec()}
-
 
 def model_from_spec(spec: dict) -> WeightModel:
-    """Inverse of WeightModel.spec(); used by the CLI config parser."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    builders = {
-        "constant": lambda: Constant(float(spec["value"])),
-        "exponential": lambda: Exponential(float(spec.get("rate", 1.0))),
-        "pareto": lambda: Pareto(float(spec["shape"]), float(spec.get("scale", 1.0))),
-        "two_valued": lambda: TwoValued(float(spec["low"]), float(spec["high"]),
-                                        float(spec.get("prob_low", 0.5))),
-        "rotation": lambda: Rotation(
-            tuple(spec["alpha"]) if isinstance(spec.get("alpha"), (list, tuple))
-            else float(spec.get("alpha", _GOLDEN)),
-            tuple(spec["profiles"]) if isinstance(spec.get("profiles"), (list, tuple))
-            else spec.get("profiles", "identity")),
-        "moving_average": lambda: MovingAverage(
-            tuple(float(c) for c in spec["kernel"]),
-            model_from_spec(spec.get("base", {"kind": "exponential"}))),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown weight model kind {kind!r}")
-    return builders[kind]()
+    """Inverse of WeightModel.spec(); a bad spec raises ValueError."""
+    # the model table of the config schema, imported on call because the
+    # cli module imports this one
+    from .cli import MODEL
+
+    return MODEL.check(spec, "model", {})
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from shapelab.cli import _cocycle_from_spec, main
+from shapelab.cli import Config, _cocycle_from_spec, main
 from shapelab.cocycle import kingman_decompose
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -576,3 +577,149 @@ def test_bad_list_or_mapping_entry_is_config_error(tmp_path, capsys, make,
     doc = make(tmp_path, **{key: value})
     _assert_config_error(tmp_path, capsys, doc, named)
     assert not Path(doc["output"]).exists()
+
+
+def _lyapunov_doc(tmp_path, **overrides):
+    doc = {"command": "lyapunov", "potential": {"kind": "constant"},
+           "n_steps": 10, "output": str(tmp_path / "lyap.csv")}
+    doc.update(overrides)
+    return doc
+
+
+def _scan_doc(tmp_path, **overrides):
+    doc = _lyapunov_doc(tmp_path, command="schrodinger-scan", energies=[0.0])
+    doc.update(overrides)
+    return doc
+
+
+def _kingman_doc(tmp_path, **cocycle):
+    return {"command": "kingman", "cocycle": cocycle, "length": 5,
+            "drift_orbit": 10, "output": str(tmp_path / "k.csv")}
+
+
+def _horofunction_doc(tmp_path, **overrides):
+    doc = {"command": "horofunction",
+           "cocycle": {"dynamics": {"kind": "shift", "dimension": 2}},
+           "eta": [1.0, 0.0], "targets": [[1, 0]], "t_grid": [4],
+           "drift_orbit": 10, "output": str(tmp_path / "h.csv")}
+    doc.update(overrides)
+    return doc
+
+
+def _spectral_doc(tmp_path, **sample):
+    return {"command": "spectral-rate", "sample": sample, "n_grid": [1, 2],
+            "output": str(tmp_path / "r.csv")}
+
+
+SHIFT = {"kind": "shift", "dimension": 2}
+
+
+BAD_SPECS = [
+    # model: a bad value, a bad kind, an unknown key, a nested base
+    (_maximal_tail_doc, {"model": {"kind": "exponential", "rate": "abc"}},
+     "model.rate"),
+    (_maximal_tail_doc, {"model": {"kind": "nope"}}, "model.kind"),
+    (_maximal_tail_doc, {"model": {"kind": "exponential", "rat": 5.0}},
+     "model.rat"),
+    (_maximal_tail_doc, {"model": {"kind": "moving_average", "kernel": [1.0],
+                                   "base": {"kind": "pareto"}}},
+     "model.base.shape"),
+    # potential
+    (_lyapunov_doc, {"potential": {"energy": "abc"}}, "potential.energy"),
+    (_lyapunov_doc, {"potential": {"kind": "nope"}}, "potential"),
+    (_lyapunov_doc, {"potential": {"kind": "bernoulli", "amplitud": 5}},
+     "potential.amplitud"),
+    # cocycle dynamics and generator
+    (_kingman_doc, {"dynamics": {"alphas": 0.4}}, "cocycle.dynamics.alphas"),
+    (_kingman_doc, {"dynamics": {"kind": "flow"}}, "cocycle.dynamics.kind"),
+    (_kingman_doc, {"dynamics": {"kind": "shift", "sed": 3}},
+     "cocycle.dynamics.sed"),
+    (_kingman_doc, {"generator": {"coboundary": "y"}},
+     "cocycle.generator.coboundary"),
+    (_kingman_doc, {"generator": {"kind": "coboundary", "coboundary": "y"}},
+     "cocycle.generator.coboundary"),
+    (_kingman_doc, {"generator": {"kind": "nope"}}, "cocycle.generator.kind"),
+    (_kingman_doc, {"generator": {"valu": [1.0, 2.0]}},
+     "cocycle.generator.valu"),
+    (_kingman_doc, {"dynamics": SHIFT, "generator": {"kind": "fourier"}},
+     "cocycle.generator"),
+    (_kingman_doc, {"generator": {"kind": "axis_field"}},
+     "cocycle.generator"),
+    # spectral sample
+    (_spectral_doc, {"kind": "geometric", "ratio": "x"}, "sample.ratio"),
+    (_spectral_doc, {"kind": "rotation"}, "sample.alpha"),
+    (_spectral_doc, {"kind": "pink"}, "sample.kind"),
+    (_spectral_doc, {"kind": "white", "sigma": 1.0}, "sample.sigma"),
+    # seeds
+    (_maximal_tail_doc, {"seeds": {"start": 0, "count": 3, "cnt": 3}},
+     "seeds.cnt"),
+    (_maximal_tail_doc, {"seeds": {"start": 0, "count": 1.5}}, "seeds.count"),
+    (_maximal_tail_doc, {"seeds": 5}, "seeds"),
+    # typed scalars and lists at the top level
+    (_scan_doc, {"energies": ["x"]}, "energies[0]"),
+    (_horofunction_doc, {"eta": ["a", 0.0]}, "eta[0]"),
+    (_horofunction_doc, {"eta": [1.0]}, "eta"),
+    (_horofunction_doc, {"targets": [[1, 0, 0]]}, "targets[0]"),
+    (_rkhs_doc, {"step_scale": "big"}, "step_scale"),
+    (_rkhs_doc, {"length": True}, "length"),
+    (_shape_doc, {"directions": [[1, "a"]]}, "directions[0][1]"),
+    (_shape_doc, {"dimension": 2.7}, "dimension"),
+    (_shape_doc, {"polytope_output": 5}, "polytope_output"),
+    (_shape_doc, {"output": ["a"]}, "output"),
+    (_audit_doc, {"max_norm": 3.9}, "max_norm"),
+    (_maximal_tail_doc, {"lambda_grid": [1.0, float("nan")]},
+     "lambda_grid[1]"),
+]
+
+
+@pytest.mark.parametrize("make, overrides, path", BAD_SPECS,
+                         ids=[path for _, _, path in BAD_SPECS])
+def test_bad_spec_exits_2_naming_the_dotted_path(tmp_path, capsys, make,
+                                                 overrides, path):
+    doc = make(tmp_path, **overrides)
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert repr(path) in err and "(line " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+def test_bad_samples_csv_or_jobs_exits_2_naming_the_key(tmp_path, capsys,
+                                                        monkeypatch):
+    one_column = tmp_path / "one.csv"
+    one_column.write_text("1.0\n2.0\n")
+    for csv in (tmp_path / "missing.csv", one_column):
+        doc = {"command": "lorentz-norm", "samples_csv": str(csv),
+               "indices": [[1.0, 1.0]], "output": str(tmp_path / "l.csv")}
+        assert _run(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "'samples_csv'" in err and "Traceback" not in err
+        assert not (tmp_path / "l.csv").exists()
+    monkeypatch.setenv("SHAPELAB_JOBS", "abc")
+    assert _run(tmp_path, _rkhs_doc(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "SHAPELAB_JOBS" in err and "Traceback" not in err
+
+
+def test_shipped_and_benchmark_configs_pass_the_schema(tmp_path,
+                                                       monkeypatch):
+    # a check only, nothing runs: stricter checking must never refuse the
+    # shipped configs or the benchmark's experiments
+    path = CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    monkeypatch.setitem(sys.modules, spec.name, wl)
+    spec.loader.exec_module(wl)
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    for workload in wl.WORKLOADS:
+        for seed in (0, 1):
+            exps = wl.experiments(workload, seed)
+            wl.write_configs(exps, tmp_path / f"{workload}_{seed}")
+            paths += [tmp_path / f"{workload}_{seed}" / "configs" /
+                      f"{e.name}.yaml" for e in exps]
+    assert len(paths) > len(list(CONFIG_DIR.glob("*.yaml")))
+    for path in paths:
+        cfg = Config(path)
+        assert set(cfg.values) >= {"output"}

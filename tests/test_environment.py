@@ -228,3 +228,28 @@ def test_sample_field_weights_only_keeps_the_order():
     # a box of radius 0 holds one site and no edge
     assert env.sample_field((0, 0, 0), 0, weights_only=True).shape == (0,)
     assert env.sample_field((0, 0, 0), 0) == []
+
+
+BATCH_MODELS = MODELS + [
+    Rotation(alpha=0.3, profiles="cosine"),
+    Rotation(profiles=("tent", "shifted", "identity", "cosine")),
+    MovingAverage((0.5, 0.5), Rotation(profiles="tent")),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", BATCH_MODELS, ids=repr)
+def test_weights_do_not_depend_on_the_batch(model, d):
+    # a weight is a pure function of the model, the seed and the edge:
+    # one-edge calls, random splits and the whole batch agree bit for bit
+    rng = np.random.default_rng(5)
+    env = Environment(model, seed=5, dimension=d)
+    bases = rng.integers(-1000, 1000, size=(600, d))
+    axes = rng.integers(0, d, size=600)
+    whole = env.edge_weights(bases, axes)
+    single = np.array([env.edge_weight((tuple(b), int(a)))
+                       for b, a in zip(bases.tolist(), axes)])
+    cuts = np.sort(rng.choice(np.arange(1, 600), size=20, replace=False))
+    split = np.concatenate([env.edge_weights(b, a) for b, a in
+                            zip(np.split(bases, cuts), np.split(axes, cuts))])
+    assert whole.tobytes() == single.tobytes() == split.tobytes()
