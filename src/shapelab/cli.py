@@ -583,15 +583,17 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
                       dimension=cfg["dimension"])
     emb = structure_embed(env, list(cfg["sites"]), tol=cfg["tolerance"],
                           radius_cap=cfg["radius_cap"])
-    k = len(emb.sites)
+    dist = emb.dist
     sup_defect = add_defect = 0.0
-    for i in range(k):
-        for j in range(k):
-            sup_defect = max(sup_defect,
-                             abs(emb.sup_norm(i, j) - emb.dist[i, j]))
-            for l in range(k):
-                vec = emb.vector(i, l) + emb.vector(l, j) - emb.vector(i, j)
-                add_defect = max(add_defect, float(np.max(np.abs(vec))))
+    # row j of dist[i] - dist.T is emb.vector(i, j): one (k, k) table per
+    # row i, and per (i, l) the identity over every j at once
+    for i in range(len(dist)):
+        table = dist[i] - dist.T
+        sup_defect = max(sup_defect, float(np.max(np.abs(
+            np.abs(table).max(axis=1) - dist[i]))))
+        for l in range(len(dist)):
+            vec = table[l] + (dist[l] - dist.T) - table
+            add_defect = max(add_defect, float(np.max(np.abs(vec))))
     _write_json(cfg, cfg["output"], {
         "embedding": json.loads(emb.to_json()),
         "sup_norm_defect": sup_defect,

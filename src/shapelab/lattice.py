@@ -5,7 +5,7 @@ A single site is a tuple of ints.  Bulk site sets are int64 arrays of
 shape (n, d): box sites, and the vertices of a whole path family stored
 path after path with per-path offsets, which the family audit reads
 directly; ``PathFamily.paths`` is a tuple view built only on request.
-``SiteIndex`` is the one site-to-row lookup: a dense table over the
+``SiteIndex`` is the one site-to-row lookup: a dense int32 table over the
 bounding box of a site array, which gives the box graph its edges and its
 row queries.
 The ell-1 norm is the canonical lattice norm throughout (it is the word
@@ -100,20 +100,27 @@ class BoxRegion:
         many edges as the last."""
         return len(self.center) * int((2 * self._rows()[1]).sum())
 
+    def index_slots(self) -> int:
+        """The slots of the ``SiteIndex`` table over this box's sites,
+        counted without building them: both norms reach radius r along
+        every axis, so the table spans 2r + 1 points per axis plus its
+        one slot of padding."""
+        return (2 * self.radius + 2) ** len(self.center)
+
 
 class SiteIndex:
     """Row lookup for distinct lattice sites held as an (n, d) int64 array.
 
-    A dense table over the sites' bounding box holds, per lattice point,
-    the row of that point in ``sites`` or -1.  It has one slot of padding
-    on the high side of every axis, so the +e_k shift of a site never
-    leaves it."""
+    A dense int32 table over the sites' bounding box holds, per lattice
+    point, the row of that point in ``sites`` or -1; callers bound the
+    sites, so rows fit.  It has one slot of padding on the high side of
+    every axis, so the +e_k shift of a site never leaves it."""
 
     def __init__(self, sites: np.ndarray):
         self.sites = sites
         self._low = sites.min(axis=0)
         rel = sites - self._low
-        self._table = np.full(rel.max(axis=0) + 2, -1, dtype=np.int64)
+        self._table = np.full(rel.max(axis=0) + 2, -1, dtype=np.int32)
         self._table[tuple(rel.T)] = np.arange(len(sites))
 
     def rows(self, points) -> np.ndarray:
@@ -130,11 +137,11 @@ class SiteIndex:
         return out
 
     def forward_neighbors(self) -> np.ndarray:
-        """Entry (i, k) is the row of sites[i] + e_k, or -1 when that
-        point is not a site."""
+        """Entry (i, k) is the int32 row of sites[i] + e_k, or -1 when
+        that point is not a site."""
         rel = self.sites - self._low
         n, d = rel.shape
-        out = np.empty((n, d), dtype=np.int64)
+        out = np.empty((n, d), dtype=np.int32)
         for k in range(d):
             rel[:, k] += 1
             out[:, k] = self._table[tuple(rel.T)]

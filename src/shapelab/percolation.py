@@ -15,12 +15,18 @@ moved by less than a tolerance since the previous round, and open
 otherwise.  Refinement stops once no value is open, or at its radius cap.
 Later rounds search only as far as the previous round's largest value,
 since no value can rise.  A box graph refuses, before it builds any site,
-a box of more than ``MAX_BOX_SITES`` sites.
+a box of more than ``MAX_BOX_SITES`` sites, or one whose site index would
+hold more than 8 * ``MAX_BOX_SITES`` slots; a search refuses, before it
+allocates, more than ``MAX_BOX_SITES`` nodes (sites times blocks).
 
 A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
 module's ``SiteIndex``, and every reader (target profiles, geodesics,
-balls, the embedding) works on rows of that array.
+balls, the embedding) works on rows of that array.  The graph's row
+tables (the site index, the neighbour rows, the search's steps) are
+int32, since the budget keeps every row and node id far below 2**31, and
+its weights are hashed in chunks of ``EDGE_CHUNK`` edges straight into
+the float64 weight table, which is allocated first.
 
 A box graph can also hold a stack of E environments over one box, for
 statistics over many seeds.  The sites, their index and the neighbour
@@ -52,12 +58,19 @@ from .environment import Environment
 from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 
 
-# The most sites a box graph builds.  Building and searching one takes
-# about 475 bytes of peak memory per site in d=3 (152193 sites: +69 MB,
-# 508225 sites: +230 MB), most of it while the edge weights are hashed,
-# so a graph at the limit takes about 0.5 GB.  The largest box that the
-# shipped configs, the benchmark workloads and the test suite build holds
-# 152193 sites (d=3, ell-1 radius 48).
+# The most sites a box graph builds, and the most nodes (sites times
+# blocks) one search allocates.  Building and searching one takes about
+# 180 to 220 bytes of peak memory per site in d=3 (ru_maxrss, 2-core
+# x86_64, numpy 2.4: 152193 sites +33 MB, 508225 sites +91 MB), some 120 of
+# them the graph's own tables: int64 sites, the int32 site index and
+# neighbour rows, and float64 weights.  Hashing runs in chunks of
+# EDGE_CHUNK edges and so holds a few MB at any box size, and a graph at
+# the limit takes about 0.2 GB.  The site index is a dense table over the
+# box's bounding box, which outgrows an ell-1 ball in d >= 4, so a box
+# whose index would hold more than 8 * MAX_BOX_SITES slots (32 MB) is
+# refused too; in d <= 3 the site limit comes first.  The largest box that
+# the shipped configs, the benchmark workloads and the test suite build
+# holds 152193 sites (d=3, ell-1 radius 48).
 MAX_BOX_SITES = 1_000_000
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
@@ -66,6 +79,12 @@ MAX_BOX_SITES = 1_000_000
 # sites (2-core x86_64, numpy 2.4) this halves the search time of the
 # smallest boxes and leaves the largest unchanged.
 WHOLE_FRONTIER = 512
+
+# A box graph hashes its edge weights in chunks of at most this many edges,
+# straight into its weight table, so hashing a box of any size holds a few
+# MB of transients (see MAX_BOX_SITES).  A box of at most this many edges
+# makes one edge_weights call per environment.
+EDGE_CHUNK = 65536
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
@@ -116,7 +135,7 @@ def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
     n = len(nbr)
     blocks = len(sources)
     # the node step to each neighbour, the same in every block
-    step = nbr - np.arange(n)[:, None]
+    step = nbr - np.arange(n, dtype=nbr.dtype)[:, None]
     wt = wt.reshape(-1, nbr.shape[1])
     dist = np.full(blocks * n, np.inf)
     queued = np.zeros(blocks * n, dtype=bool)
@@ -124,8 +143,12 @@ def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
     dist[front] = 0.0
     queued[front] = True
     pred = np.full(blocks * n, -9999) if predecessors else None
-    finite = wt[np.isfinite(wt)]
-    width = (float(finite.mean()) if finite.size else 0.0) or 1.0
+    # a mask, not a copy of the finite weights: the width only schedules
+    # the passes
+    finite = np.isfinite(wt)
+    width = float(np.mean(wt, where=finite)) if finite.any() else 0.0
+    width = width or 1.0
+    del finite
     bound = -math.inf
     while front.size:
         here = dist[front]
@@ -172,11 +195,14 @@ class BoxGraph:
     ``sites`` is the box's (n, d) int64 site array in lexicographic order;
     row i of every distance array belongs to sites[i], and ``rows`` maps
     points back to rows.  The graph is two tables over the rows: the
-    (n, 2d) neighbour rows, forward along each axis and then backward (a
-    row's own row where the box ends), and the (E, n, 2d) weights of those
-    edges (inf on the self-loops), one block per environment.  A stack of
-    E environments shares the sites, their index and the neighbour table,
-    and environment e fills weight block e."""
+    (n, 2d) int32 neighbour rows, forward along each axis and then backward
+    (a row's own row where the box ends), and the (E, n, 2d) float64
+    weights of those edges (inf on the self-loops), one block per
+    environment.  Both are allocated first; the weights are then hashed in
+    chunks of at most EDGE_CHUNK edges, one ``edge_weights`` call per
+    environment and chunk, and written straight into the table.  A stack
+    of E environments shares the sites, their index and the neighbour
+    table, and environment e fills weight block e."""
 
     def __init__(self, env: Environment | Sequence[Environment],
                  box: BoxRegion):
@@ -185,8 +211,15 @@ class BoxGraph:
         if not self.envs:
             raise ValueError("a stack needs at least one environment")
         # any region with a site_array() can be searched; a BoxRegion is
-        # counted first, so no site of an oversized graph is built
+        # counted first, so no site of an oversized graph is built: its
+        # index table (which also bounds the cost of counting its sites),
+        # then its sites
         if isinstance(box, BoxRegion):
+            slots = box.index_slots()
+            if slots > 8 * MAX_BOX_SITES:
+                raise MemoryError(f"site index of the box holds {slots} "
+                                  f"slots, above the limit "
+                                  f"{8 * MAX_BOX_SITES}")
             count = box.site_count() * len(self.envs)
             if count > MAX_BOX_SITES:
                 what = ("box" if len(self.envs) == 1
@@ -198,25 +231,27 @@ class BoxGraph:
         self._index = SiteIndex(self.sites)
         n, d = self.sites.shape
         forward = self._index.forward_neighbors()
-        # nonzero over the (axis, site) table lists the edges grouped by
-        # axis, each group in site order
-        axes, rows = np.nonzero(forward.T >= 0)
-        # hashing the weights is the build's peak of memory, so the tables
-        # are allocated after it
-        bases = self.sites[rows]
-        weights = [e.edge_weights(bases, axes) for e in self.envs]
-        del bases
-        cols = forward[rows, axes]
-        # each edge's two slots in the flattened (n, 2d) tables: forward
-        # from its base row, backward from the row it reaches
-        ahead = rows * (2 * d) + axes
-        back = cols * (2 * d) + (axes + d)
-        self._nbr = np.repeat(np.arange(n), 2 * d).reshape(n, 2 * d)
-        self._nbr.reshape(-1)[ahead] = cols
-        self._nbr.reshape(-1)[back] = rows
+        own = np.arange(n, dtype=np.int32)[:, None]
+        self._nbr = np.empty((n, 2 * d), dtype=np.int32)
+        self._nbr[:, :d] = np.where(forward >= 0, forward, own)
+        self._nbr[:, d:] = own
         self._wt = np.full((len(self.envs), n, 2 * d), np.inf)
-        for wt, w in zip(self._wt.reshape(len(self.envs), -1), weights):
-            wt[ahead] = wt[back] = w
+        nbr = self._nbr.reshape(-1)
+        wt = self._wt.reshape(len(self.envs), -1)
+        # the edges as positions in the (n, d) forward table, site-major
+        edges = np.flatnonzero(forward >= 0)
+        del forward
+        # an edgeless box still makes its one call per environment
+        for start in range(0, max(len(edges), 1), EDGE_CHUNK):
+            rows, axes = np.divmod(edges[start:start + EDGE_CHUNK], d)
+            # each edge's two slots in the flattened (n, 2d) tables:
+            # forward from its base row, backward from the row it reaches
+            ahead = rows * (2 * d) + axes
+            back = nbr[ahead] * (2 * d) + (axes + d)
+            nbr[back] = rows
+            bases = self.sites[rows]
+            for w, env in zip(wt, self.envs):
+                w[ahead] = w[back] = env.edge_weights(bases, axes)
 
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, -1 outside the box."""
@@ -264,6 +299,10 @@ class BoxGraph:
                 raise ValueError(f"sources outside box {self.box}")
         else:
             rows = np.full(len(self.envs), self.row(source))
+        nodes = len(rows) * len(self.sites)
+        if nodes > MAX_BOX_SITES:
+            raise MemoryError(f"search of {len(rows)} blocks holds {nodes} "
+                              f"sites, above the limit {MAX_BOX_SITES}")
         out = _search(self._nbr, self._wt, rows, limit, predecessors)
         if self.stacked or many:
             return out

@@ -169,8 +169,10 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 
 # Maximal functions are searched in stacks of environments over one box
 # (see BoxGraph), of at most this many sites in all; a box larger than
-# this is searched alone.  Building and searching a stack takes about 100
-# (d=2) to 200 (d=3) bytes of transient memory per site.  A search costs
+# this is searched alone.  Building and searching a stack takes about 60
+# (d=2) to 140 (d=3) bytes of peak memory per site (tracemalloc: 30 boxes
+# of 545 sites, 19 of 833), and up to about 300 in a stack of a few larger
+# boxes, which hashes each box's edges in one call.  A search costs
 # mostly its passes, whose number does not grow with the stack, so larger
 # stacks pay off: 500 seeds of a 545-site box (d=2, W=8) take a median
 # 0.24 s in stacks of 16384 sites against 0.34 s in stacks of 4096, for

@@ -508,6 +508,18 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err and "1198337 sites" in err
 
 
+def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys):
+    # 709 sites on a line, searched at once in a box of 1417 sites: one
+    # search of 1004653 nodes
+    doc = _embed_doc(tmp_path, dimension=1,
+                     sites=[[x] for x in range(-354, 355)])
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and "1004653 sites" in err
+    assert not (tmp_path / "emb.json").exists()
+
+
 def _rkhs_doc(tmp_path, **overrides):
     doc = {"command": "rkhs-walk", "length": 5,
            "output": str(tmp_path / "r.csv")}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,43 @@ def test_stack_is_counted_against_the_site_limit(monkeypatch):
         BoxGraph(envs, box)
 
 
+def test_multi_source_search_is_counted_against_the_site_limit(monkeypatch):
+    env = Environment(Exponential(1.0), seed=1, dimension=2)
+    g = BoxGraph(env, BoxRegion((0, 0), 5, "l1"))  # 61 sites
+    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
+    assert g.distances_from([(0, 0), (1, 0)]).shape == (2, 61)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("search allocated")
+
+    monkeypatch.setattr(percolation, "_search", fail)
+    with pytest.raises(MemoryError, match="3 blocks holds 183 sites"):
+        g.distances_from([(0, 0), (1, 0), (0, 1)])
+
+
+def test_box_graph_refuses_a_site_index_above_its_limit(monkeypatch):
+    def fail(self):
+        raise AssertionError("sites built or counted")
+
+    monkeypatch.setattr(BoxRegion, "site_array", fail)
+    monkeypatch.setattr(BoxRegion, "site_count", fail)
+    # 335137 sites, under the site limit, in a bounding box of 34**5 slots
+    box = BoxRegion((0,) * 5, 16, "l1")
+    assert box.index_slots() == 34 ** 5 > 8 * MAX_BOX_SITES
+    env = Environment(Exponential(1.0), seed=0, dimension=5)
+    with pytest.raises(MemoryError,
+                       match=f"{34 ** 5} slots.*{8 * MAX_BOX_SITES}"):
+        BoxGraph(env, box)
+
+
+def test_index_slots_count_the_site_index_table():
+    for center, radius, norm in [((0,), 0, "l1"), ((2, -1), 4, "l1"),
+                                 ((1, 0, 3), 3, "linf"), ((0,) * 4, 2, "l1")]:
+        box = BoxRegion(center, radius, norm)
+        table = SiteIndex(box.site_array())._table
+        assert table.size == box.index_slots()
+
+
 class _NegativeForSeed(Constant):
     """Weight 1 everywhere, except -1 for one seed."""
 
@@ -533,12 +571,6 @@ def test_predecessor_rows_form_an_exact_search_tree(monkeypatch, model,
     g = BoxGraph(env, BoxRegion((0, 0), 6, "l1"))
     source = g.row((1, -2))
     dist, pred = g.distances_from((1, -2), predecessors=True)
-    # the weights from one call over the box's edges in the graph's own
-    # order: Rotation weighs some edges, in a one-edge call, differently
-    # in the last bit from the same edges in a batch
-    axes, rows = np.nonzero(SiteIndex(g.sites).forward_neighbors().T >= 0)
-    weight = dict(zip(zip(rows.tolist(), axes.tolist()),
-                      env.edge_weights(g.sites[rows], axes).tolist()))
     assert pred[source] == -9999
     for v in range(len(g.sites)):
         if v == source:
@@ -547,7 +579,8 @@ def test_predecessor_rows_form_an_exact_search_tree(monkeypatch, model,
         step = g.sites[v] - g.sites[u]
         axis = int(np.flatnonzero(step)[0])
         assert np.abs(step).sum() == 1
-        w = weight[(u if step[axis] > 0 else v, axis)]
+        base = g.sites[u if step[axis] > 0 else v]
+        w = env.edge_weight((tuple(base.tolist()), axis))
         assert dist[u] + w == dist[v]
         # following the tree from v reaches the source
         seen = {v}
@@ -566,3 +599,90 @@ def test_multi_source_search_rejects_stacks_and_outside_sites():
         BoxGraph(env, box).distances_from([(0, 0), (3, 3)])
     with pytest.raises(ValueError, match="predecessors"):
         BoxGraph(env, box).distances_from([(0, 0)], predecessors=True)
+
+
+# --------------------------------------------------------------------------
+# the chunked build against one edge_weights call over the box
+
+
+def _one_call_tables(envs, box):
+    """The neighbour and weight tables of a box graph, each environment's
+    weights from one edge_weights call over the box's edges, grouped by
+    axis (the chunked build goes site by site)."""
+    sites = box.site_array()
+    n, d = sites.shape
+    forward = SiteIndex(sites).forward_neighbors()
+    axes, rows = np.nonzero(forward.T >= 0)
+    cols = forward[rows, axes]
+    nbr = np.repeat(np.arange(n, dtype=np.int32), 2 * d).reshape(n, 2 * d)
+    nbr[rows, axes] = cols
+    nbr[cols, axes + d] = rows
+    wt = np.full((len(envs), n, 2 * d), np.inf)
+    for block, env in zip(wt, envs):
+        block[rows, axes] = block[cols, axes + d] = env.edge_weights(
+            sites[rows], axes)
+    return nbr, wt
+
+
+CHUNK_MODELS = [Constant(1.5), Exponential(1.0), TwoValued(1.0, 2.0, 0.5),
+                Pareto(2.5), Rotation(profiles="shifted"),
+                MovingAverage((0.3, 0.7))]
+
+
+@pytest.mark.parametrize("model", CHUNK_MODELS,
+                         ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chunked_build_equals_one_call_over_the_box(monkeypatch, model, d):
+    box = BoxRegion((1,) + (0,) * (d - 1), (9, 5, 3)[d - 1], "l1")
+    envs = [Environment(model, seed=s, dimension=d) for s in (4, 0, 9)]
+    sites = [tuple(s) for s in box.site_array().tolist()]
+    sources = [sites[0], sites[len(sites) // 2], sites[-1]]
+    want_nbr, want_wt = _one_call_tables(envs, box)
+    calls = []
+    weigh = Environment.edge_weights
+
+    def spy(self, bases, axes):
+        calls.append(len(bases))
+        return weigh(self, bases, axes)
+
+    monkeypatch.setattr(Environment, "edge_weights", spy)
+    m = box.edge_count()
+    found = []
+    for chunk in (7, m):
+        monkeypatch.setattr(percolation, "EDGE_CHUNK", chunk)
+        calls.clear()
+        one, stack = BoxGraph(envs[0], box), BoxGraph(envs, box)
+        # one call per environment and chunk, all edges once each
+        assert len(calls) == 4 * math.ceil(m / chunk)
+        assert max(calls) <= chunk and sum(calls) == 4 * m
+        for g, wt in ((one, want_wt[:1]), (stack, want_wt)):
+            assert _same_bits(g._nbr, want_nbr)
+            assert _same_bits(g._wt, wt)
+        found.append([one.distances_from(sources[1]),
+                      stack.distances_from(sources[1]),
+                      one.distances_from(sources)])
+    for small, whole in zip(*found):
+        assert _same_bits(small, whole)
+
+
+def test_row_tables_are_int32_and_sites_int64():
+    env = Environment(Exponential(1.0), seed=0, dimension=3)
+    g = BoxGraph(env, BoxRegion((0, 1, 0), 4, "l1"))
+    assert g._nbr.dtype == np.int32
+    assert g._index._table.dtype == np.int32
+    assert g.sites.dtype == np.int64
+    assert g.rows(g.sites).dtype == np.int64
+
+
+def test_building_the_largest_box_peaks_below_40_mb():
+    # the largest box that the configs, the benchmark and the tests build
+    env = Environment(Exponential(1.0), seed=0, dimension=3)
+    box = BoxRegion((0, 0, 0), 48, "l1")
+    assert box.site_count() == 152193
+    tracemalloc.start()
+    try:
+        BoxGraph(env, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
