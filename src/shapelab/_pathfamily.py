@@ -8,6 +8,12 @@ has radius R = floor(N/2).  A family is built as one int64 array of the
 vertices of all its paths with per-path offsets; the map back from the
 canonical frame is a column permutation and a sign on the last column.
 
+A d=3 family depends only on its canonical target, which six targets
+share, so ``_build_3d`` caches it as read-only arrays and ``build``
+permutes (a copy) before it signs.  The cache is bounded: |n| > 8 is
+refused before anything is cached, which leaves 88 canonical targets.
+d=2 has no such bound and is not cached.
+
 d=2 is closed form.  Track i marches vertically at a distinct cross offset
 c_i and collapses onto the target along the integer quota ray
 xi(r) = round(2*c_i*r/N) clamped at c_i, r being the ell-1 distance to the
@@ -54,15 +60,16 @@ def build(n: Site, chain: tuple[int, ...]) -> PathFamily:
     if d == 1:
         rows = np.arange(canon[0] + 1)[:, None]
         offsets = np.array([0, canon[0] + 1])
-        indices = [()]
+        indices = ((),)
     elif d == 2:
         rows, offsets, indices = _build_2d(*canon)
     else:
         rows, offsets, indices = _build_3d(*canon)
-    rows[:, -1] *= s
-    return PathFamily(target=n, chain_axes=chain,
-                      vertices=rows[:, np.argsort(chain)], offsets=offsets,
-                      indices=tuple(indices))
+    # the permutation copies, so the sign never writes into a cached family
+    verts = rows[:, np.argsort(chain)]
+    verts[:, chain[-1]] *= s
+    return PathFamily(target=n, chain_axes=chain, vertices=verts,
+                      offsets=offsets, indices=indices)
 
 
 # --------------------------------------------------------------------------
@@ -128,14 +135,18 @@ def _build_2d(p: int, M: int):
     spread[:, 1, 0] = p + c
     rows, offsets = _gather(N, (tracks, np.zeros((N, 2), dtype=np.int64)),
                             _walk(spread), (ids, down))
-    return rows, offsets, [(i,) for i in range(N)]
+    return rows, offsets, tuple((i,) for i in range(N))
 
 
 # --------------------------------------------------------------------------
 # d = 3
 
 
+@lru_cache(maxsize=None)
 def _build_3d(p1: int, p2: int, M: int):
+    """The family of the canonical target (p1, p2, M): rows, offsets and
+    indices, the arrays read-only.  Each canonical target stands for six
+    targets (three axis orders, two signs), which share this build."""
     N = abs(p1) + abs(p2) + M
     traj, toff = _trajectories(N, M)
     absolute = np.column_stack([p1 + traj[:, 0], p2 + traj[:, 1],
@@ -150,8 +161,10 @@ def _build_3d(p1: int, p2: int, M: int):
     rows, offsets = _gather(
         tracks, (np.arange(tracks), np.zeros((tracks, 3), dtype=np.int64)),
         _walk(spreads), _descents(absolute, toff))
-    indices = [(j1, j2) for j1 in range(N) for j2 in range(N)]
-    return rows, offsets, indices
+    rows.setflags(write=False)
+    offsets.setflags(write=False)
+    return rows, offsets, tuple((j1, j2) for j1 in range(N)
+                                for j2 in range(N))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ experiment across seed grids, and writes plot-ready CSV/JSON artifacts.
 The tables (one per command, one per kind of nested spec) are the
 reference for every key: its type, bounds and default.  A config error
 names the dotted key path (``potential.energy``) and the line of its
-top-level key.
+top-level key.  Importing this module loads no other shapelab module:
+checking a config imports the modules its command's table needs, and the
+command's runner imports the rest.
 
 Every output file starts with a header carrying the tool version, the
 hash of the raw config document, and a timestamp; identical configs
@@ -15,33 +17,22 @@ error, 3 budget or convergence failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
+import importlib
 import inspect
 import json
 import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .environment import (_GOLDEN, Constant, Environment, Exponential,
-                          MovingAverage, Pareto, Rotation, TwoValued)
-from .lattice import (build_path_family, audit_family, enumerate_targets,
-                      norm1)
-from .lorentz import WeightedSample, lorentz_norm, sample_from_environment
-from .percolation import ConvergenceError, structure_embed
-from .rkhs import large_scale_compare, random_walk
-from .schrodinger import PotentialModel, lyapunov
-from .shape import (default_directions, directional_constant,
-                    sample_maximal_stats)
-from . import cocycle as _cocycle
 
 
 class ConfigError(ValueError):
@@ -235,6 +226,12 @@ class Model(Kinds):
         return model
 
 
+def _lib(name: str):
+    """The shapelab module name, imported on first use: a command loads
+    only the modules that its own table and runner need."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def _default(fn, name: str):
     """fn's own default for its parameter name, so it is written once."""
     return inspect.signature(fn).parameters[name].default
@@ -253,6 +250,8 @@ def _build_cocycle(dynamics, generator: dict, dim_space: int):
     """The generator sums one part per key of its kind: value (constant),
     harmonic (fourier), scale (axis field) and coboundary.  Fourier and
     coboundary parts read circle points, axis fields shift sites."""
+    from . import cocycle as _cocycle
+
     g = generator
     on_points = "harmonic" in g or "coboundary" in g
     if (on_points != isinstance(dynamics, _cocycle.CircleRotation)
@@ -279,93 +278,130 @@ def _build_cocycle(dynamics, generator: dict, dim_space: int):
 
 FLOAT, INT, STR = Float(), Int(), Str()
 
-MODEL = Model({cls.kind: Spec(cls, table) for cls, table in [
-    (Constant, {"value": FLOAT}),
-    (Exponential, {"rate": FLOAT}),
-    (Pareto, {"shape": FLOAT, "scale": FLOAT}),
-    (TwoValued, {"low": FLOAT, "high": FLOAT, "prob_low": FLOAT}),
-    (Rotation, {"alpha": List(FLOAT, scalar=True),
-                "profiles": List(STR, scalar=True)})]})
-MODEL.specs["moving_average"] = Spec(MovingAverage, {
-    "kernel": List(FLOAT), "base": MODEL})  # the base is itself a model
-POTENTIAL = Spec(PotentialModel, {
-    "kind": (STR, "constant"), "energy": FLOAT, "value": FLOAT,
-    "amplitude": FLOAT, "alpha": FLOAT})
-SAMPLE = Kinds({
-    "rotation": Spec(_cocycle.RotationSample,
-                     {"alpha": FLOAT, "amplitude": FLOAT}),
-    "white": Spec(partial(_cocycle.AutocorrSample, "white"),
-                  {"sigma2": FLOAT}),
-    "geometric": Spec(partial(_cocycle.AutocorrSample, "geometric"),
-                      {"sigma2": FLOAT, "ratio": FLOAT})})
+# The nested spec tables and each command's table are built on first
+# use, so checking a config imports only the modules its command's table
+# names.
+
+
+@cache
+def _model() -> Model:
+    env = _lib("environment")
+    model = Model({cls.kind: Spec(cls, table) for cls, table in [
+        (env.Constant, {"value": FLOAT}),
+        (env.Exponential, {"rate": FLOAT}),
+        (env.Pareto, {"shape": FLOAT, "scale": FLOAT}),
+        (env.TwoValued, {"low": FLOAT, "high": FLOAT, "prob_low": FLOAT}),
+        (env.Rotation, {"alpha": List(FLOAT, scalar=True),
+                        "profiles": List(STR, scalar=True)})]})
+    model.specs["moving_average"] = Spec(env.MovingAverage, {
+        "kernel": List(FLOAT), "base": model})  # the base is itself a model
+    return model
+
+
+@cache
+def _cocycle_spec() -> Spec:
+    c = _lib("cocycle")
+    dynamics = Kinds({
+        "rotation": Spec(c.CircleRotation, {
+            "alphas": (List(FLOAT, nonempty=True),
+                       [_lib("environment")._GOLDEN]),
+            "x0": FLOAT}),
+        "shift": Spec(lambda seed, dimension: c.SeededShift(seed, dimension),
+                      {"seed": (INT, 0), "dimension": (Int(1), 1)})},
+        default="rotation")
+    harmonic = (INT, _default(c.fourier_generator, "harmonic"))
+    generator = Kinds({
+        "constant": Spec(None, {"value": (List(FLOAT, nonempty=True), None)}),
+        "fourier": Spec(None, {"harmonic": harmonic}),
+        "axis_field": Spec(None, {"scale": (
+            FLOAT, _default(c.axis_field_generator, "scale"))}),
+        "coboundary": Spec(None, {"coboundary": FLOAT}),
+        "mixed": Spec(None, {"value": (List(FLOAT, length=2), None),
+                             "harmonic": harmonic,
+                             "coboundary": (FLOAT, None)})},
+        default="constant")
+    return Spec(_build_cocycle, {"dynamics": (dynamics, {}),
+                                 "generator": (generator, {}),
+                                 "dim_space": (Int(1), 2)})
+
+
+def _lattice() -> dict:
+    return {"dimension": Int(1), "model": _model()}
+
+
+def _potential() -> Spec:
+    return Spec(_lib("schrodinger").PotentialModel, {
+        "kind": (STR, "constant"), "energy": FLOAT, "value": FLOAT,
+        "amplitude": FLOAT, "alpha": FLOAT})
+
+
+def _lyapunov() -> dict:
+    return {"n_steps": Int(1), "n_seeds": (
+        Int(1), _default(_lib("schrodinger").lyapunov, "n_seeds"))}
+
+
+def _sample() -> Kinds:
+    c = _lib("cocycle")
+    return Kinds({
+        "rotation": Spec(c.RotationSample, {"alpha": FLOAT,
+                                            "amplitude": FLOAT}),
+        "white": Spec(partial(c.AutocorrSample, "white"), {"sigma2": FLOAT}),
+        "geometric": Spec(partial(c.AutocorrSample, "geometric"),
+                          {"sigma2": FLOAT, "ratio": FLOAT})})
+
+
 SEEDS = Spec(lambda start, count: range(start, start + count),
              {"start": INT, "count": Int(1)})
-DYNAMICS = Kinds({
-    "rotation": Spec(_cocycle.CircleRotation, {
-        "alphas": (List(FLOAT, nonempty=True), [_GOLDEN]), "x0": FLOAT}),
-    "shift": Spec(lambda seed, dimension: _cocycle.SeededShift(seed,
-                                                               dimension),
-                  {"seed": (INT, 0), "dimension": (Int(1), 1)})},
-    default="rotation")
-_HARMONIC = (INT, _default(_cocycle.fourier_generator, "harmonic"))
-GENERATOR = Kinds({
-    "constant": Spec(None, {"value": (List(FLOAT, nonempty=True), None)}),
-    "fourier": Spec(None, {"harmonic": _HARMONIC}),
-    "axis_field": Spec(None, {"scale": (
-        FLOAT, _default(_cocycle.axis_field_generator, "scale"))}),
-    "coboundary": Spec(None, {"coboundary": FLOAT}),
-    "mixed": Spec(None, {"value": (List(FLOAT, length=2), None),
-                         "harmonic": _HARMONIC, "coboundary": (FLOAT, None)})},
-    default="constant")
-COCYCLE = Spec(_build_cocycle, {"dynamics": (DYNAMICS, {}),
-                                "generator": (GENERATOR, {}),
-                                "dim_space": (Int(1), 2)})
-
-_LATTICE = {"dimension": Int(1), "model": MODEL}
 _SEED = (INT, 0)
 _SITE = List(INT, length=lambda done: done["dimension"])
-_LYAPUNOV = {"n_steps": Int(1),
-             "n_seeds": (Int(1), _default(lyapunov, "n_seeds"))}
 _CSV_OR = Required(unless="samples_csv")
 _TABLES = {
-    "shape": {
-        **_LATTICE, "seeds": SEEDS, "n_max": Int(4),
+    "shape": lambda: {
+        **_lattice(), "seeds": SEEDS, "n_max": Int(4),
         "directions": (List(_SITE, where=(
             lambda dirs: all(map(any, dirs)), "a list of nonzero vectors")),
             None),
         "direction_richness": (Int(1), 1),
-        "tolerance": (Float(0), _default(directional_constant, "tol")),
+        "tolerance": (Float(0), _default(
+            _lib("shape").directional_constant, "tol")),
         "polytope_output": (STR, None)},
-    "maximal-tail": {**_LATTICE, "seeds": SEEDS, "window_radius": Int(1),
-                     "lambda_grid": List(Float(1), nonempty=True)},
-    "lorentz-norm": {
+    "maximal-tail": lambda: {
+        **_lattice(), "seeds": SEEDS, "window_radius": Int(1),
+        "lambda_grid": List(Float(1), nonempty=True)},
+    "lorentz-norm": lambda: {
         "samples_csv": (STR, None), "dimension": (Int(1), _CSV_OR),
-        "model": (MODEL, _CSV_OR), "seed": _SEED, "box_center": (_SITE, None),
+        "model": (_model(), _CSV_OR), "seed": _SEED,
+        "box_center": (_SITE, None),
         # a box of radius 0 holds no edge, so no sample
         "box_radius": (Int(1), _CSV_OR),
         "indices": List(List(Float(1, finite=False), length=2))},
-    "lyapunov": {"potential": POTENTIAL, **_LYAPUNOV},
-    "schrodinger-scan": {"potential": POTENTIAL, "energies": List(FLOAT),
-                         **_LYAPUNOV},
-    "kingman": {"cocycle": COCYCLE, "length": Int(1),
-                "drift_orbit": (Int(1), None)},
-    "horofunction": {
-        "cocycle": COCYCLE, "eta": List(FLOAT, length=_group),
+    "lyapunov": lambda: {"potential": _potential(), **_lyapunov()},
+    "schrodinger-scan": lambda: {"potential": _potential(),
+                                 "energies": List(FLOAT), **_lyapunov()},
+    "kingman": lambda: {"cocycle": _cocycle_spec(), "length": Int(1),
+                        "drift_orbit": (Int(1), None)},
+    "horofunction": lambda: {
+        "cocycle": _cocycle_spec(), "eta": List(FLOAT, length=_group),
         "targets": List(List(INT, length=_group)),
         "t_grid": (List(INT), [1 << 10]), "drift_orbit": (Int(1), 4000)},
-    "spectral-rate": {"sample": SAMPLE, "n_grid": List(Int(1))},
-    "rkhs-walk": {"seed": _SEED, "length": Int(1), "step_scale": (
-        FLOAT, _default(random_walk, "step_scale"))},
-    "embed-check": {
-        **_LATTICE, "seed": _SEED, "radius_cap": (Int(1), None),
+    "spectral-rate": lambda: {"sample": _sample(),
+                              "n_grid": List(Int(1))},
+    "rkhs-walk": lambda: {"seed": _SEED, "length": Int(1), "step_scale": (
+        FLOAT, _default(_lib("rkhs").random_walk, "step_scale"))},
+    "embed-check": lambda: {
+        **_lattice(), "seed": _SEED, "radius_cap": (Int(1), None),
         "sites": List(_SITE, nonempty=True, where=(
             lambda s: len(set(s)) == len(s), "a list of distinct sites")),
-        "tolerance": (Float(0), _default(structure_embed, "tol"))},
-    "path-family-audit": {"dimension": Int(1), "max_norm": Int(1)},
+        "tolerance": (Float(0), _default(
+            _lib("percolation").structure_embed, "tol"))},
+    "path-family-audit": lambda: {"dimension": Int(1), "max_norm": Int(1)},
 }
-SCHEMA = {command: Spec(None, {"command": STR, **table, "output": STR})
-          for command, table in _TABLES.items()}
-COMMANDS = tuple(SCHEMA)
+COMMANDS = tuple(_TABLES)
+
+
+@cache
+def _schema(command: str) -> Spec:
+    return Spec(None, {"command": STR, **_TABLES[command](), "output": STR})
 
 
 class Config:
@@ -388,7 +424,7 @@ class Config:
             raise ConfigError(
                 f"config needs a 'command' key, one of {', '.join(COMMANDS)}")
         try:
-            self.values = SCHEMA[self.command].check(doc, "", None)
+            self.values = _schema(self.command).check(doc, "", None)
         except ConfigError as err:
             line = _find_line(text, err.path.split(".")[0].split("[")[0])
             where = f" (line {line})" if line else ""
@@ -440,15 +476,21 @@ def _jobs(cli_jobs: int | None) -> int:
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
-# per-command runners; each reads the checked values of its table
+# per-command runners; each reads the checked values of its table and
+# imports the modules it calls
 
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
+    from .lattice import norm1
+    from .shape import default_directions
+
     d, n_max = cfg["dimension"], cfg["n_max"]
     seeds = [s + offset for s in cfg["seeds"]]
     dirs = cfg["directions"]
@@ -474,12 +516,16 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _shape_job(args):
+    from .shape import directional_constant
+
     model, seeds, theta, n_max, d, tol = args
     return directional_constant(model, seeds, theta, n_max, dimension=d,
                                 tol=tol)
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
+    from .shape import sample_maximal_stats
+
     seeds = [s + offset for s in cfg["seeds"]]
     stats = sample_maximal_stats(cfg["model"], seeds, cfg["window_radius"],
                                  cfg["lambda_grid"], cfg["dimension"])
@@ -488,6 +534,9 @@ def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_lorentz_norm(cfg: Config, offset: int, jobs: int) -> None:
+    from .environment import Environment
+    from .lorentz import WeightedSample, lorentz_norm, sample_from_environment
+
     if cfg["samples_csv"] is not None:
         try:
             raw = np.loadtxt(cfg["samples_csv"], delimiter=",", ndmin=2)
@@ -515,6 +564,8 @@ def _run_lyapunov(cfg: Config, offset: int, jobs: int,
 
 
 def _lyap_job(args):
+    from .schrodinger import lyapunov
+
     pot, n_steps, n_seeds, offset = args
     est = lyapunov(pot, n_steps, n_seeds=n_seeds, seed0=offset)
     lo, hi = est.ci95
@@ -526,12 +577,14 @@ def _run_schrodinger_scan(cfg: Config, offset: int, jobs: int) -> None:
                                       for e in sorted(cfg["energies"])])
 
 
-def _cocycle_from_spec(spec: dict) -> _cocycle.HilbertCocycle:
+def _cocycle_from_spec(spec: dict):
     """The cocycle of a raw 'cocycle' spec, checked against the schema."""
-    return COCYCLE.check(spec, "cocycle", {})
+    return _cocycle_spec().check(spec, "cocycle", {})
 
 
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
+    from . import cocycle as _cocycle
+
     length = cfg["length"]
     # without drift_orbit, kingman_decompose picks its own default
     kd = _cocycle.kingman_decompose(cfg["cocycle"], length,
@@ -547,6 +600,8 @@ def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
+    from . import cocycle as _cocycle
+
     c, eta, t_grid = cfg["cocycle"], cfg["eta"], cfg["t_grid"]
     dm = _cocycle.drift_map(c, cfg["drift_orbit"])
     rows = []
@@ -565,20 +620,27 @@ def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_spectral_rate(cfg: Config, offset: int, jobs: int) -> None:
+    from .cocycle import spectral_rate
+
     try:
-        rows = _cocycle.spectral_rate(cfg["sample"], cfg["n_grid"])
+        rows = spectral_rate(cfg["sample"], cfg["n_grid"])
     except ValueError as err:
         raise ConfigError(f"invalid 'sample': {err}", "sample") from None
     _write_csv(cfg, ["n", "R_n", "R_n_over_n"], rows)
 
 
 def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
+    from .rkhs import large_scale_compare, random_walk
+
     inc = random_walk(cfg["seed"] + offset, cfg["length"], cfg["step_scale"])
     _write_csv(cfg, ["n", "kernel_metric", "hyperbolic"],
                large_scale_compare(inc))
 
 
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
+    from .environment import Environment
+    from .percolation import structure_embed
+
     env = Environment(cfg["model"], seed=cfg["seed"] + offset,
                       dimension=cfg["dimension"])
     emb = structure_embed(env, list(cfg["sites"]), tol=cfg["tolerance"],
@@ -604,6 +666,8 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
+    from .lattice import audit_family, build_path_family, enumerate_targets
+
     d = cfg["dimension"]
     rows = []
     for n in enumerate_targets(d, cfg["max_norm"]):
@@ -626,6 +690,14 @@ def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
 
 # the runner of each command is _run_<command>, with '_' for '-'
 _RUNNERS = {c: globals()["_run_" + c.replace("-", "_")] for c in COMMANDS}
+
+
+def _budget_errors() -> tuple:
+    """The budget failures: ConvergenceError too once percolation, which
+    defines it and the refinements that raise it, is loaded."""
+    perc = sys.modules.get(f"{__package__}.percolation")
+    return (BudgetError, MemoryError) + (
+        (perc.ConvergenceError,) if perc else ())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -652,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # sample_field and BoxGraph raise MemoryError for a box above their
     # edge or site limit, before they allocate the box
-    except (BudgetError, ConvergenceError, MemoryError) as err:
+    except _budget_errors() as err:
         print(f"budget/convergence failure: {err}", file=sys.stderr)
         return 3
     except AssertionError as err:

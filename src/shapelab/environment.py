@@ -289,11 +289,11 @@ class MovingAverage(WeightModel):
 
 def model_from_spec(spec: dict) -> WeightModel:
     """Inverse of WeightModel.spec(); a bad spec raises ValueError."""
-    # the model table of the config schema, imported on call because the
-    # cli module imports this one
-    from .cli import MODEL
+    # the model table of the config schema, which the cli module builds
+    # on first use from this module's classes
+    from .cli import _model
 
-    return MODEL.check(spec, "model", {})
+    return _model().check(spec, "model", {})
 
 
 # --------------------------------------------------------------------------
@@ -360,11 +360,14 @@ class Environment:
         """All canonical edges with both endpoints in the box, with weights,
         as (base, axis, weight) rows; with weights_only, just the (m,)
         weight array in the same order, without the per-edge rows.
-        Raises MemoryError, before any site is built, when the box holds
-        more than max_edges edges."""
+        Raises MemoryError, before any site is built, when the box's site
+        index would hold more than lattice.MAX_INDEX_SLOTS slots (checked
+        first: counting the edges of such a box is costly too) or the box
+        holds more than max_edges edges."""
         from .lattice import BoxRegion, SiteIndex
 
         box = BoxRegion(tuple(center), radius, norm)
+        box.check_index()
         edges = box.edge_count()
         if edges > max_edges:
             raise MemoryError(

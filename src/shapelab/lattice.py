@@ -43,6 +43,13 @@ def neighbors(s: Site) -> list[Site]:
     return out
 
 
+# The most slots of a SiteIndex table (32 MB of int32).  The table spans
+# the sites' bounding box, which outgrows an ell-1 ball in d >= 4, so box
+# graphs and sampled fields refuse a larger one (BoxRegion.check_index)
+# before they build or count a site.
+MAX_INDEX_SLOTS = 8_000_000
+
+
 @dataclass(frozen=True)
 class BoxRegion:
     """Finite ball around a center site, in the ell-1 or ell-inf norm."""
@@ -106,6 +113,14 @@ class BoxRegion:
         every axis, so the table spans 2r + 1 points per axis plus its
         one slot of padding."""
         return (2 * self.radius + 2) ** len(self.center)
+
+    def check_index(self) -> None:
+        """Raises MemoryError when the box's site index would hold more
+        than MAX_INDEX_SLOTS slots."""
+        slots = self.index_slots()
+        if slots > MAX_INDEX_SLOTS:
+            raise MemoryError(f"site index of the box holds {slots} slots, "
+                              f"above the limit {MAX_INDEX_SLOTS}")
 
 
 class SiteIndex:
@@ -373,6 +388,13 @@ class FamilyAudit:
                 and self.start_end_ok)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of a starts."""
+    out = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
 def audit_family(family: PathFamily) -> FamilyAudit:
     """Check every family property by direct enumeration of all vertices."""
     n = family.target
@@ -384,16 +406,20 @@ def audit_family(family: PathFamily) -> FamilyAudit:
     start_end_ok = bool(np.all(verts[offsets[:-1]] == 0)
                         and np.all(verts[offsets[1:] - 1] == n))
     containment_ok = bool(np.abs(verts).sum(axis=1).max(initial=0) <= 2 * N)
-    keys = row_keys(verts)
+    # one key per vertex row and its path, site-major: the path id is the
+    # last, fastest column, so pair // paths is the row's site key
+    pair = row_keys(np.column_stack([verts, family.path_ids()]))
+    keys = pair // paths
     distinct = len({keys[a:b].tobytes() for a, b in family._bounds()})
     cardinality_ok = distinct == paths and paths == N ** (d - 1)
 
-    # each vertex counted once per path that visits it
-    _, once = np.unique(row_keys(np.column_stack([family.path_ids(), keys])),
-                        return_index=True)
-    _, first, cnt = np.unique(keys[once], return_index=True,
-                              return_counts=True)
-    m = verts[once[first]]
+    # sorted, each site is one run of keys, and each path that visits it
+    # starts a new pair within the run: cnt counts paths per site
+    order = np.argsort(pair)
+    pair = pair[order]
+    starts = np.flatnonzero(_run_starts(pair // paths))
+    cnt = np.add.reduceat(_run_starts(pair), starts)
+    m = verts[order[starts]]
 
     dist = np.abs(m - np.asarray(n)).sum(axis=1)
     in_half_ball = 2 * dist <= N

@@ -16,8 +16,8 @@ otherwise.  Refinement stops once no value is open, or at its radius cap.
 Later rounds search only as far as the previous round's largest value,
 since no value can rise.  A box graph refuses, before it builds any site,
 a box of more than ``MAX_BOX_SITES`` sites, or one whose site index would
-hold more than 8 * ``MAX_BOX_SITES`` slots; a search refuses, before it
-allocates, more than ``MAX_BOX_SITES`` nodes (sites times blocks).
+hold more than ``lattice.MAX_INDEX_SLOTS`` slots; a search refuses, before
+it allocates, more than ``MAX_BOX_SITES`` nodes (sites times blocks).
 
 A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
@@ -67,10 +67,11 @@ from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 # EDGE_CHUNK edges and so holds a few MB at any box size, and a graph at
 # the limit takes about 0.2 GB.  The site index is a dense table over the
 # box's bounding box, which outgrows an ell-1 ball in d >= 4, so a box
-# whose index would hold more than 8 * MAX_BOX_SITES slots (32 MB) is
-# refused too; in d <= 3 the site limit comes first.  The largest box that
-# the shipped configs, the benchmark workloads and the test suite build
-# holds 152193 sites (d=3, ell-1 radius 48).
+# whose index would hold more than lattice.MAX_INDEX_SLOTS slots (32 MB,
+# eight per site of this limit) is refused too; in d <= 3 the site limit
+# comes first.  The largest box that the shipped configs, the benchmark
+# workloads and the test suite build holds 152193 sites (d=3, ell-1
+# radius 48).
 MAX_BOX_SITES = 1_000_000
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
@@ -215,11 +216,7 @@ class BoxGraph:
         # index table (which also bounds the cost of counting its sites),
         # then its sites
         if isinstance(box, BoxRegion):
-            slots = box.index_slots()
-            if slots > 8 * MAX_BOX_SITES:
-                raise MemoryError(f"site index of the box holds {slots} "
-                                  f"slots, above the limit "
-                                  f"{8 * MAX_BOX_SITES}")
+            box.check_index()
             count = box.site_count() * len(self.envs)
             if count > MAX_BOX_SITES:
                 what = ("box" if len(self.envs) == 1

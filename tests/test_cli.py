@@ -390,6 +390,61 @@ def test_commands_without_box_graphs_leave_scipy_unloaded(tmp_path):
     assert out.splitlines() == ["0 []"] * len(runs)
 
 
+# the shapelab modules loaded by the end of a run of each orbit command
+# (no box graphs): its table's modules and its runner's, no others
+_ORBIT_MODULES = {
+    "schrodinger-scan": ["environment", "schrodinger"],
+    "lyapunov": ["environment", "schrodinger"],
+    "kingman": ["cocycle", "environment"],
+    "horofunction": ["cocycle", "environment"],
+    "rkhs-walk": ["environment", "rkhs"],
+    "spectral-rate": ["cocycle", "environment"],
+    "path-family-audit": ["_pathfamily", "lattice"],
+}
+
+
+def test_commands_import_only_their_own_modules(tmp_path):
+    cocycle = {"dynamics": {"kind": "shift", "seed": 9, "dimension": 2},
+               "generator": {"kind": "axis_field"}, "dim_space": 3}
+    docs = [
+        {"command": "schrodinger-scan", "energies": [0.0, 1.0],
+         "potential": {"kind": "bernoulli", "amplitude": 1.0},
+         "n_steps": 50, "n_seeds": 2},
+        {"command": "lyapunov", "n_steps": 50,
+         "potential": {"kind": "constant", "value": 0.0, "energy": 3.0}},
+        {"command": "kingman", "length": 20, "drift_orbit": 100,
+         "cocycle": {"generator": {"kind": "mixed", "value": [2.0, 0.0],
+                                   "coboundary": 1.0}}},
+        {"command": "horofunction", "cocycle": cocycle, "eta": [1.0, 0.0],
+         "targets": [[1, 0]], "t_grid": [4], "drift_orbit": 100},
+        {"command": "rkhs-walk", "seed": 1, "length": 20},
+        {"command": "spectral-rate", "n_grid": [1, 4],
+         "sample": {"kind": "geometric", "sigma2": 1.0, "ratio": 0.5}},
+        {"command": "path-family-audit", "dimension": 3, "max_norm": 2},
+    ]
+    assert sorted(d["command"] for d in docs) == sorted(_ORBIT_MODULES)
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    return [m for m in sorted(sys.modules)\n"
+            "            if m.partition('.')[0] == 'shapelab']\n"
+            "from shapelab import cli\n"
+            "print(loaded())\n"
+            "print(cli.main(sys.argv[1:]), loaded(),\n"
+            "      'concurrent.futures' in sys.modules)\n")
+    for doc in docs:
+        command = doc["command"]
+        cfg = tmp_path / f"{command}.yaml"
+        cfg.write_text(yaml.safe_dump({**doc, "output": str(
+            tmp_path / f"{command}.csv")}))
+        out = subprocess.run(
+            [sys.executable, "-c", code, command, str(cfg), "--jobs", "1"],
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        want = ["shapelab", "shapelab.cli"] + [
+            f"shapelab.{m}" for m in _ORBIT_MODULES[command]]
+        assert out == [repr(["shapelab", "shapelab.cli"]),
+                       f"0 {sorted(want)!r} False"], command
+
+
 def test_kingman_default_drift_orbit_matches_library(tmp_path):
     spec = {"dynamics": {"kind": "rotation", "alphas": [0.41421356237309515]},
             "generator": {"kind": "mixed", "value": [2.0, 0.0],

@@ -118,6 +118,32 @@ def test_sample_field_checks_the_limit_before_building_sites(monkeypatch):
         env.sample_field((0, 0), 550)
 
 
+def test_sample_field_checks_the_index_slots_before_counting_edges(
+        monkeypatch):
+    import tracemalloc
+
+    from shapelab.lattice import MAX_INDEX_SLOTS, BoxRegion
+
+    def refuse(box):
+        raise AssertionError("edges counted for a box above the slot limit")
+
+    monkeypatch.setattr(BoxRegion, "edge_count", refuse)
+    monkeypatch.setattr(BoxRegion, "site_array", refuse)
+    env = Environment(Exponential(1.0), seed=4, dimension=6)
+    # an ell-1 ball of radius 8 in d=6 holds fewer edges than the edge
+    # limit, in a bounding box of 18**6 slots
+    assert BoxRegion((0,) * 6, 8, "l1").index_slots() == 18 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError,
+                           match=f"{18 ** 6} slots.*{MAX_INDEX_SLOTS}"):
+            env.sample_field((0,) * 6, 8, norm="l1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
 def test_model_spec_round_trip():
     for model in MODELS:
         again = model_from_spec(model.spec())

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import subprocess
+import sys
 from itertools import product
 
+import numpy as np
 import pytest
 
 from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
@@ -156,9 +159,12 @@ def _built_families(d, max_norm):
     return out
 
 
+_D3_DIGEST = "58f21080d1793aee6da12168d2b281cec00570e58ce1ff08d0f2fcc1c45f2228"
+
+
 @pytest.mark.parametrize("d, count, digest", [
     (2, 128, "e265b002765e9e6cab5aeba1a001af12bd10a84325ffccfe5e786132911a2af0"),
-    (3, 528, "58f21080d1793aee6da12168d2b281cec00570e58ce1ff08d0f2fcc1c45f2228"),
+    (3, 528, _D3_DIGEST),
 ])
 def test_family_bytes_are_pinned(d, count, digest):
     # the digests are those of the tuple-built families: each family's
@@ -209,6 +215,57 @@ def test_audit_matches_tuple_loop():
     fams += [build_path_family((-5,)), build_path_family((-5, 2, 1), (2, 1, 0))]
     for fam in fams:
         assert audit_family(fam) == _tuple_audit(fam), fam.target
+
+
+def test_audit_matches_tuple_loop_on_hook_families():
+    # |n| in {7, 8} are the d=3 families with hooks (300 of them, about
+    # 2.5 s on a 2-core x86_64 host)
+    fams = [f for f in _built_families(3, 8) if norm1(f.target) >= 7]
+    assert len(fams) == 300
+    for fam in fams:
+        assert audit_family(fam) == _tuple_audit(fam), fam.target
+
+
+def test_d3_families_do_not_depend_on_build_order():
+    # a fresh process, so the canonical cache fills in reverse order
+    code = ("import hashlib\n"
+            "from shapelab import _pathfamily\n"
+            "from shapelab.lattice import build_path_family, "
+            "enumerate_targets\n"
+            "fams = []\n"
+            "for n in reversed(list(enumerate_targets(3, 8))):\n"
+            "    try:\n"
+            "        fams.append(build_path_family(n))\n"
+            "    except ValueError:\n"
+            "        pass\n"
+            "text = ''.join(f.to_json() + '\\n' for f in reversed(fams))\n"
+            "print(len(fams), _pathfamily._build_3d.cache_info().currsize,\n"
+            "      hashlib.sha256(text.encode()).hexdigest())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["528", "88", _D3_DIGEST]
+
+
+def test_cached_d3_family_is_read_only_and_never_written():
+    from shapelab import _pathfamily
+
+    # the six targets of one canonical target: three axis orders, two signs
+    targets = [(2, -1, 5), (2, -1, -5), (5, 2, -1), (-5, 2, -1), (2, 5, -1),
+               (2, -5, -1)]
+    assert {_pathfamily._to_canonical(n, default_chain(n))[0]
+            for n in targets} == {(2, -1, 5)}
+    first = build_path_family(targets[0])
+    before = first.vertices.tobytes()
+    rows, offsets, _ = _pathfamily._build_3d(2, -1, 5)
+    assert not rows.flags.writeable and not offsets.flags.writeable
+    assert not np.shares_memory(first.vertices, rows)
+    hits = _pathfamily._build_3d.cache_info().hits
+    for n in targets[1:]:
+        fam = build_path_family(n)
+        assert fam.target == n and audit_family(fam).exact_ok
+    assert _pathfamily._build_3d.cache_info().hits == hits + 5
+    assert first.vertices.tobytes() == before
+    assert build_path_family(targets[0]) == first
 
 
 def test_path_multiplicity_counts_paths_through_each_vertex():

@@ -301,7 +301,7 @@ def test_stacked_maximal_values_equal_separate_searches(monkeypatch, model,
 
 
 def test_stack_size_constant_with_a_benchmark_window():
-    # W=8 in d=2: a 545-site box, seven to a stack of STACK_SITES
+    # W=8 in d=2: a 545-site box, thirty to a stack of STACK_SITES
     size = shape.STACK_SITES // BoxRegion((0, 0), 16, "l1").site_count()
     for count in (1, size - 1, size, size + 1):
         values = sample_maximal_stats(Exponential(1.0), range(count), 8,
