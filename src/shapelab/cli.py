@@ -4,9 +4,9 @@ experiment across seed grids, and writes plot-ready CSV/JSON artifacts.
 The tables (one per command, one per kind of nested spec) are the
 reference for every key: its type, bounds and default.  A config error
 names the dotted key path (``potential.energy``) and the line of its
-top-level key.  Importing this module loads no other shapelab module:
-checking a config imports the modules its command's table needs, and the
-command's runner imports the rest.
+top-level key.  The library modules are bound here unrun (see
+``shapelab``): checking a config runs the modules its command's table
+reads, and the command's runner those it calls.
 
 Every output file starts with a header carrying the tool version, the
 hash of the raw config document, and a timestamp; identical configs
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import importlib
 import inspect
 import json
 import math
@@ -32,7 +31,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import (ConvergenceError, __version__, cocycle, environment, lattice,
+               lorentz, percolation, rkhs, schrodinger, shape)
 
 
 class ConfigError(ValueError):
@@ -226,17 +226,6 @@ class Model(Kinds):
         return model
 
 
-def _lib(name: str):
-    """The shapelab module name, imported on first use: a command loads
-    only the modules that its own table and runner need."""
-    return importlib.import_module(f"{__package__}.{name}")
-
-
-def _default(fn, name: str):
-    """fn's own default for its parameter name, so it is written once."""
-    return inspect.signature(fn).parameters[name].default
-
-
 def _group(done: dict) -> int:
     return done["cocycle"].dim_group
 
@@ -250,11 +239,9 @@ def _build_cocycle(dynamics, generator: dict, dim_space: int):
     """The generator sums one part per key of its kind: value (constant),
     harmonic (fourier), scale (axis field) and coboundary.  Fourier and
     coboundary parts read circle points, axis fields shift sites."""
-    from . import cocycle as _cocycle
-
     g = generator
     on_points = "harmonic" in g or "coboundary" in g
-    if (on_points != isinstance(dynamics, _cocycle.CircleRotation)
+    if (on_points != isinstance(dynamics, cocycle.CircleRotation)
             and (on_points or "scale" in g)):
         raise ConfigError("'cocycle.generator' of this kind needs "
                           f"{'rotation' if on_points else 'shift'} dynamics",
@@ -263,29 +250,29 @@ def _build_cocycle(dynamics, generator: dict, dim_space: int):
     parts = []
     if "value" in g:
         value = g["value"] or (1.0,) * dim
-        parts.append(_cocycle.constant_generator(value))
+        parts.append(cocycle.constant_generator(value))
         dim = len(value)
     if "harmonic" in g:
-        parts.append(_cocycle.fourier_generator(g["harmonic"]))
+        parts.append(cocycle.fourier_generator(g["harmonic"]))
     if "scale" in g:
-        parts.append(_cocycle.axis_field_generator(dim, g["scale"]))
+        parts.append(cocycle.axis_field_generator(dim, g["scale"]))
     if g.get("coboundary") is not None:
-        parts.append(_cocycle.coboundary_generator(
+        parts.append(cocycle.coboundary_generator(
             partial(_sin_cos, g["coboundary"]), over_points=True))
-    gen = parts[0] if len(parts) == 1 else _cocycle.add_generators(*parts)
-    return _cocycle.HilbertCocycle(dim, dynamics, gen)
+    gen = parts[0] if len(parts) == 1 else cocycle.add_generators(*parts)
+    return cocycle.HilbertCocycle(dim, dynamics, gen)
 
 
 FLOAT, INT, STR = Float(), Int(), Str()
 
 # The nested spec tables and each command's table are built on first
-# use, so checking a config imports only the modules its command's table
-# names.
+# use, so checking a config runs only the modules its command's table
+# reads.
 
 
 @cache
 def _model() -> Model:
-    env = _lib("environment")
+    env = environment
     model = Model({cls.kind: Spec(cls, table) for cls, table in [
         (env.Constant, {"value": FLOAT}),
         (env.Exponential, {"rate": FLOAT}),
@@ -300,21 +287,20 @@ def _model() -> Model:
 
 @cache
 def _cocycle_spec() -> Spec:
-    c = _lib("cocycle")
+    c = cocycle
     dynamics = Kinds({
         "rotation": Spec(c.CircleRotation, {
             "alphas": (List(FLOAT, nonempty=True),
-                       [_lib("environment")._GOLDEN]),
+                       [environment._GOLDEN]),
             "x0": FLOAT}),
         "shift": Spec(lambda seed, dimension: c.SeededShift(seed, dimension),
                       {"seed": (INT, 0), "dimension": (Int(1), 1)})},
         default="rotation")
-    harmonic = (INT, _default(c.fourier_generator, "harmonic"))
+    harmonic = (INT, c.HARMONIC)
     generator = Kinds({
         "constant": Spec(None, {"value": (List(FLOAT, nonempty=True), None)}),
         "fourier": Spec(None, {"harmonic": harmonic}),
-        "axis_field": Spec(None, {"scale": (
-            FLOAT, _default(c.axis_field_generator, "scale"))}),
+        "axis_field": Spec(None, {"scale": (FLOAT, c.AXIS_SCALE)}),
         "coboundary": Spec(None, {"coboundary": FLOAT}),
         "mixed": Spec(None, {"value": (List(FLOAT, length=2), None),
                              "harmonic": harmonic,
@@ -330,18 +316,18 @@ def _lattice() -> dict:
 
 
 def _potential() -> Spec:
-    return Spec(_lib("schrodinger").PotentialModel, {
+    return Spec(schrodinger.PotentialModel, {
         "kind": (STR, "constant"), "energy": FLOAT, "value": FLOAT,
         "amplitude": FLOAT, "alpha": FLOAT})
 
 
 def _lyapunov() -> dict:
-    return {"n_steps": Int(1), "n_seeds": (
-        Int(1), _default(_lib("schrodinger").lyapunov, "n_seeds"))}
+    return {"n_steps": Int(1),
+            "n_seeds": (Int(1), schrodinger.LYAPUNOV_SEEDS)}
 
 
 def _sample() -> Kinds:
-    c = _lib("cocycle")
+    c = cocycle
     return Kinds({
         "rotation": Spec(c.RotationSample, {"alpha": FLOAT,
                                             "amplitude": FLOAT}),
@@ -362,8 +348,7 @@ _TABLES = {
             lambda dirs: all(map(any, dirs)), "a list of nonzero vectors")),
             None),
         "direction_richness": (Int(1), 1),
-        "tolerance": (Float(0), _default(
-            _lib("shape").directional_constant, "tol")),
+        "tolerance": (Float(0), shape.DIRECTIONAL_TOL),
         "polytope_output": (STR, None)},
     "maximal-tail": lambda: {
         **_lattice(), "seeds": SEEDS, "window_radius": Int(1),
@@ -387,13 +372,12 @@ _TABLES = {
     "spectral-rate": lambda: {"sample": _sample(),
                               "n_grid": List(Int(1))},
     "rkhs-walk": lambda: {"seed": _SEED, "length": Int(1), "step_scale": (
-        FLOAT, _default(_lib("rkhs").random_walk, "step_scale"))},
+        FLOAT, rkhs.STEP_SCALE)},
     "embed-check": lambda: {
         **_lattice(), "seed": _SEED, "radius_cap": (Int(1), None),
         "sites": List(_SITE, nonempty=True, where=(
             lambda s: len(set(s)) == len(s), "a list of distinct sites")),
-        "tolerance": (Float(0), _default(
-            _lib("percolation").structure_embed, "tol"))},
+        "tolerance": (Float(0), percolation.EMBED_TOL)},
     "path-family-audit": lambda: {"dimension": Int(1), "max_norm": Int(1)},
 }
 COMMANDS = tuple(_TABLES)
@@ -484,18 +468,15 @@ def _pmap(fn, items, jobs: int):
 
 # --------------------------------------------------------------------------
 # per-command runners; each reads the checked values of its table and
-# imports the modules it calls
+# runs the modules it calls
 
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
-    from .lattice import norm1
-    from .shape import default_directions
-
     d, n_max = cfg["dimension"], cfg["n_max"]
     seeds = [s + offset for s in cfg["seeds"]]
     dirs = cfg["directions"]
     if dirs is None:
-        dirs = default_directions(d, cfg["direction_richness"])
+        dirs = shape.default_directions(d, cfg["direction_richness"])
     work = [(cfg["model"], seeds, theta, n_max, d, cfg["tolerance"])
             for theta in sorted(dirs)]
     series = _pmap(_shape_job, work, jobs)
@@ -507,7 +488,7 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
              int(s.flagged), *(float(x) for x in s.means)) for s in series]
     _write_csv(cfg, columns, rows)
     if cfg["polytope_output"]:
-        verts = [[c / (s.estimate * norm1(s.direction)) for c in s.direction]
+        verts = [[c / (s.estimate * lattice.norm1(s.direction)) for c in s.direction]
                  for s in series]
         _write_json(cfg, cfg["polytope_output"], {"unit_ball_vertices": verts})
     if any(s.flagged for s in series):
@@ -516,40 +497,34 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _shape_job(args):
-    from .shape import directional_constant
-
     model, seeds, theta, n_max, d, tol = args
-    return directional_constant(model, seeds, theta, n_max, dimension=d,
+    return shape.directional_constant(model, seeds, theta, n_max, dimension=d,
                                 tol=tol)
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
-    from .shape import sample_maximal_stats
-
     seeds = [s + offset for s in cfg["seeds"]]
-    stats = sample_maximal_stats(cfg["model"], seeds, cfg["window_radius"],
+    stats = shape.sample_maximal_stats(cfg["model"], seeds, cfg["window_radius"],
                                  cfg["lambda_grid"], cfg["dimension"])
     _write_csv(cfg, ["lambda", "tail", "product"],
                stats.tail_products(cfg["dimension"]))
 
 
 def _run_lorentz_norm(cfg: Config, offset: int, jobs: int) -> None:
-    from .environment import Environment
-    from .lorentz import WeightedSample, lorentz_norm, sample_from_environment
-
     if cfg["samples_csv"] is not None:
         try:
             raw = np.loadtxt(cfg["samples_csv"], delimiter=",", ndmin=2)
-            sample = WeightedSample(raw[:, 0], raw[:, 1])
+            sample = lorentz.WeightedSample(raw[:, 0], raw[:, 1])
         except (OSError, ValueError, IndexError) as err:
             raise ConfigError(f"'samples_csv' must name a CSV file of value, "
                               f"mass rows: {err}", "samples_csv") from None
     else:
         d = cfg["dimension"]
-        env = Environment(cfg["model"], seed=cfg["seed"] + offset, dimension=d)
-        sample = sample_from_environment(env, cfg["box_center"] or (0,) * d,
+        env = environment.Environment(cfg["model"], seed=cfg["seed"] + offset,
+                                      dimension=d)
+        sample = lorentz.sample_from_environment(env, cfg["box_center"] or (0,) * d,
                                          cfg["box_radius"])
-    rows = [(p, q, lorentz_norm(sample, p, q)) for p, q in cfg["indices"]]
+    rows = [(p, q, lorentz.lorentz_norm(sample, p, q)) for p, q in cfg["indices"]]
     _write_csv(cfg, ["p", "q", "norm"], rows)
 
 
@@ -564,10 +539,8 @@ def _run_lyapunov(cfg: Config, offset: int, jobs: int,
 
 
 def _lyap_job(args):
-    from .schrodinger import lyapunov
-
     pot, n_steps, n_seeds, offset = args
-    est = lyapunov(pot, n_steps, n_seeds=n_seeds, seed0=offset)
+    est = schrodinger.lyapunov(pot, n_steps, n_seeds=n_seeds, seed0=offset)
     lo, hi = est.ci95
     return (pot.energy, est.value, est.stderr, lo, hi)
 
@@ -583,11 +556,9 @@ def _cocycle_from_spec(spec: dict):
 
 
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
-    from . import cocycle as _cocycle
-
     length = cfg["length"]
     # without drift_orbit, kingman_decompose picks its own default
-    kd = _cocycle.kingman_decompose(cfg["cocycle"], length,
+    kd = cocycle.kingman_decompose(cfg["cocycle"], length,
                                     drift_orbit=cfg["drift_orbit"])
     rows = []
     phi_sum = 0.0
@@ -600,19 +571,17 @@ def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
-    from . import cocycle as _cocycle
-
     c, eta, t_grid = cfg["cocycle"], cfg["eta"], cfg["t_grid"]
-    dm = _cocycle.drift_map(c, cfg["drift_orbit"])
+    dm = cocycle.drift_map(c, cfg["drift_orbit"])
     rows = []
     for n in cfg["targets"]:
         try:
-            row = [*n, _cocycle.horofunction_limit(c, eta, n, dm)]
-        except _cocycle.DegenerateDirectionError as err:
+            row = [*n, cocycle.horofunction_limit(c, eta, n, dm)]
+        except cocycle.DegenerateDirectionError as err:
             raise ConfigError(f"invalid 'eta': {err}", "eta") from None
         for t in t_grid:
             m = tuple(int(round(t * x)) for x in eta)
-            row.append(_cocycle.horofunction_empirical(c, m, n))
+            row.append(cocycle.horofunction_empirical(c, m, n))
         rows.append(tuple(row))
     cols = [f"n_{k}" for k in range(c.dim_group)] + ["h_limit"]
     cols += [f"h_at_{t}" for t in t_grid]
@@ -620,30 +589,23 @@ def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_spectral_rate(cfg: Config, offset: int, jobs: int) -> None:
-    from .cocycle import spectral_rate
-
     try:
-        rows = spectral_rate(cfg["sample"], cfg["n_grid"])
+        rows = cocycle.spectral_rate(cfg["sample"], cfg["n_grid"])
     except ValueError as err:
         raise ConfigError(f"invalid 'sample': {err}", "sample") from None
     _write_csv(cfg, ["n", "R_n", "R_n_over_n"], rows)
 
 
 def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
-    from .rkhs import large_scale_compare, random_walk
-
-    inc = random_walk(cfg["seed"] + offset, cfg["length"], cfg["step_scale"])
+    inc = rkhs.random_walk(cfg["seed"] + offset, cfg["length"], cfg["step_scale"])
     _write_csv(cfg, ["n", "kernel_metric", "hyperbolic"],
-               large_scale_compare(inc))
+               rkhs.large_scale_compare(inc))
 
 
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
-    from .environment import Environment
-    from .percolation import structure_embed
-
-    env = Environment(cfg["model"], seed=cfg["seed"] + offset,
-                      dimension=cfg["dimension"])
-    emb = structure_embed(env, list(cfg["sites"]), tol=cfg["tolerance"],
+    env = environment.Environment(cfg["model"], seed=cfg["seed"] + offset,
+                                  dimension=cfg["dimension"])
+    emb = percolation.structure_embed(env, list(cfg["sites"]), tol=cfg["tolerance"],
                           radius_cap=cfg["radius_cap"])
     dist = emb.dist
     sup_defect = add_defect = 0.0
@@ -666,17 +628,15 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
-    from .lattice import audit_family, build_path_family, enumerate_targets
-
     d = cfg["dimension"]
     rows = []
-    for n in enumerate_targets(d, cfg["max_norm"]):
+    for n in lattice.enumerate_targets(d, cfg["max_norm"]):
         try:
-            fam = build_path_family(n)
+            fam = lattice.build_path_family(n)
         except ValueError:
             rows.append((*n, "rejected", 0, 0, 0.0, 1))
             continue
-        a = audit_family(fam)
+        a = lattice.audit_family(fam)
         rows.append((*n, "built", fam.path_count, a.off_multiplicity,
                      a.near_constant, int(a.exact_ok)))
     cols = [f"n_{k}" for k in range(d)]
@@ -690,14 +650,6 @@ def _run_path_family_audit(cfg: Config, offset: int, jobs: int) -> None:
 
 # the runner of each command is _run_<command>, with '_' for '-'
 _RUNNERS = {c: globals()["_run_" + c.replace("-", "_")] for c in COMMANDS}
-
-
-def _budget_errors() -> tuple:
-    """The budget failures: ConvergenceError too once percolation, which
-    defines it and the refinements that raise it, is loaded."""
-    perc = sys.modules.get(f"{__package__}.percolation")
-    return (BudgetError, MemoryError) + (
-        (perc.ConvergenceError,) if perc else ())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -724,7 +676,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # sample_field and BoxGraph raise MemoryError for a box above their
     # edge or site limit, before they allocate the box
-    except _budget_errors() as err:
+    except (BudgetError, ConvergenceError, MemoryError) as err:
         print(f"budget/convergence failure: {err}", file=sys.stderr)
         return 3
     except AssertionError as err:

@@ -114,7 +114,12 @@ def constant_generator(v) -> Callable:
     return f
 
 
-def fourier_generator(harmonic: int = 1) -> Callable:
+# the default harmonic of fourier_generator and scale of
+# axis_field_generator, which config tables also take as defaults
+HARMONIC, AXIS_SCALE = 1, 1.0
+
+
+def fourier_generator(harmonic: int = HARMONIC) -> Callable:
     """Mean-zero loop generator on rotation dynamics:
     x -> (cos 2*pi*h*x, sin 2*pi*h*x)."""
 
@@ -155,7 +160,7 @@ def add_generators(*fs: Callable) -> Callable:
     return f
 
 
-def axis_field_generator(dim_space: int, scale: float = 1.0,
+def axis_field_generator(dim_space: int, scale: float = AXIS_SCALE,
                          tag: int = 0) -> Callable:
     """IID gaussian vectors attached per axis to that axis's own
     coordinate: f_k at a site reads only the k-th coordinate.

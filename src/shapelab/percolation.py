@@ -54,6 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ConvergenceError
 from .environment import Environment
 from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 
@@ -89,11 +90,6 @@ EDGE_CHUNK = 65536
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when a distance refinement hits its radius cap while the
-    caller required a converged value."""
 
 
 @dataclass(frozen=True)
@@ -497,7 +493,12 @@ class StructureEmbedding:
         }, separators=(",", ":"))
 
 
-def structure_embed(env: Environment, sites: list[Site], tol: float = 1e-9,
+# structure_embed's default convergence tolerance
+EMBED_TOL = 1e-9
+
+
+def structure_embed(env: Environment, sites: list[Site],
+                    tol: float = EMBED_TOL,
                     radius_cap: int | None = None) -> StructureEmbedding:
     """Pairwise converged distances on a common box, packaged as the
     embedding tables.  Raises ConvergenceError if the refinement cap is hit

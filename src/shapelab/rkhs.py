@@ -108,7 +108,12 @@ def hyperbolic_distance(z: complex, w: complex) -> float:
     return math.log1p(r) - math.log1p(-r)
 
 
-def random_walk(seed: int, n: int, step_scale: float = 0.25) -> list[MoebiusMap]:
+# random_walk's default step scale
+STEP_SCALE = 0.25
+
+
+def random_walk(seed: int, n: int,
+                step_scale: float = STEP_SCALE) -> list[MoebiusMap]:
     """Deterministic sequence of isometry increments g_1, ..., g_n.
 
     The default step keeps 10^3-step orbits within hyperbolic distance

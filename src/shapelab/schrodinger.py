@@ -211,8 +211,13 @@ class LyapunovEstimate:
         return (self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr)
 
 
-def lyapunov(potential: PotentialModel, n_steps: int, n_seeds: int = 8,
-             seed0: int = 0, debias: bool = True) -> LyapunovEstimate:
+# lyapunov's default number of seeds
+LYAPUNOV_SEEDS = 8
+
+
+def lyapunov(potential: PotentialModel, n_steps: int,
+             n_seeds: int = LYAPUNOV_SEEDS, seed0: int = 0,
+             debias: bool = True) -> LyapunovEstimate:
     """Growth rate of the log operator norm, averaged over seeds.
 
     With debias=True the per-seed estimate is the subadditive increment

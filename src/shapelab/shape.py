@@ -42,6 +42,10 @@ class DirectionalSeries:
         return float(self.stderrs[int(np.argmin(self.means))])
 
 
+# directional_constant's default convergence tolerance
+DIRECTIONAL_TOL = 1e-9
+
+
 def _direction_profile(env: Environment, theta: Site, n_max: int,
                        tol: float, radius_cap_factor: int = 16):
     """rho(0, k*theta) for k = 1..n_max from single-source searches in a
@@ -66,7 +70,7 @@ def _direction_profile(env: Environment, theta: Site, n_max: int,
 
 def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
                          dimension: int | None = None,
-                         tol: float = 1e-9) -> DirectionalSeries:
+                         tol: float = DIRECTIONAL_TOL) -> DirectionalSeries:
     """The per-direction convergence series and its inf-of-means limit.
 
     Distances that refinement leaves open (neither certified exact nor

@@ -390,8 +390,8 @@ def test_commands_without_box_graphs_leave_scipy_unloaded(tmp_path):
     assert out.splitlines() == ["0 []"] * len(runs)
 
 
-# the shapelab modules loaded by the end of a run of each orbit command
-# (no box graphs): its table's modules and its runner's, no others
+# the shapelab modules run by the end of a run of each orbit command (no
+# box graphs): its table's modules and its runner's, no others
 _ORBIT_MODULES = {
     "schrodinger-scan": ["environment", "schrodinger"],
     "lyapunov": ["environment", "schrodinger"],
@@ -423,13 +423,19 @@ def test_commands_import_only_their_own_modules(tmp_path):
         {"command": "path-family-audit", "dimension": 3, "max_norm": 2},
     ]
     assert sorted(d["command"] for d in docs) == sorted(_ORBIT_MODULES)
-    code = ("import sys\n"
-            "def loaded():\n"
-            "    return [m for m in sorted(sys.modules)\n"
-            "            if m.partition('.')[0] == 'shapelab']\n"
+    # every library module is registered on import; type() reads a
+    # registered module without running it, and is ModuleType once it ran
+    code = ("import sys, types\n"
+            "def run():\n"
+            "    return [m for m, v in sorted(sys.modules.items())\n"
+            "            if m.partition('.')[0] == 'shapelab'\n"
+            "            and type(v) is types.ModuleType]\n"
+            "import shapelab\n"
             "from shapelab import cli\n"
-            "print(loaded())\n"
-            "print(cli.main(sys.argv[1:]), loaded(),\n"
+            "print(run())\n"
+            "print(all(f'shapelab.{m}' in sys.modules for m in "
+            "shapelab._LAZY))\n"
+            "print(cli.main(sys.argv[1:]), run(),\n"
             "      'concurrent.futures' in sys.modules)\n")
     for doc in docs:
         command = doc["command"]
@@ -441,8 +447,48 @@ def test_commands_import_only_their_own_modules(tmp_path):
             capture_output=True, text=True, check=True).stdout.splitlines()
         want = ["shapelab", "shapelab.cli"] + [
             f"shapelab.{m}" for m in _ORBIT_MODULES[command]]
-        assert out == [repr(["shapelab", "shapelab.cli"]),
+        assert out == [repr(["shapelab", "shapelab.cli"]), "True",
                        f"0 {sorted(want)!r} False"], command
+
+
+def test_every_library_module_is_registered_lazily():
+    import shapelab
+
+    package = Path(shapelab.__file__).parent
+    assert set(shapelab._LAZY) == {
+        p.stem for p in package.glob("*.py")} - {"__init__", "cli"}
+
+
+def test_config_tables_hold_with_library_functions_wrapped(monkeypatch):
+    # a tracer may wrap library functions without functools.wraps, which
+    # hides their signatures: no table may read its defaults from one
+    import types
+
+    import shapelab
+    from shapelab import cli
+
+    def wrap(fn):
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in shapelab._LAZY:
+        module = getattr(shapelab, name)
+        for attr, value in list(vars(module).items()):
+            if (isinstance(value, types.FunctionType)
+                    and value.__module__ == module.__name__):
+                monkeypatch.setattr(module, attr, wrap(value))
+    caches = (cli._schema, cli._model, cli._cocycle_spec)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        for command in cli.COMMANDS:
+            cli._schema(command)
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            assert Config(path).command in cli.COMMANDS
+    finally:
+        for fn in caches:
+            fn.cache_clear()
 
 
 def test_kingman_default_drift_orbit_matches_library(tmp_path):
