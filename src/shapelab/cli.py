@@ -477,29 +477,31 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     dirs = cfg["directions"]
     if dirs is None:
         dirs = shape.default_directions(d, cfg["direction_richness"])
-    work = [(cfg["model"], seeds, theta, n_max, d, cfg["tolerance"])
-            for theta in sorted(dirs)]
-    series = _pmap(_shape_job, work, jobs)
+    dirs = sorted(dirs)
+    if cfg["polytope_output"]:
+        try:
+            shape.check_directions(dirs, d)
+        except ValueError as err:
+            raise ConfigError(f"invalid 'directions': {err}",
+                              "directions") from None
+    job = partial(shape.directional_constant, cfg["model"], seeds,
+                  n_max=n_max, dimension=d, tol=cfg["tolerance"])
+    est = shape.ShapeEstimate(directions=tuple(dirs),
+                              series=tuple(_pmap(job, dirs, jobs)),
+                              n_max=n_max, n_seeds=len(seeds))
 
     columns = [f"dir_{k}" for k in range(d)] + ["L", "stderr", "excluded",
                                                 "flagged"]
     columns += [f"a_{k}" for k in range(1, n_max + 1)]
     rows = [(*s.direction, s.estimate, s.estimate_stderr, s.excluded_fraction,
-             int(s.flagged), *(float(x) for x in s.means)) for s in series]
+             int(s.flagged), *(float(x) for x in s.means)) for s in est.series]
     _write_csv(cfg, columns, rows)
     if cfg["polytope_output"]:
-        verts = [[c / (s.estimate * lattice.norm1(s.direction)) for c in s.direction]
-                 for s in series]
-        _write_json(cfg, cfg["polytope_output"], {"unit_ball_vertices": verts})
-    if any(s.flagged for s in series):
+        _write_json(cfg, cfg["polytope_output"],
+                    {"unit_ball_vertices": est.unit_ball_vertices().tolist()})
+    if est.flagged:
         raise BudgetError("one or more directions exceeded the 10% "
                           "nonconvergence budget")
-
-
-def _shape_job(args):
-    model, seeds, theta, n_max, d, tol = args
-    return shape.directional_constant(model, seeds, theta, n_max, dimension=d,
-                                tol=tol)
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:

@@ -347,7 +347,8 @@ class DriftMap:
 
 def drift_map(c: HilbertCocycle, orbit_length: int,
               diagnostic_points: Sequence[int] = ()) -> DriftMap:
-    """Per-axis ergodic averages L_k = (1/N) sum_j f_k(T_{j e_k} x).
+    """Per-axis ergodic averages L_k = (1/N) sum_j f_k(T_{j e_k} x), each
+    read as s_x(0, N e_k) / N.
 
     Only trivial representations are supported: with a nontrivial lambda
     the averages would converge to the invariant component of a twisted
@@ -357,13 +358,9 @@ def drift_map(c: HilbertCocycle, orbit_length: int,
         raise ValueError("drift_map requires the identity representation")
     if orbit_length < 1:
         raise ValueError("orbit_length must be positive")
-    d, D = c.dim_group, c.dim_space
-    cols = np.zeros((D, d))
-    for k in range(d):
-        acc = np.zeros(D)
-        for vals in c.axis_segment((0,) * d, k, orbit_length):
-            acc = _running_sums(acc, vals)[-1]
-        cols[:, k] = acc / orbit_length
+    d = c.dim_group
+    cols = np.column_stack([c.evaluate(n) / orbit_length
+                            for n in orbit_length * np.eye(d, dtype=np.int64)])
     diags = []
     for n in diagnostic_points:
         ek = tuple(int(n) if i == 0 else 0 for i in range(d))
@@ -476,10 +473,6 @@ class OperatorSample:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "f", f)
 
-    @property
-    def has_orbit(self) -> bool:
-        return True
-
     def autocorrelation(self, k: int) -> float:
         return float(np.linalg.matrix_power(self.U, abs(k)) @ self.f @ self.f)
 
@@ -511,10 +504,6 @@ class RotationSample:
     alpha: float
     amplitude: float = 1.0
 
-    @property
-    def has_orbit(self) -> bool:
-        return True
-
     def autocorrelation(self, k: int) -> complex:
         return self.amplitude ** 2 * cmath.exp(2j * math.pi * self.alpha * k)
 
@@ -541,10 +530,6 @@ class AutocorrSample:
         if self.kind == "geometric" and not (0.0 < self.ratio < 1.0):
             raise ValueError("geometric ratio must lie in (0, 1)")
 
-    @property
-    def has_orbit(self) -> bool:
-        return False
-
     def autocorrelation(self, k: int) -> float:
         if self.kind == "white":
             return self.sigma2 if k == 0 else 0.0
@@ -553,10 +538,6 @@ class AutocorrSample:
     def partial_sum_norm2(self, n: int) -> float:
         return float(sum((n - abs(k)) * self.autocorrelation(k)
                          for k in range(-n + 1, n)))
-
-    @property
-    def zero_atom(self) -> float:
-        return 0.0  # both shipped kinds have continuous spectrum at 0
 
 
 SpectralSample = OperatorSample | RotationSample | AutocorrSample

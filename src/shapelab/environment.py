@@ -30,6 +30,9 @@ _INV53 = float(2.0 ** -53)
 # at any orbit length.
 ORBIT_CHUNK = 1024
 
+# Environment.sample_field refuses a box of more edges than this
+MAX_FIELD_EDGES = 2_000_000
+
 
 def _mix(h: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
@@ -356,22 +359,22 @@ class Environment:
         return "\n".join(lines) + "\n"
 
     def sample_field(self, center: Site, radius: int, norm: str = "linf",
-                     max_edges: int = 2_000_000, weights_only: bool = False):
+                     weights_only: bool = False):
         """All canonical edges with both endpoints in the box, with weights,
         as (base, axis, weight) rows; with weights_only, just the (m,)
         weight array in the same order, without the per-edge rows.
         Raises MemoryError, before any site is built, when the box's site
         index would hold more than lattice.MAX_INDEX_SLOTS slots (checked
         first: counting the edges of such a box is costly too) or the box
-        holds more than max_edges edges."""
+        holds more than MAX_FIELD_EDGES edges."""
         from .lattice import BoxRegion, SiteIndex
 
         box = BoxRegion(tuple(center), radius, norm)
         box.check_index()
         edges = box.edge_count()
-        if edges > max_edges:
+        if edges > MAX_FIELD_EDGES:
             raise MemoryError(
-                f"box holds {edges} edges, above the limit {max_edges}")
+                f"box holds {edges} edges, above the limit {MAX_FIELD_EDGES}")
         if not edges:
             return np.zeros(0) if weights_only else []
         coords = box.site_array()

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -296,21 +296,10 @@ def path_multiplicity(family: PathFamily, m: Sequence[int]) -> int:
 
 
 def default_chain(n: Site) -> tuple[int, ...]:
-    """Identity axis order when admissible, else the lexicographically first
-    admissible permutation.  Admissible means the transversal axis (last in
-    the permutation) carries more than half the ell-1 mass of n, so the top
-    hyperplane misses the half-ball around n."""
-    d = len(n)
-    if d == 1:
-        return (0,)
-    N = norm1(n)
-    identity = tuple(range(d))
-    if 2 * abs(n[d - 1]) > N:
-        return identity
-    from itertools import permutations
-
-    for perm in permutations(range(d)):
-        if 2 * abs(n[perm[-1]]) > N:
+    """The lexicographically first admissible axis order, which is the
+    identity when that is admissible (see ``chain_is_admissible``)."""
+    for perm in permutations(range(len(n))):
+        if chain_is_admissible(n, perm):
             return perm
     raise ValueError(
         f"no admissible hyperplane chain for n={n}: no axis carries more "
@@ -318,6 +307,9 @@ def default_chain(n: Site) -> tuple[int, ...]:
 
 
 def chain_is_admissible(n: Site, chain: Sequence[int]) -> bool:
+    """Admissible means the transversal axis (last in the chain) carries
+    more than half the ell-1 mass of n, so the top hyperplane misses the
+    half-ball around n; in d=1 every chain is."""
     d = len(n)
     if sorted(chain) != list(range(d)):
         return False

@@ -65,11 +65,9 @@ class WeightedSample:
         return WeightedSample(np.abs(c) * self.values, self.masses)
 
     @staticmethod
-    def from_values(values, mass_each: float | None = None) -> "WeightedSample":
+    def from_values(values) -> "WeightedSample":
         values = np.asarray(values, dtype=float)
-        if mass_each is None:
-            mass_each = 1.0 / len(values)
-        return WeightedSample(values, np.full(len(values), mass_each))
+        return WeightedSample(values, np.full(len(values), 1.0 / len(values)))
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,20 @@ is hashed in batches of at most ORBIT_CHUNK steps by single
 Python floats: the product's two rows (lag, lead) advance as
 lag, lead <- lead, t * lead - lag.  A forward factor [[0, 1], [-1, t]]
 acts that way on the rows (top, bottom) and its adjugate [[t, -1], [1, 0]]
-on (bottom, top), so the same loop serves n >= 0 and n < 0.  One pass can
-report the product at several lengths (``transfer_products_scaled``), which
-the debiased Lyapunov estimate uses to read n and 2n together.
-``TransferCocycle.one_step`` stays the definition of a single factor.
+on (bottom, top), so the same loop serves n >= 0 and n < 0.  The kernel
+continues any state, so by the cocycle identity
+S(2n, x) = S(n, T^n x) S(n, x) the debiased Lyapunov estimate reads
+S(n, x) and then carries the same state on over T^n x to S(2n, x).
+Every coefficient is hashed on its own, so where the batches start moves
+no value.  ``TransferCocycle.one_step`` stays the definition of a single
+factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -111,73 +114,60 @@ class ScaledMatrix:
         return self.mat * math.exp(self.log_scale)
 
 
-def _coefficients(tc: TransferCocycle, n: int,
-                  breaks: Sequence[int] = ()) -> Iterator[list[float]]:
+def _coefficients(tc: TransferCocycle, n: int) -> Iterator[list[float]]:
     """energy - V(T^k x) for the |n| factors of S(n, x) in the order they
     are applied (k = 0, 1, ..., n-1 for n >= 0 and k = -1, -2, ..., n for
-    n < 0), as lists of Python floats of at most ORBIT_CHUNK entries.  A
-    list also ends after every step count |b| for b in breaks."""
+    n < 0), as lists of Python floats of at most ORBIT_CHUNK entries."""
     pot = tc.potential
     first, sign = (0, 1) if n >= 0 else (-1, -1)
     steps = abs(n)
-    cuts = set(range(0, steps, ORBIT_CHUNK))
-    cuts.update(abs(b) for b in breaks if 0 < abs(b) < steps)
-    cuts = sorted(cuts) + [steps]
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo in range(0, steps, ORBIT_CHUNK):
+        hi = min(lo + ORBIT_CHUNK, steps)
         sites = tc.offset + first + sign * np.arange(lo, hi, dtype=np.int64)
         yield (pot.energy - pot.values(tc.seed, sites)).tolist()
 
 
-def _advance(rows: tuple[float, ...], log_scale: float,
-             coeffs: list[float]) -> tuple[tuple[float, ...], float]:
-    """The scalar kernel: apply one factor per coefficient t to the rows
-    (lag, lead) = ((la, lb), (ea, eb)) as lag, lead <- lead, t*lead - lag,
+# the kernel state of S(0, x) = I for n >= 0 and for n < 0: the rows
+# (lag, lead) and the log scale
+_FORWARD, _BACKWARD = ((1.0, 0.0, 0.0, 1.0), 0.0), ((0.0, 1.0, 1.0, 0.0), 0.0)
+
+
+def _advance(tc: TransferCocycle, n: int,
+             state: tuple[tuple[float, ...], float]):
+    """The scalar kernel: continue state = ((la, lb, ea, eb), log_scale),
+    the rows (lag, lead) = ((la, lb), (ea, eb)), by the |n| factors of
+    S(n, x) as lag, lead <- lead, t*lead - lag per coefficient t,
     renormalizing when max |entry| passes the threshold."""
-    la, lb, ea, eb = rows
-    for t in coeffs:
-        la, lb, ea, eb = ea, eb, t * ea - la, t * eb - lb
-        m = max(abs(la), abs(lb), abs(ea), abs(eb))
-        if m > _RENORM_THRESHOLD:
-            la, lb, ea, eb = la / m, lb / m, ea / m, eb / m
-            log_scale += math.log(m)
+    (la, lb, ea, eb), log_scale = state
+    for coeffs in _coefficients(tc, n):
+        for t in coeffs:
+            la, lb, ea, eb = ea, eb, t * ea - la, t * eb - lb
+            m = max(abs(la), abs(lb), abs(ea), abs(eb))
+            if m > _RENORM_THRESHOLD:
+                la, lb, ea, eb = la / m, lb / m, ea / m, eb / m
+                log_scale += math.log(m)
     return (la, lb, ea, eb), log_scale
 
 
-def transfer_products_scaled(tc: TransferCocycle,
-                             marks: Sequence[int]) -> list[ScaledMatrix]:
-    """S(m, x) for every m in marks, from one pass of max |m| steps.
-
-    For m >= 0 the product is S(1, T^{m-1} x) ... S(1, x); negative m
-    uses the cocycle inverse S(-m, x) = S(m, T^{-m} x)^{-1}, a product of
-    adjugates, exact for unimodular factors.  The marks must share one
-    sign.  The state is the product's rows (lag, lead): (top, bottom) for
-    forward factors and (bottom, top) for adjugates, which makes both the
-    same recurrence (see the module docstring)."""
-    marks = [int(m) for m in marks]
-    n = max(marks, key=abs)
-    if any(m * n < 0 for m in marks):
-        raise ValueError("marks must share one sign")
-    forward = n >= 0
-    rows = (1.0, 0.0, 0.0, 1.0) if forward else (0.0, 1.0, 1.0, 0.0)
-    log_scale, done = 0.0, 0
-    states = {0: (rows, log_scale)}  # the state after each chunk
-    for chunk in _coefficients(tc, n, marks):
-        rows, log_scale = _advance(rows, log_scale, chunk)
-        done += len(chunk)
-        states[done] = (rows, log_scale)
-
-    def product(m):
-        (la, lb, ea, eb), scale = states[abs(m)]
-        mat = [[la, lb], [ea, eb]] if forward else [[ea, eb], [la, lb]]
-        return ScaledMatrix(np.array(mat), scale)
-
-    return [product(m) for m in marks]
+def _scaled(state, forward: bool = True) -> ScaledMatrix:
+    (la, lb, ea, eb), log_scale = state
+    mat = [[la, lb], [ea, eb]] if forward else [[ea, eb], [la, lb]]
+    return ScaledMatrix(np.array(mat), log_scale)
 
 
 def transfer_product_scaled(tc: TransferCocycle, n: int) -> ScaledMatrix:
-    """Ordered product S(n, x) with log-scale renormalization; see
-    ``transfer_products_scaled``."""
-    return transfer_products_scaled(tc, [n])[0]
+    """Ordered product S(n, x) with log-scale renormalization, from one
+    kernel pass of |n| steps.
+
+    For n >= 0 the product is S(1, T^{n-1} x) ... S(1, x); negative n
+    uses the cocycle inverse S(-n, x) = S(n, T^{-n} x)^{-1}, a product of
+    adjugates, exact for unimodular factors.  The kernel state is the
+    product's rows (lag, lead): (top, bottom) for forward factors and
+    (bottom, top) for adjugates, which makes both the same recurrence
+    (see the module docstring)."""
+    forward = n >= 0
+    return _scaled(_advance(tc, n, _FORWARD if forward else _BACKWARD),
+                   forward)
 
 
 def transfer_product(tc: TransferCocycle, n: int) -> np.ndarray:
@@ -216,27 +206,26 @@ LYAPUNOV_SEEDS = 8
 
 
 def lyapunov(potential: PotentialModel, n_steps: int,
-             n_seeds: int = LYAPUNOV_SEEDS, seed0: int = 0,
-             debias: bool = True) -> LyapunovEstimate:
+             n_seeds: int = LYAPUNOV_SEEDS,
+             seed0: int = 0) -> LyapunovEstimate:
     """Growth rate of the log operator norm, averaged over seeds.
 
-    With debias=True the per-seed estimate is the subadditive increment
+    The per-seed estimate is the subadditive increment
     (rho(0, 2n) - rho(0, n)) / n, which cancels the O(1/n) constant from
     the eigenprojection and converges geometrically in the constant-
-    potential case; debias=False gives the plain rho(0, n)/n.  Both log-
-    norms of the debiased estimate come from one pass of 2n steps."""
+    potential case.  One kernel pass gives both log-norms: it runs n steps
+    to S(n, x), then continues that state over T^n x for n more steps to
+    S(2n, x)."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     vals = []
     for s in range(n_seeds):
         tc = TransferCocycle(potential, seed=seed0 + s)
-        if debias:
-            pair = transfer_products_scaled(tc, [n_steps, 2 * n_steps])
-            short, long = (max(p.log_norm(), 0.0) for p in pair)
-            vals.append((long - short) / n_steps)
-        else:
-            rho = max(transfer_product_scaled(tc, n_steps).log_norm(), 0.0)
-            vals.append(rho / n_steps)
+        state = _advance(tc, n_steps, _FORWARD)
+        short = max(_scaled(state).log_norm(), 0.0)
+        state = _advance(tc.shifted(n_steps), n_steps, state)
+        long = max(_scaled(state).log_norm(), 0.0)
+        vals.append((long - short) / n_steps)
     arr = np.asarray(vals)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return LyapunovEstimate(value=float(arr.mean()), stderr=stderr,

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, WeightModel
+from . import percolation
 from .lattice import BoxRegion, Site, norm1
 from .percolation import OPEN, BoxGraph, ConvergenceError, refine
 
@@ -152,14 +153,19 @@ def default_directions(d: int, richness: int = 2) -> list[Site]:
     return out
 
 
+def check_directions(directions, d: int) -> None:
+    """Raises ValueError unless the directions span R^d, as the vertices
+    of an estimated unit ball must."""
+    if np.linalg.matrix_rank(np.asarray(directions, dtype=float)) < d:
+        raise ValueError("directions must span the lattice dimension")
+
+
 def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
                    dimension: int | None = None,
-                   tol: float = 1e-9) -> ShapeEstimate:
+                   tol: float = DIRECTIONAL_TOL) -> ShapeEstimate:
     directions = [tuple(t) for t in directions]
     d = dimension or len(directions[0])
-    span = np.linalg.matrix_rank(np.asarray(directions))
-    if span < d:
-        raise ValueError("directions must span the lattice dimension")
+    check_directions(directions, d)
     series = tuple(
         directional_constant(model, seeds, theta, n_max, dimension=d, tol=tol)
         for theta in directions)
@@ -226,9 +232,6 @@ class MaximalStats:
             out.append((float(lam), t, float(lam ** d * t)))
         return out
 
-    def headline(self, d: int) -> float:
-        return max(p for _, _, p in self.tail_products(d))
-
 
 def sample_maximal_stats(model: WeightModel, seeds, window_radius: int,
                          lambda_grid, dimension: int) -> MaximalStats:
@@ -275,8 +278,14 @@ def maximal_bound_rhs(env: Environment, n: Site, constant: float) -> float:
 
     # every site the bound reads lies in the ball of radius 2|n|: the top
     # coordinate subspace is that whole ball, and the half-ball around n
-    # stays inside it
-    ball = BoxRegion((0,) * d, 2 * N, "l1").site_array()
+    # stays inside it; it is counted before it is built, as a box graph is
+    box = BoxRegion((0,) * d, 2 * N, "l1")
+    box.check_index()
+    count = box.site_count()
+    if count > percolation.MAX_BOX_SITES:
+        raise MemoryError(f"ball holds {count} sites, above the limit "
+                          f"{percolation.MAX_BOX_SITES}")
+    ball = box.site_array()
     f = generator_sup_field(env, ball)
 
     subspace_total = 0.0

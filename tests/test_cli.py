@@ -292,6 +292,18 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, make,
     _assert_config_error(tmp_path, capsys, make(tmp_path, **overrides), key)
 
 
+def test_shape_polytope_needs_spanning_directions(tmp_path, capsys):
+    # two collinear directions give no unit ball: refused before anything
+    # runs or is written; without a polytope the same scan runs
+    ball = tmp_path / "ball.json"
+    doc = _shape_doc(tmp_path, directions=[[1, 0], [2, 0]],
+                     polytope_output=str(ball))
+    _assert_config_error(tmp_path, capsys, doc, "directions")
+    assert not ball.exists() and not (tmp_path / "shape.csv").exists()
+    del doc["polytope_output"]
+    assert _run(tmp_path, doc) == 0
+
+
 @pytest.mark.parametrize("sites", [[[0, 0], [1, 1], [0, 0]],
                                    [[0, 0, 0], [1, 1, 1]]],
                          ids=["duplicate", "wrong_length"])
@@ -815,16 +827,21 @@ def test_bad_samples_csv_or_jobs_exits_2_naming_the_key(tmp_path, capsys,
     assert "SHAPELAB_JOBS" in err and "Traceback" not in err
 
 
+def _load_perfbench(name, monkeypatch):
+    path = CONFIG_DIR.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_shipped_and_benchmark_configs_pass_the_schema(tmp_path,
                                                        monkeypatch):
     # a check only, nothing runs: stricter checking must never refuse the
     # shipped configs or the benchmark's experiments
-    path = CONFIG_DIR.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    wl = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is made
-    monkeypatch.setitem(sys.modules, spec.name, wl)
-    spec.loader.exec_module(wl)
+    wl = _load_perfbench("workloads", monkeypatch)
     paths = sorted(CONFIG_DIR.glob("*.yaml"))
     for workload in wl.WORKLOADS:
         for seed in (0, 1):
@@ -836,3 +853,19 @@ def test_shipped_and_benchmark_configs_pass_the_schema(tmp_path,
     for path in paths:
         cfg = Config(path)
         assert set(cfg.values) >= {"output"}
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # the benchmark's per-layer metrics wrap these names from outside the
+    # package; a renamed or removed one silently drops its metrics
+    tracing = _load_perfbench("tracing", monkeypatch)
+    targets = [t[:2] for t in (tracing.SPANS + tracing.COUNTS
+                               + tracing.GENERATOR_FACTORIES)]
+    unresolved = []
+    for module_name, target in targets:
+        owner = importlib.import_module(module_name)
+        for attr in target.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            unresolved.append(f"{module_name}.{target}")
+    assert targets and unresolved == []

@@ -95,14 +95,17 @@ def test_moving_average_is_kernel_sum():
     assert got == pytest.approx(expect, rel=1e-15)
 
 
-def test_sample_field_consistency_and_guard():
+def test_sample_field_consistency_and_guard(monkeypatch):
+    from shapelab import environment
+
     env = Environment(Exponential(1.0), seed=4, dimension=2)
     rows = env.sample_field((0, 0), 2, norm="linf")
     assert all(w == env.edge_weight((base, axis)) for base, axis, w in rows)
     # 5x5 box: 2 axes * 5 * 4 edges
     assert len(rows) == 40
+    monkeypatch.setattr(environment, "MAX_FIELD_EDGES", 100)
     with pytest.raises(MemoryError):
-        env.sample_field((0, 0), 300, max_edges=100)
+        env.sample_field((0, 0), 300)
 
 
 def test_sample_field_checks_the_limit_before_building_sites(monkeypatch):

@@ -157,6 +157,23 @@ def test_domination_random_grid():
         assert maximal_bound_rhs(env, n, DOMINATION_CONSTANT[2]) >= lhs
 
 
+def test_bound_ball_is_counted_against_the_site_limit(monkeypatch):
+    from shapelab import percolation
+
+    env = Environment(Exponential(1.0), seed=2, dimension=2)
+    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
+    # |n| = 4: the ball of radius 8 holds 145 sites
+    assert maximal_bound_rhs(env, (3, 1), DOMINATION_CONSTANT[2]) > 0
+
+    def fail(self):
+        raise AssertionError("site_array called")
+
+    monkeypatch.setattr(BoxRegion, "site_array", fail)
+    # |n| = 5: the ball of radius 10 holds 221 sites
+    with pytest.raises(MemoryError, match="221 sites"):
+        maximal_bound_rhs(env, (3, 2), DOMINATION_CONSTANT[2])
+
+
 def test_exponential_axis_spread_shrinks():
     # empirical form of the shape convergence: the spread of the tail of
     # the series around its limit tightens as the start index grows
