@@ -90,14 +90,14 @@ class Float:
 
 
 class Int(Float):
-    """An int or an integral float, never a bool."""
+    """An int or an integral float that fits in int64, never a bool."""
 
-    noun = "an integer"
+    noun = "an int64 integer"
 
     def check(self, value, path, done):
         n = int(value) if isinstance(value, float) and value.is_integer() \
             else value
-        if type(n) is not int or n < self.lo:
+        if type(n) is not int or n < self.lo or abs(n) >= 2 ** 63:
             _fail(path, self.want, value)
         return n
 

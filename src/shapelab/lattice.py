@@ -86,11 +86,18 @@ class BoxRegion:
         """The sites as an (n, d) int64 array in lexicographic order."""
         head, reach = self._rows()
         counts = 2 * reach + 1
-        # head row j expands to the run of last offsets -reach[j]..reach[j]
-        last = np.arange(counts.sum()) - np.repeat(
-            np.cumsum(counts) - counts + reach, counts)
-        offsets = np.column_stack([np.repeat(head, counts, axis=0), last])
-        return offsets + np.asarray(self.center, dtype=np.int64)
+        center = np.asarray(self.center, dtype=np.int64)
+        out = np.empty((int(counts.sum()), len(center)), dtype=np.int64)
+        # filled a column at a time, so no transient is the size of out
+        for k in range(len(center) - 1):
+            out[:, k] = np.repeat(head[:, k] + center[k], counts)
+        # head row j expands to the run of last coordinates
+        # center - reach[j]..center + reach[j]
+        last = out[:, -1]
+        last[:] = np.repeat(np.cumsum(counts) - counts + reach - center[-1],
+                            counts)
+        np.subtract(np.arange(len(out)), last, out=last)
+        return out
 
     def sites(self) -> list[Site]:
         """The sites as tuples, in the order of ``site_array``."""

@@ -23,10 +23,13 @@ A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
 module's ``SiteIndex``, and every reader (target profiles, geodesics,
 balls, the embedding) works on rows of that array.  The graph's row
-tables (the site index, the neighbour rows, the search's steps) are
-int32, since the budget keeps every row and node id far below 2**31, and
-its weights are hashed in chunks of ``EDGE_CHUNK`` edges straight into
-the float64 weight table, which is allocated first.
+tables (the site index and the neighbour rows) are int32, since the
+budget keeps every row and node id far below 2**31, and its weights are
+hashed in chunks of exactly ``EDGE_CHUNK`` edges straight into the
+float64 weight table, which is allocated first.  Each chunk's rows are
+found from running per-row edge counts, and a search computes its
+targets from the neighbour rows, so neither builds nor searches holds a
+transient table the size of the box.
 
 A box graph can also hold a stack of E environments over one box, for
 statistics over many seeds.  The sites, their index and the neighbour
@@ -60,19 +63,22 @@ from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
 
 
 # The most sites a box graph builds, and the most nodes (sites times
-# blocks) one search allocates.  Building and searching one takes about
-# 180 to 220 bytes of peak memory per site in d=3 (ru_maxrss, 2-core
-# x86_64, numpy 2.4: 152193 sites +33 MB, 508225 sites +91 MB), some 120 of
-# them the graph's own tables: int64 sites, the int32 site index and
-# neighbour rows, and float64 weights.  Hashing runs in chunks of
-# EDGE_CHUNK edges and so holds a few MB at any box size, and a graph at
-# the limit takes about 0.2 GB.  The site index is a dense table over the
-# box's bounding box, which outgrows an ell-1 ball in d >= 4, so a box
-# whose index would hold more than lattice.MAX_INDEX_SLOTS slots (32 MB,
-# eight per site of this limit) is refused too; in d <= 3 the site limit
-# comes first.  The largest box that the shipped configs, the benchmark
-# workloads and the test suite build holds 152193 sites (d=3, ell-1
-# radius 48).
+# blocks) one search allocates.  The graph's own tables (int64 sites, the
+# int32 site index and neighbour rows, float64 weights) take about 120
+# bytes per site in d=3 and 72 in d=2, and building or searching adds no
+# transient the size of the box.  Peaks of build / one search, in bytes
+# per site (tracemalloc, Exponential, 2-core x86_64, numpy 2.4), and the
+# ru_maxrss growth of both:
+#   d=3, radius 48, 152193 sites: 148 / 144, +23 MB (151 B/site);
+#   d=3, radius 72, 508225 sites: 136 / 140, +77 MB (152 B/site);
+#   d=2, radius 700, 981401 sites: 84 / 85, +92 MB (94 B/site).
+# So a graph at the limit takes about 0.15 GB in d=3 and 0.1 GB in d=2.
+# The site index is a dense table over the box's bounding box, which
+# outgrows an ell-1 ball in d >= 4, so a box whose index would hold more
+# than lattice.MAX_INDEX_SLOTS slots (32 MB, eight per site of this limit)
+# is refused too; in d <= 3 the site limit comes first.  The largest box
+# that the shipped configs, the benchmark workloads and the test suite
+# build holds 152193 sites (d=3, ell-1 radius 48).
 MAX_BOX_SITES = 1_000_000
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
@@ -82,11 +88,13 @@ MAX_BOX_SITES = 1_000_000
 # smallest boxes and leaves the largest unchanged.
 WHOLE_FRONTIER = 512
 
-# A box graph hashes its edge weights in chunks of at most this many edges,
-# straight into its weight table, so hashing a box of any size holds a few
-# MB of transients (see MAX_BOX_SITES).  A box of at most this many edges
-# makes one edge_weights call per environment.
-EDGE_CHUNK = 65536
+# A box graph hashes its edge weights in chunks of this many edges (the
+# last one shorter), straight into its weight table.  A chunk's transients
+# take about 110 bytes per edge, some 2 MB at any box size (7 MB at 65536
+# edges, over a third of the largest built box's tables), and a call of
+# this size hashes no slower per edge than a larger one.  A box of at most
+# this many edges makes one edge_weights call per environment.
+EDGE_CHUNK = 16384
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
@@ -128,11 +136,11 @@ def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
     every frontier node below the bucket's bound at once, or the whole
     frontier while it holds at most WHOLE_FRONTIER nodes, and puts the
     nodes it improved back on the frontier.  Weights at or below limit are
-    final once the frontier's least weight passes limit."""
+    final once the frontier's least weight passes limit.  A pass reads its
+    targets from nbr, each node's block base plus its neighbour rows, so a
+    search allocates no (n, 2d) table of its own."""
     n = len(nbr)
     blocks = len(sources)
-    # the node step to each neighbour, the same in every block
-    step = nbr - np.arange(n, dtype=nbr.dtype)[:, None]
     wt = wt.reshape(-1, nbr.shape[1])
     dist = np.full(blocks * n, np.inf)
     queued = np.zeros(blocks * n, dtype=bool)
@@ -160,7 +168,8 @@ def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
             node, here = node[take], here[take]
         queued[node] = False
         row = node % n
-        target = node[:, None] + step[row]
+        # node - row is the node's block base
+        target = (node - row)[:, None] + nbr[row]
         # a stack's node indexes its own weight block, k sources share one
         cand = here[:, None] + wt[node % len(wt)]
         better = cand < dist[target]
@@ -196,8 +205,10 @@ class BoxGraph:
     (a row's own row where the box ends), and the (E, n, 2d) float64
     weights of those edges (inf on the self-loops), one block per
     environment.  Both are allocated first; the weights are then hashed in
-    chunks of at most EDGE_CHUNK edges, one ``edge_weights`` call per
-    environment and chunk, and written straight into the table.  A stack
+    site-major chunks of EDGE_CHUNK edges, one ``edge_weights`` call per
+    environment and chunk (one for an edgeless box), and written straight
+    into the table.  A chunk's rows come from the running count of edges
+    per row, so no list of all the box's edges is built.  A stack
     of E environments shares the sites, their index and the neighbour
     table, and environment e fills weight block e."""
 
@@ -224,19 +235,29 @@ class BoxGraph:
         self._index = SiteIndex(self.sites)
         n, d = self.sites.shape
         forward = self._index.forward_neighbors()
-        own = np.arange(n, dtype=np.int32)[:, None]
+        # the real edges: entry (i, k) for the edge from row i along +e_k
+        edge = forward >= 0
         self._nbr = np.empty((n, 2 * d), dtype=np.int32)
-        self._nbr[:, :d] = np.where(forward >= 0, forward, own)
-        self._nbr[:, d:] = own
+        self._nbr[:] = np.arange(n, dtype=np.int32)[:, None]
+        np.copyto(self._nbr[:, :d], forward, where=edge)
+        del forward
         self._wt = np.full((len(self.envs), n, 2 * d), np.inf)
         nbr = self._nbr.reshape(-1)
         wt = self._wt.reshape(len(self.envs), -1)
-        # the edges as positions in the (n, d) forward table, site-major
-        edges = np.flatnonzero(forward >= 0)
-        del forward
+        # the edges are numbered site-major; ends[i] counts those of rows
+        # 0..i, so a chunk's rows are found without listing every edge
+        ends = edge.sum(axis=1)
+        np.cumsum(ends, out=ends)
+        m = int(ends[-1])
         # an edgeless box still makes its one call per environment
-        for start in range(0, max(len(edges), 1), EDGE_CHUNK):
-            rows, axes = np.divmod(edges[start:start + EDGE_CHUNK], d)
+        for start in range(0, max(m, 1), EDGE_CHUNK):
+            stop = min(start + EDGE_CHUNK, m)
+            first = int(np.searchsorted(ends, start, side="right"))
+            last = int(np.searchsorted(ends, stop)) + 1
+            skip = start - (int(ends[first - 1]) if first else 0)
+            rows, axes = np.divmod(
+                np.flatnonzero(edge[first:last])[skip:skip + stop - start], d)
+            rows += first
             # each edge's two slots in the flattened (n, 2d) tables:
             # forward from its base row, backward from the row it reaches
             ahead = rows * (2 * d) + axes

@@ -794,6 +794,11 @@ BAD_SPECS = [
     (_audit_doc, {"max_norm": 3.9}, "max_norm"),
     (_maximal_tail_doc, {"lambda_grid": [1.0, float("nan")]},
      "lambda_grid[1]"),
+    # integers beyond int64
+    (_embed_doc, {"sites": [[0, 0], [1e300, 0]]}, "sites[1][0]"),
+    (_shape_doc, {"n_max": 1e300}, "n_max"),
+    (_maximal_tail_doc, {"seeds": {"start": 2 ** 63, "count": 3}},
+     "seeds.start"),
 ]
 
 
@@ -807,6 +812,17 @@ def test_bad_spec_exits_2_naming_the_dotted_path(tmp_path, capsys, make,
     assert code == 2
     assert err.startswith("config error: ") and "Traceback" not in err
     assert repr(path) in err and "(line " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("value", [1e300, 2 ** 63])
+def test_dimension_beyond_int64_exits_2(tmp_path, capsys, value):
+    # a BAD_SPECS case of its own would share the id "dimension"
+    doc = _audit_doc(tmp_path, dimension=value)
+    assert _run(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'dimension' must be")
+    assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 

@@ -686,3 +686,44 @@ def test_building_the_largest_box_peaks_below_40_mb():
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+
+
+def test_largest_box_builds_and_searches_without_box_sized_transients():
+    # the graph's own tables take about 18.5 MB; building and searching
+    # may add only a few MB on top
+    env = Environment(Exponential(1.0), seed=0, dimension=3)
+    box = BoxRegion((0, 0, 0), 48, "l1")
+    tracemalloc.start()
+    try:
+        g = BoxGraph(env, box)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g.distances_from((0, 0, 0))
+        search = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build <= 25e6
+    assert search <= 24e6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_edgeless_box_makes_one_empty_call_per_environment(monkeypatch, d):
+    box = BoxRegion((2,) * d, 0, "l1")
+    envs = [Environment(Exponential(1.0), seed=s, dimension=d)
+            for s in (0, 1, 2)]
+    calls = []
+    weigh = Environment.edge_weights
+
+    def spy(self, bases, axes):
+        calls.append((bases.shape, axes.shape))
+        return weigh(self, bases, axes)
+
+    monkeypatch.setattr(Environment, "edge_weights", spy)
+    for env, stacked in ((envs[0], 1), (envs, 3)):
+        calls.clear()
+        g = BoxGraph(env, box)
+        assert calls == [((0, d), (0,))] * stacked
+        assert g._nbr.tolist() == [[0] * (2 * d)]
+        assert np.isinf(g._wt).all()
+        want = [[0.0]] * stacked if stacked > 1 else [0.0]
+        assert g.distances_from((2,) * d).tolist() == want
