@@ -487,8 +487,7 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     job = partial(shape.directional_constant, cfg["model"], seeds,
                   n_max=n_max, dimension=d, tol=cfg["tolerance"])
     est = shape.ShapeEstimate(directions=tuple(dirs),
-                              series=tuple(_pmap(job, dirs, jobs)),
-                              n_max=n_max, n_seeds=len(seeds))
+                              series=tuple(_pmap(job, dirs, jobs)))
 
     columns = [f"dir_{k}" for k in range(d)] + ["L", "stderr", "excluded",
                                                 "flagged"]
@@ -552,11 +551,6 @@ def _run_schrodinger_scan(cfg: Config, offset: int, jobs: int) -> None:
                                       for e in sorted(cfg["energies"])])
 
 
-def _cocycle_from_spec(spec: dict):
-    """The cocycle of a raw 'cocycle' spec, checked against the schema."""
-    return _cocycle_spec().check(spec, "cocycle", {})
-
-
 def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
     length = cfg["length"]
     # without drift_orbit, kingman_decompose picks its own default
@@ -599,7 +593,12 @@ def _run_spectral_rate(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
-    inc = rkhs.random_walk(cfg["seed"] + offset, cfg["length"], cfg["step_scale"])
+    try:
+        inc = rkhs.random_walk(cfg["seed"] + offset, cfg["length"],
+                               cfg["step_scale"])
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"invalid 'step_scale': {err}",
+                          "step_scale") from None
     _write_csv(cfg, ["n", "kernel_metric", "hyperbolic"],
                rkhs.large_scale_compare(inc))
 

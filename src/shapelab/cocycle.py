@@ -335,8 +335,6 @@ class DriftMap:
     """The linear map n -> sum_k n_k L_k approximating s(0, n)/1."""
 
     columns: np.ndarray  # D x d
-    orbit_length: int
-    diagnostics: tuple[tuple[int, float], ...] = ()
 
     def __call__(self, v: Sequence[float]) -> np.ndarray:
         return self.columns @ np.asarray(v, dtype=float)
@@ -345,8 +343,7 @@ class DriftMap:
         return self.columns[:, k]
 
 
-def drift_map(c: HilbertCocycle, orbit_length: int,
-              diagnostic_points: Sequence[int] = ()) -> DriftMap:
+def drift_map(c: HilbertCocycle, orbit_length: int) -> DriftMap:
     """Per-axis ergodic averages L_k = (1/N) sum_j f_k(T_{j e_k} x), each
     read as s_x(0, N e_k) / N.
 
@@ -361,13 +358,7 @@ def drift_map(c: HilbertCocycle, orbit_length: int,
     d = c.dim_group
     cols = np.column_stack([c.evaluate(n) / orbit_length
                             for n in orbit_length * np.eye(d, dtype=np.int64)])
-    diags = []
-    for n in diagnostic_points:
-        ek = tuple(int(n) if i == 0 else 0 for i in range(d))
-        gap = np.linalg.norm(c.evaluate(ek) / n - cols[:, 0])
-        diags.append((int(n), float(gap)))
-    return DriftMap(columns=cols, orbit_length=orbit_length,
-                    diagnostics=tuple(diags))
+    return DriftMap(columns=cols)
 
 
 @dataclass(frozen=True)
@@ -377,11 +368,6 @@ class KingmanDecomposition:
     phi: np.ndarray          # phi(T^k x) for k = 0..length-1
     remainders: np.ndarray   # r_k = rho_k - sum_{j<k} phi_j
     drift: float             # |Pf|, the drift carried by the Birkhoff part
-
-    @property
-    def remainder_drift_series(self) -> np.ndarray:
-        ks = np.arange(1, self.length + 1)
-        return self.remainders[1:] / ks
 
 
 def kingman_decompose(c: HilbertCocycle, length: int, axis: int = 0,

@@ -11,7 +11,7 @@ identity rather than a statistical property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,15 +82,6 @@ class WeightModel:
     def check_dimension(self, d: int) -> None:
         """Raise ValueError when the model cannot weigh the edges of Z^d;
         environments call it when they are made."""
-
-    def spec(self) -> dict:
-        """The model as a config spec, which model_from_spec inverts."""
-        spec = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            spec[f.name] = (v.spec() if isinstance(v, WeightModel)
-                            else list(v) if isinstance(v, tuple) else v)
-        return spec
 
 
 @dataclass(frozen=True)
@@ -290,15 +281,6 @@ class MovingAverage(WeightModel):
         return out
 
 
-def model_from_spec(spec: dict) -> WeightModel:
-    """Inverse of WeightModel.spec(); a bad spec raises ValueError."""
-    # the model table of the config schema, which the cli module builds
-    # on first use from this module's classes
-    from .cli import _model
-
-    return _model().check(spec, "model", {})
-
-
 # --------------------------------------------------------------------------
 # environment
 
@@ -348,21 +330,10 @@ class Environment:
             raise ValueError("weight model produced a negative or nonfinite value")
         return w
 
-    def field_csv(self, center: Site, radius: int, norm: str = "linf") -> str:
-        """The boxed field as CSV text: base coordinates, axis, weight."""
-        rows = self.sample_field(center, radius, norm)
-        header = ",".join([f"base_{k}" for k in range(self.dimension)]
-                          + ["axis", "weight"])
-        lines = [header]
-        for base, axis, w in rows:
-            lines.append(",".join([*(str(c) for c in base), str(axis), repr(w)]))
-        return "\n".join(lines) + "\n"
-
-    def sample_field(self, center: Site, radius: int, norm: str = "linf",
-                     weights_only: bool = False):
-        """All canonical edges with both endpoints in the box, with weights,
-        as (base, axis, weight) rows; with weights_only, just the (m,)
-        weight array in the same order, without the per-edge rows.
+    def sample_field(self, center: Site, radius: int,
+                     norm: str = "linf") -> np.ndarray:
+        """The (m,) weights of all canonical edges with both endpoints in
+        the box, site-major with axes in order.
         Raises MemoryError, before any site is built, when the box's site
         index would hold more than lattice.MAX_INDEX_SLOTS slots (checked
         first: counting the edges of such a box is costly too) or the box
@@ -376,12 +347,9 @@ class Environment:
             raise MemoryError(
                 f"box holds {edges} edges, above the limit {MAX_FIELD_EDGES}")
         if not edges:
-            return np.zeros(0) if weights_only else []
+            return np.zeros(0)
         coords = box.site_array()
         # row-major nonzero keeps the rows site-major, axes in order
         site, axis = np.nonzero(SiteIndex(coords).forward_neighbors() >= 0)
         bases = coords[site]
-        w = self.edge_weights(bases, axis)
-        if weights_only:
-            return w
-        return list(zip(zip(*bases.T.tolist()), axis.tolist(), w.tolist()))
+        return self.edge_weights(bases, axis)

@@ -34,15 +34,6 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def neighbors(s: Site) -> list[Site]:
-    """The 2d lattice neighbors, in axis order with +axis before -axis."""
-    out = []
-    for k in range(len(s)):
-        out.append(tuple(c + 1 if j == k else c for j, c in enumerate(s)))
-        out.append(tuple(c - 1 if j == k else c for j, c in enumerate(s)))
-    return out
-
-
 # The most slots of a SiteIndex table (32 MB of int32).  The table spans
 # the sites' bounding box, which outgrows an ell-1 ball in d >= 4, so box
 # graphs and sampled fields refuse a larger one (BoxRegion.check_index)

@@ -102,11 +102,6 @@ def distribution_function(sample: WeightedSample, alpha: float) -> float:
     return float(np.sum(sample.masses[sample.values > alpha]))
 
 
-def decreasing_rearrangement(sample: WeightedSample) -> StepFunction:
-    """The sample's nonincreasing rearrangement (``sample.rearrangement``)."""
-    return sample.rearrangement
-
-
 def lorentz_norm(sample: WeightedSample, p: float, q: float) -> float:
     """The (p, q) norm of the sample's rearrangement, in closed form.
 
@@ -116,7 +111,7 @@ def lorentz_norm(sample: WeightedSample, p: float, q: float) -> float:
     """
     if p < 1 or q < 1:
         raise ValueError("indices must satisfy p >= 1, q >= 1")
-    star = decreasing_rearrangement(sample)
+    star = sample.rearrangement
     lo = star.breaks[:-1]
     hi = star.breaks[1:]
     v = star.levels
@@ -146,5 +141,4 @@ def lp_norm(sample: WeightedSample, p: float) -> float:
 
 def sample_from_environment(env, center, radius: int) -> WeightedSample:
     """Edge weights in a box as a probability sample (equal masses)."""
-    return WeightedSample.from_values(
-        env.sample_field(center, radius, weights_only=True))
+    return WeightedSample.from_values(env.sample_field(center, radius))

@@ -476,16 +476,6 @@ def ball(env: Environment, center: Site, t: float, box_radius: int) -> list[Site
     return list(zip(*inside.T.tolist()))
 
 
-def sites_to_csv(sites: list[Site]) -> str:
-    """CSV text for site lists (balls, geodesic vertex sequences)."""
-    if not sites:
-        return ""
-    d = len(sites[0])
-    lines = [",".join(f"x_{k}" for k in range(d))]
-    lines += [",".join(str(c) for c in s) for s in sites]
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # structure embedding on finite site sets
 

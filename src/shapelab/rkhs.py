@@ -28,14 +28,6 @@ def _check_disk(z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class DiskPoint:
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _check_disk(self.z))
-
-
-@dataclass(frozen=True)
 class MoebiusMap:
     """Disc automorphism z -> (a*z + b) / (conj(b)*z + conj(a)) with
     |a|^2 - |b|^2 = 1 (an SU(1,1) element up to sign)."""
@@ -80,10 +72,6 @@ class MoebiusMap:
                           "renormalized", RuntimeWarning)
             w *= (1.0 - 1e-15) / abs(w)
         return w
-
-
-def moebius_apply(g: MoebiusMap, z: complex) -> complex:
-    return g.apply(z)
 
 
 def kernel(z: complex, w: complex) -> complex:

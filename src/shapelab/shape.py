@@ -114,11 +114,6 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
 class ShapeEstimate:
     directions: tuple[Site, ...]
     series: tuple[DirectionalSeries, ...]
-    n_max: int
-    n_seeds: int
-
-    def constant(self, i: int) -> float:
-        return self.series[i].estimate
 
     def unit_ball_vertices(self) -> np.ndarray:
         """Boundary points theta / L(theta) of the estimated unit ball."""
@@ -169,8 +164,7 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
     series = tuple(
         directional_constant(model, seeds, theta, n_max, dimension=d, tol=tol)
         for theta in directions)
-    return ShapeEstimate(directions=tuple(directions), series=series,
-                         n_max=n_max, n_seeds=len(list(seeds)))
+    return ShapeEstimate(directions=tuple(directions), series=series)
 
 
 # --------------------------------------------------------------------------

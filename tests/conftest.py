@@ -1,5 +1,6 @@
 import math
 import os
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,19 @@ def brute_force_distance(env, src, dst, box):
 
     rec(src, {src}, 0.0)
     return best
+
+
+def box_edges(center, radius, norm="linf"):
+    """The canonical edges (base, axis) with both endpoints in the box,
+    site-major in lexicographic site order, axes in order, by testing
+    every site of the bounding cube."""
+    def inside(s):
+        offs = [abs(a - c) for a, c in zip(s, center)]
+        return (max(offs) if norm == "linf" else sum(offs)) <= radius
+
+    cube = product(*(range(c - radius, c + radius + 1) for c in center))
+    return [(s, k) for s in cube if inside(s) for k in range(len(center))
+            if inside(s[:k] + (s[k] + 1,) + s[k + 1:])]
 
 
 @pytest.fixture(scope="session")

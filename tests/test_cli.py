@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from shapelab.cli import Config, _cocycle_from_spec, main
+from shapelab.cli import Config, _cocycle_spec, main
 from shapelab.cocycle import kingman_decompose
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -511,7 +511,7 @@ def test_kingman_default_drift_orbit_matches_library(tmp_path):
     doc = {"command": "kingman", "cocycle": spec, "length": 10,
            "output": str(out)}
     assert _run(tmp_path, doc) == 0
-    kd = kingman_decompose(_cocycle_from_spec(spec), 10)
+    kd = kingman_decompose(_cocycle_spec().check(spec, "cocycle", {}), 10)
     rows = [line.split(",") for line in _body(out).splitlines()[1:]]
     assert [float(r[1]) for r in rows] == [float(v) for v in kd.rho[1:]]
     assert [float(r[3]) for r in rows] == [float(v) for v in kd.remainders[1:]]
@@ -638,6 +638,19 @@ def _rkhs_doc(tmp_path, **overrides):
            "output": str(tmp_path / "r.csv")}
     doc.update(overrides)
     return doc
+
+
+@pytest.mark.parametrize("step_scale", [8, 1e3, 1e300, -1e300])
+def test_rkhs_step_scale_that_breaks_the_walk_exits_2(tmp_path, capsys,
+                                                      step_scale):
+    # at scale 8, some of the 1000 steps are refused as non-unimodular
+    # maps; from about 710 up, cosh overflows
+    doc = _rkhs_doc(tmp_path, seed=17, length=1000, step_scale=step_scale)
+    assert _run(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid 'step_scale': ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("make, key, value", [

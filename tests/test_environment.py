@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from shapelab.environment import (Constant, Environment, Exponential,
-                                  MovingAverage, Pareto, Rotation, TwoValued,
-                                  model_from_spec)
+                                  MovingAverage, Pareto, Rotation, TwoValued)
 
+from conftest import box_edges
 from frozen import GOLDEN_EXPONENTIAL_SEED42
 
 MODELS = [
@@ -99,10 +99,11 @@ def test_sample_field_consistency_and_guard(monkeypatch):
     from shapelab import environment
 
     env = Environment(Exponential(1.0), seed=4, dimension=2)
-    rows = env.sample_field((0, 0), 2, norm="linf")
-    assert all(w == env.edge_weight((base, axis)) for base, axis, w in rows)
+    w = env.sample_field((0, 0), 2, norm="linf")
+    edges = box_edges((0, 0), 2, "linf")
     # 5x5 box: 2 axes * 5 * 4 edges
-    assert len(rows) == 40
+    assert len(edges) == 40
+    assert w.tolist() == [env.edge_weight(e) for e in edges]
     monkeypatch.setattr(environment, "MAX_FIELD_EDGES", 100)
     with pytest.raises(MemoryError):
         env.sample_field((0, 0), 300)
@@ -147,14 +148,6 @@ def test_sample_field_checks_the_index_slots_before_counting_edges(
     assert peak < 5 * 2 ** 20
 
 
-def test_model_spec_round_trip():
-    for model in MODELS:
-        again = model_from_spec(model.spec())
-        assert again == model
-    with pytest.raises(ValueError):
-        model_from_spec({"kind": "nope"})
-
-
 def test_invalid_models_rejected():
     with pytest.raises(ValueError):
         Constant(-1.0)
@@ -164,17 +157,6 @@ def test_invalid_models_rejected():
         TwoValued(1.0, 2.0, 1.5)
     with pytest.raises(ValueError):
         MovingAverage(())
-
-
-def test_field_csv_export():
-    env = Environment(Exponential(1.0), seed=4, dimension=2)
-    text = env.field_csv((0, 0), 1)
-    lines = text.strip().splitlines()
-    assert lines[0] == "base_0,base_1,axis,weight"
-    assert len(lines) == 1 + 12  # 3x3 box: 2 axes x 3 x 2 edges
-    base0, base1, axis, w = lines[1].split(",")
-    assert repr(float(w)) == w
-    assert float(w) == env.edge_weight(((int(base0), int(base1)), int(axis)))
 
 
 @pytest.mark.parametrize("model, floor", [
@@ -248,15 +230,15 @@ def test_rotation_rejects_unknown_profile_when_made():
         Rotation(profiles=("identity", "square"))
 
 
-def test_sample_field_weights_only_keeps_the_order():
+def test_sample_field_keeps_the_order():
     env = Environment(Exponential(1.0), seed=6, dimension=3)
-    rows = env.sample_field((1, 0, -1), 2)
-    w = env.sample_field((1, 0, -1), 2, weights_only=True)
-    assert isinstance(w, np.ndarray)
-    assert w.tolist() == [r[2] for r in rows]
+    for norm in ("linf", "l1"):
+        w = env.sample_field((1, 0, -1), 2, norm)
+        assert isinstance(w, np.ndarray)
+        assert w.tolist() == [env.edge_weight(e)
+                              for e in box_edges((1, 0, -1), 2, norm)]
     # a box of radius 0 holds one site and no edge
-    assert env.sample_field((0, 0, 0), 0, weights_only=True).shape == (0,)
-    assert env.sample_field((0, 0, 0), 0) == []
+    assert env.sample_field((0, 0, 0), 0).shape == (0,)
 
 
 BATCH_MODELS = MODELS + [

@@ -9,26 +9,10 @@ import pytest
 
 from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
                               build_path_family, audit_family, default_chain,
-                              enumerate_targets, neighbors, norm1,
-                              path_multiplicity, sub)
+                              enumerate_targets, norm1, path_multiplicity,
+                              sub)
 
 from frozen import LEMMA_COMB_CONSTANT
-
-
-def test_neighbors_d2():
-    assert neighbors((0, 0)) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
-def test_neighbors_d1():
-    assert neighbors((5,)) == [(6,), (4,)]
-
-
-def test_neighbors_d3_distance_one():
-    out = neighbors((1, 1, 1))
-    assert len(out) == 6
-    assert len(set(out)) == 6
-    assert all(norm1(tuple(a - b for a, b in zip(s, (1, 1, 1)))) == 1
-               for s in out)
 
 
 def test_box_membership_exact():

@@ -5,8 +5,10 @@ import pytest
 
 from shapelab.environment import Environment, Exponential
 from shapelab.lorentz import (StepFunction, WeightedSample,
-                              decreasing_rearrangement, distribution_function,
-                              lorentz_norm, lp_norm, sample_from_environment)
+                              distribution_function, lorentz_norm, lp_norm,
+                              sample_from_environment)
+
+from conftest import box_edges
 
 
 def _random_sample(rng):
@@ -34,10 +36,10 @@ def test_distribution_function_nonincreasing():
 
 def test_rearrangement_examples():
     ind = WeightedSample(np.array([1.0, 0.0]), np.array([0.3, 0.7]))
-    f = decreasing_rearrangement(ind)
+    f = ind.rearrangement
     assert f(0.0) == 1.0 and f(0.29) == 1.0 and f(0.3) == 0.0
     two = WeightedSample(np.array([3.0, 1.0]), np.array([0.25, 0.75]))
-    g = decreasing_rearrangement(two)
+    g = two.rearrangement
     assert g(0.1) == 3.0 and g(0.25) == 1.0 and g(0.99) == 1.0 and g(1.0) == 0.0
 
 
@@ -45,7 +47,7 @@ def test_rearrangement_equimeasurable():
     rng = np.random.default_rng(1)
     for _ in range(50):
         s = _random_sample(rng)
-        f = decreasing_rearrangement(s)
+        f = s.rearrangement
         for alpha in rng.uniform(0, 4, 10):
             d1 = distribution_function(s, alpha)
             d2 = sum((f.breaks[i + 1] - f.breaks[i])
@@ -160,12 +162,11 @@ def test_rearrangement_is_sorted_once_per_sample(monkeypatch):
     again = [lorentz_norm(s, p, q) for p, q in
              [(1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (4.0, math.inf)]]
     assert len(sorts) == 1 and again == norms
-    assert decreasing_rearrangement(s) is s.rearrangement
 
 
 def test_sample_from_environment_takes_the_field_weights_in_order():
     env = Environment(Exponential(1.0), seed=8, dimension=2)
     s = sample_from_environment(env, (1, -1), 4)
-    rows = env.sample_field((1, -1), 4)
-    assert s.values.tolist() == [w for _, _, w in rows]
-    assert np.all(s.masses == 1.0 / len(rows))
+    edges = box_edges((1, -1), 4)
+    assert s.values.tolist() == [env.edge_weight(e) for e in edges]
+    assert np.all(s.masses == 1.0 / len(edges))

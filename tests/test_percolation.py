@@ -259,19 +259,6 @@ def test_embedding_json_export():
     assert '"sites"' in doc and '"dist"' in doc
 
 
-def test_sites_to_csv_export():
-    from shapelab.percolation import sites_to_csv
-
-    env = Environment(Constant(1.0), seed=0, dimension=2)
-    b = ball(env, (0, 0), 1.0, 4)
-    text = sites_to_csv(b)
-    lines = text.strip().splitlines()
-    assert lines[0] == "x_0,x_1"
-    assert len(lines) == 1 + len(b)
-    g = geodesic(env, (0, 0), (1, 1), 4)
-    assert sites_to_csv(list(g.path)).count("\n") == len(g.path) + 1
-
-
 # --------------------------------------------------------------------------
 # truncation certificates, per-value states and limited searches
 
