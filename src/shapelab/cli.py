@@ -488,6 +488,14 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
                   n_max=n_max, dimension=d, tol=cfg["tolerance"])
     est = shape.ShapeEstimate(directions=tuple(dirs),
                               series=tuple(_pmap(job, dirs, jobs)))
+    if cfg["polytope_output"]:
+        with np.errstate(all="ignore"):
+            vertices = est.unit_ball_vertices()
+        for s, v in zip(est.series, vertices):
+            if not np.isfinite(v).all():  # L = 0 puts v at infinity
+                raise ConfigError(f"'polytope_output' needs a finite unit "
+                                  f"ball, got time constant {s.estimate!r} "
+                                  f"along {s.direction}", "polytope_output")
 
     columns = [f"dir_{k}" for k in range(d)] + ["L", "stderr", "excluded",
                                                 "flagged"]
@@ -497,7 +505,7 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     _write_csv(cfg, columns, rows)
     if cfg["polytope_output"]:
         _write_json(cfg, cfg["polytope_output"],
-                    {"unit_ball_vertices": est.unit_ball_vertices().tolist()})
+                    {"unit_ball_vertices": vertices.tolist()})
     if est.flagged:
         raise BudgetError("one or more directions exceeded the 10% "
                           "nonconvergence budget")
@@ -675,8 +683,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    # sample_field and BoxGraph raise MemoryError for a box above their
-    # edge or site limit, before they allocate the box
+    # lattice.reserve raises MemoryError for work above the memory budget,
+    # before anything of its size is allocated
     except (BudgetError, ConvergenceError, MemoryError) as err:
         print(f"budget/convergence failure: {err}", file=sys.stderr)
         return 3

@@ -30,9 +30,6 @@ _INV53 = float(2.0 ** -53)
 # at any orbit length.
 ORBIT_CHUNK = 1024
 
-# Environment.sample_field refuses a box of more edges than this
-MAX_FIELD_EDGES = 2_000_000
-
 
 def _mix(h: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
@@ -333,23 +330,11 @@ class Environment:
     def sample_field(self, center: Site, radius: int,
                      norm: str = "linf") -> np.ndarray:
         """The (m,) weights of all canonical edges with both endpoints in
-        the box, site-major with axes in order.
-        Raises MemoryError, before any site is built, when the box's site
-        index would hold more than lattice.MAX_INDEX_SLOTS slots (checked
-        first: counting the edges of such a box is costly too) or the box
-        holds more than MAX_FIELD_EDGES edges."""
-        from .lattice import BoxRegion, SiteIndex
+        the box, site-major with axes in order: the forward weights of the
+        box's graph, which reserves its tables before it builds a site (see
+        percolation.BoxGraph)."""
+        from . import lattice, percolation
 
-        box = BoxRegion(tuple(center), radius, norm)
-        box.check_index()
-        edges = box.edge_count()
-        if edges > MAX_FIELD_EDGES:
-            raise MemoryError(
-                f"box holds {edges} edges, above the limit {MAX_FIELD_EDGES}")
-        if not edges:
-            return np.zeros(0)
-        coords = box.site_array()
-        # row-major nonzero keeps the rows site-major, axes in order
-        site, axis = np.nonzero(SiteIndex(coords).forward_neighbors() >= 0)
-        bases = coords[site]
-        return self.edge_weights(bases, axis)
+        box = lattice.BoxRegion(tuple(center), radius, norm)
+        wt = percolation.BoxGraph(self, box)._wt[0, :, :self.dimension]
+        return wt[np.isfinite(wt)]

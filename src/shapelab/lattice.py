@@ -8,6 +8,8 @@ directly; ``PathFamily.paths`` is a tuple view built only on request.
 ``SiteIndex`` is the one site-to-row lookup: a dense int32 table over the
 bounding box of a site array, which gives the box graph its edges and its
 row queries.
+Every allocation of a box's size in the package first calls ``reserve``
+with its bytes, which refuses anything above the one ``MEMORY_BUDGET``.
 The ell-1 norm is the canonical lattice norm throughout (it is the word
 metric of the standard generators).
 """
@@ -18,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,11 +36,36 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
-# The most slots of a SiteIndex table (32 MB of int32).  The table spans
-# the sites' bounding box, which outgrows an ell-1 ball in d >= 4, so box
-# graphs and sampled fields refuse a larger one (BoxRegion.check_index)
-# before they build or count a site.
-MAX_INDEX_SLOTS = 8_000_000
+# The one memory budget: every allocation of a box's size (a box's rows
+# and sites, a box graph, a search, the bound's ball) first calls reserve
+# with the bytes it is about to hold, worked out from its dtypes and
+# element counts, and is refused above this many.  A box graph holds int64
+# sites, int32 neighbour rows and float64 weights, 8d + 8d + 16d bytes per
+# site and environment, and its build adds a bool edge mask and an int64
+# edge count per site; its site index takes 4 bytes per slot of the box's
+# bounding box, which outgrows an ell-1 ball in d >= 4.  Peaks of build /
+# one search, in bytes per site (tracemalloc, Exponential, 2-core x86_64,
+# numpy 2.4), and the ru_maxrss growth of both:
+#   d=3, radius 48, 152193 sites: 148 / 144, +23 MB (154 B/site);
+#   d=3, radius 72, 508225 sites: 136 / 140, +72 MB (141 B/site);
+#   d=2, radius 700, 981401 sites: 84 / 85, +84 MB (86 B/site);
+#   d=2, radius 1000, 2002001 sites: 83 / 85, +171 MB (85 B/site),
+#   which reserve 167 MB (build) and 193 MB (search).
+# Of the work that the former limits (10**6 sites, 8 * 10**6 index slots)
+# admitted, the d=3 bound ball of radius 90 reserves the most, 237 MB, and
+# of graphs the predecessor search of the d=5 ell-inf radius-7 box, 161 MB.
+MEMORY_BUDGET = 256 * 2 ** 20
+
+
+def reserve(nbytes: int, what: str) -> None:
+    """Raises MemoryError, before anything is allocated, when holding
+    nbytes bytes for what would pass MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        # a count past int's decimal limit is named by its power of ten
+        size = (str(nbytes) if nbytes < 10 ** 18
+                else f"about 10^{math.log10(nbytes):.0f}")
+        raise MemoryError(f"{what} needs {size} bytes, above the memory "
+                          f"budget of {MEMORY_BUDGET} bytes")
 
 
 @dataclass(frozen=True)
@@ -60,27 +87,35 @@ class BoxRegion:
         diff = [abs(a - b) for a, b in zip(s, self.center)]
         return (sum(diff) if self.norm == "l1" else max(diff)) <= self.radius
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The offsets of the first d-1 coordinates, lexicographic, with
-        the largest last-coordinate offset each one admits."""
+        the largest last-coordinate offset each one admits, and the count
+        of sites."""
         d, r = len(self.center), self.radius
-        side = (2 * r + 1,) * (d - 1)
-        head = np.indices(side).reshape(d - 1, math.prod(side)).T - r
+        cube = (2 * r + 1) ** (d - 1)
+        # the dense head and reach (d int64 columns) and their kept copy
+        reserve(16 * d * cube, f"counting a d={d} box of radius {r}")
+        head = np.indices((2 * r + 1,) * (d - 1)).reshape(d - 1, cube).T - r
         if self.norm == "l1":
             reach = r - np.abs(head).sum(axis=1)
         else:
             reach = np.full(len(head), r)
         keep = reach >= 0
-        return head[keep], reach[keep]
+        reach = reach[keep]
+        # in Python ints: 2 * reach + 1 overflows int64 from 2**62 on
+        return head[keep], reach, len(reach) + 2 * int(reach.sum())
 
     def site_array(self) -> np.ndarray:
         """The sites as an (n, d) int64 array in lexicographic order."""
-        head, reach = self._rows()
+        head, reach, n = self._rows()
+        d = len(self.center)
+        # the sites and one column's transient
+        reserve(8 * (d + 1) * n, f"the {n} sites of a box")
         counts = 2 * reach + 1
         center = np.asarray(self.center, dtype=np.int64)
-        out = np.empty((int(counts.sum()), len(center)), dtype=np.int64)
+        out = np.empty((n, d), dtype=np.int64)
         # filled a column at a time, so no transient is the size of out
-        for k in range(len(center) - 1):
+        for k in range(d - 1):
             out[:, k] = np.repeat(head[:, k] + center[k], counts)
         # head row j expands to the run of last coordinates
         # center - reach[j]..center + reach[j]
@@ -95,15 +130,7 @@ class BoxRegion:
         return list(zip(*self.site_array().T.tolist()))
 
     def site_count(self) -> int:
-        return int((2 * self._rows()[1] + 1).sum())
-
-    def edge_count(self) -> int:
-        """Nearest-neighbor edges with both ends in the box, counted
-        without building the sites.  Every lattice line meets the box in
-        one run of sites, which holds one edge fewer than sites; both
-        norms are symmetric under permuting axes, so each axis has as
-        many edges as the last."""
-        return len(self.center) * int((2 * self._rows()[1]).sum())
+        return self._rows()[2]
 
     def index_slots(self) -> int:
         """The slots of the ``SiteIndex`` table over this box's sites,
@@ -111,14 +138,6 @@ class BoxRegion:
         every axis, so the table spans 2r + 1 points per axis plus its
         one slot of padding."""
         return (2 * self.radius + 2) ** len(self.center)
-
-    def check_index(self) -> None:
-        """Raises MemoryError when the box's site index would hold more
-        than MAX_INDEX_SLOTS slots."""
-        slots = self.index_slots()
-        if slots > MAX_INDEX_SLOTS:
-            raise MemoryError(f"site index of the box holds {slots} slots, "
-                              f"above the limit {MAX_INDEX_SLOTS}")
 
 
 class SiteIndex:
@@ -132,9 +151,19 @@ class SiteIndex:
     def __init__(self, sites: np.ndarray):
         self.sites = sites
         self._low = sites.min(axis=0)
-        rel = sites - self._low
-        self._table = np.full(rel.max(axis=0) + 2, -1, dtype=np.int32)
-        self._table[tuple(rel.T)] = np.arange(len(sites))
+        self._table = np.full(sites.max(axis=0) - self._low + 2, -1,
+                              dtype=np.int32)
+        # the step of +e_k in the flattened table
+        self._step = np.array(self._table.strides) // self._table.itemsize
+        self._table.reshape(-1)[self._keys()] = np.arange(len(sites),
+                                                          dtype=np.int32)
+
+    def _keys(self) -> np.ndarray:
+        """Each site's position in the flattened table, with no transient
+        the size of the sites."""
+        keys = self.sites @ self._step
+        keys -= self._low @ self._step
+        return keys
 
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, or -1 for a point that
@@ -152,13 +181,10 @@ class SiteIndex:
     def forward_neighbors(self) -> np.ndarray:
         """Entry (i, k) is the int32 row of sites[i] + e_k, or -1 when
         that point is not a site."""
-        rel = self.sites - self._low
-        n, d = rel.shape
-        out = np.empty((n, d), dtype=np.int32)
-        for k in range(d):
-            rel[:, k] += 1
-            out[:, k] = self._table[tuple(rel.T)]
-            rel[:, k] -= 1
+        keys, flat = self._keys(), self._table.reshape(-1)
+        out = np.empty(self.sites.shape, dtype=np.int32)
+        for k, step in enumerate(self._step):
+            out[:, k] = flat[keys + step]
         return out
 
 
@@ -441,9 +467,9 @@ def audit_family(family: PathFamily) -> FamilyAudit:
     )
 
 
-def enumerate_targets(d: int, max_norm: int) -> Iterator[Site]:
-    """All nonzero sites of ell-1 norm at most max_norm, lexicographically."""
-    rng = range(-max_norm, max_norm + 1)
-    for site in product(rng, repeat=d):
-        if site != (0,) * d and norm1(site) <= max_norm:
-            yield site
+def enumerate_targets(d: int, max_norm: int) -> list[Site]:
+    """All nonzero sites of ell-1 norm at most max_norm, lexicographically:
+    the sites of that ell-1 box around the origin, which is reserved
+    against the memory budget before it is built."""
+    sites = BoxRegion((0,) * d, max_norm, "l1").site_array()
+    return [tuple(s) for s in sites[sites.any(axis=1)].tolist()]

@@ -14,10 +14,10 @@ that is the unboxed value, bit for bit.  A value is converged when it
 moved by less than a tolerance since the previous round, and open
 otherwise.  Refinement stops once no value is open, or at its radius cap.
 Later rounds search only as far as the previous round's largest value,
-since no value can rise.  A box graph refuses, before it builds any site,
-a box of more than ``MAX_BOX_SITES`` sites, or one whose site index would
-hold more than ``lattice.MAX_INDEX_SLOTS`` slots; a search refuses, before
-it allocates, more than ``MAX_BOX_SITES`` nodes (sites times blocks).
+since no value can rise.  A box graph reserves the bytes of its tables
+(see ``lattice.reserve``) before it builds any site, and a search the
+bytes of its graph and its per-node arrays before it allocates, so either
+is refused above ``lattice.MEMORY_BUDGET``.
 
 A box graph holds the box's sites once, as the lexicographic (n, d) int64
 array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
@@ -35,7 +35,7 @@ A box graph can also hold a stack of E environments over one box, for
 statistics over many seeds.  The sites, their index and the neighbour
 table are built once, each environment fills its own block of edge
 weights, and one search from the source's row in every block returns an
-(E, n) array equal, bit for bit, to E separate searches.  The site limit
+(E, n) array equal, bit for bit, to E separate searches.  The budget
 counts the whole stack; the shape module sizes its stacks by
 ``shape.STACK_SITES``.  In the same way one search from k sources of a
 one-environment graph returns the (k, n) array of k separate searches.
@@ -59,27 +59,9 @@ import numpy as np
 
 from . import ConvergenceError
 from .environment import Environment
-from .lattice import BoxRegion, LatticePath, Site, SiteIndex, norm1, sub
+from .lattice import (BoxRegion, LatticePath, Site, SiteIndex, norm1,
+                      reserve, sub)
 
-
-# The most sites a box graph builds, and the most nodes (sites times
-# blocks) one search allocates.  The graph's own tables (int64 sites, the
-# int32 site index and neighbour rows, float64 weights) take about 120
-# bytes per site in d=3 and 72 in d=2, and building or searching adds no
-# transient the size of the box.  Peaks of build / one search, in bytes
-# per site (tracemalloc, Exponential, 2-core x86_64, numpy 2.4), and the
-# ru_maxrss growth of both:
-#   d=3, radius 48, 152193 sites: 148 / 144, +23 MB (151 B/site);
-#   d=3, radius 72, 508225 sites: 136 / 140, +77 MB (152 B/site);
-#   d=2, radius 700, 981401 sites: 84 / 85, +92 MB (94 B/site).
-# So a graph at the limit takes about 0.15 GB in d=3 and 0.1 GB in d=2.
-# The site index is a dense table over the box's bounding box, which
-# outgrows an ell-1 ball in d >= 4, so a box whose index would hold more
-# than lattice.MAX_INDEX_SLOTS slots (32 MB, eight per site of this limit)
-# is refused too; in d <= 3 the site limit comes first.  The largest box
-# that the shipped configs, the benchmark workloads and the test suite
-# build holds 152193 sites (d=3, ell-1 radius 48).
-MAX_BOX_SITES = 1_000_000
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
 # not: a pass costs some twenty numpy calls whatever it relaxes, so on
@@ -219,19 +201,14 @@ class BoxGraph:
         if not self.envs:
             raise ValueError("a stack needs at least one environment")
         # any region with a site_array() can be searched; a BoxRegion is
-        # counted first, so no site of an oversized graph is built: its
-        # index table (which also bounds the cost of counting its sites),
-        # then its sites
+        # counted first, so no site of a graph above the budget is built
         if isinstance(box, BoxRegion):
-            box.check_index()
-            count = box.site_count() * len(self.envs)
-            if count > MAX_BOX_SITES:
-                what = ("box" if len(self.envs) == 1
-                        else f"stack of {len(self.envs)} boxes")
-                raise MemoryError(f"{what} holds {count} sites, above the "
-                                  f"limit {MAX_BOX_SITES}")
+            self._reserve(box.site_count(), len(box.center), box.index_slots())
         self.box = box
         self.sites = box.site_array()
+        if not isinstance(box, BoxRegion):
+            span = self.sites.max(axis=0) - self.sites.min(axis=0) + 2
+            self._reserve(*self.sites.shape, math.prod(span.tolist()))
         self._index = SiteIndex(self.sites)
         n, d = self.sites.shape
         forward = self._index.forward_neighbors()
@@ -266,6 +243,18 @@ class BoxGraph:
             bases = self.sites[rows]
             for w, env in zip(wt, self.envs):
                 w[ahead] = w[back] = env.edge_weights(bases, axes)
+
+    def _reserve(self, n: int, d: int, slots: int) -> None:
+        """Reserves, by dtype, the int64 sites, int32 neighbour rows and
+        float64 weights of each block, the build's bool edge mask and
+        int64 edge counts, the int32 site index and one chunk of hashing
+        transients (tracemalloc: 88 + 32d bytes per edge at most, any
+        model, d = 1..4)."""
+        blocks = len(self.envs)
+        self._bytes = (n * (16 * d + 16 * d * blocks + d + 8) + 4 * slots
+                       + EDGE_CHUNK * (128 + 32 * d))
+        what = "box graph" if blocks == 1 else f"stack of {blocks} box graphs"
+        reserve(self._bytes, f"{what} of {n} sites")
 
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, -1 outside the box."""
@@ -313,10 +302,11 @@ class BoxGraph:
                 raise ValueError(f"sources outside box {self.box}")
         else:
             rows = np.full(len(self.envs), self.row(source))
+        # the graph, per node dist, queued and pred, a mask byte per weight
         nodes = len(rows) * len(self.sites)
-        if nodes > MAX_BOX_SITES:
-            raise MemoryError(f"search of {len(rows)} blocks holds {nodes} "
-                              f"sites, above the limit {MAX_BOX_SITES}")
+        reserve(self._bytes + nodes * (17 if predecessors else 9)
+                + self._wt.size, f"search of {len(rows)} blocks of "
+                f"{len(self.sites)} sites")
         out = _search(self._nbr, self._wt, rows, limit, predecessors)
         if self.stacked or many:
             return out

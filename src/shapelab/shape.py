@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, WeightModel
-from . import percolation
-from .lattice import BoxRegion, Site, norm1
+from .lattice import BoxRegion, Site, norm1, reserve
 from .percolation import OPEN, BoxGraph, ConvergenceError, refine
 
 @dataclass(frozen=True)
@@ -130,22 +129,13 @@ class ShapeEstimate:
 
 def default_directions(d: int, richness: int = 2) -> list[Site]:
     """Primitive integer directions with coordinates up to the richness,
-    spanning all axis sign combinations."""
-    out = []
-    seen = set()
-    rng = range(-richness, richness + 1)
-    from itertools import product
-
-    for v in product(rng, repeat=d):
-        if all(c == 0 for c in v):
-            continue
-        g = math.gcd(*[abs(c) for c in v])
-        prim = tuple(c // g for c in v)
-        if prim not in seen:
-            seen.add(prim)
-            out.append(prim)
-    out.sort()
-    return out
+    spanning all axis sign combinations, sorted.  The candidates are the
+    sites of the ell-inf box of that radius, reserved against the memory
+    budget before they are built."""
+    cube = BoxRegion((0,) * d, richness, "linf").site_array()
+    cube = cube[cube.any(axis=1)]
+    prim = cube // np.gcd.reduce(cube, axis=1)[:, None]
+    return [tuple(v) for v in np.unique(prim, axis=0).tolist()]
 
 
 def check_directions(directions, d: int) -> None:
@@ -173,10 +163,12 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 
 # Maximal functions are searched in stacks of environments over one box
 # (see BoxGraph), of at most this many sites in all; a box larger than
-# this is searched alone.  Building and searching a stack takes about 60
-# (d=2) to 140 (d=3) bytes of peak memory per site (tracemalloc: 30 boxes
-# of 545 sites, 19 of 833), and up to about 300 in a stack of a few larger
-# boxes, which hashes each box's edges in one call.  A search costs
+# this is searched alone.  This sets speed, not memory: every stack is
+# reserved against lattice.MEMORY_BUDGET, as any box graph is.  Building
+# and searching a stack takes about 60 (d=2) to 140 (d=3) bytes of peak
+# memory per site (tracemalloc: 30 boxes of 545 sites, 19 of 833), and up
+# to about 300 in a stack of a few larger boxes, which hashes each box's
+# edges in one call.  A search costs
 # mostly its passes, whose number does not grow with the stack, so larger
 # stacks pay off: 500 seeds of a 545-site box (d=2, W=8) take a median
 # 0.24 s in stacks of 16384 sites against 0.34 s in stacks of 4096, for
@@ -272,13 +264,12 @@ def maximal_bound_rhs(env: Environment, n: Site, constant: float) -> float:
 
     # every site the bound reads lies in the ball of radius 2|n|: the top
     # coordinate subspace is that whole ball, and the half-ball around n
-    # stays inside it; it is counted before it is built, as a box graph is
+    # stays inside it; the ball, its envelope and the envelope's hashing
+    # (tracemalloc: 80 + 40d bytes per site at most, any model, d = 2..4)
+    # are reserved before they are built, as a box graph is
     box = BoxRegion((0,) * d, 2 * N, "l1")
-    box.check_index()
     count = box.site_count()
-    if count > percolation.MAX_BOX_SITES:
-        raise MemoryError(f"ball holds {count} sites, above the limit "
-                          f"{percolation.MAX_BOX_SITES}")
+    reserve((96 + 48 * d) * count, f"bound ball of {count} sites")
     ball = box.site_array()
     f = generator_sup_field(env, ball)
 

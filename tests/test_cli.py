@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -318,9 +320,12 @@ def test_bad_embed_sites_is_config_error(tmp_path, capsys, sites):
     _assert_config_error(tmp_path, capsys, doc, "sites")
 
 
-def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys):
-    # a d=1 box of radius R holds 2R edges: two above sample_field's
-    # default limit of 2_000_000, and refused before any site is built
+def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # a d=1 box of radius R holds 2R + 1 sites, a graph of about 93 MB at
+    # this radius, and is refused before any site is built
+    from shapelab import lattice
+
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
     doc = {
         "command": "lorentz-norm",
         "model": {"kind": "exponential", "rate": 1.0},
@@ -332,7 +337,9 @@ def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys):
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3
-    assert "Traceback" not in err and "2000002 edges" in err
+    assert "Traceback" not in err
+    assert "box graph of 2000003 sites needs" in err
+    assert "above the memory budget of 50000000 bytes" in err
 
 
 def test_shape_without_converged_distances_exits_3(tmp_path, capsys):
@@ -600,17 +607,19 @@ def test_two_valued_shape_with_zero_tolerance_is_certified(tmp_path):
 def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     # exponential distances never certify and tolerance 0 never converges,
     # so refinement runs to radius 96 = 16 * gap, a ball of 1198337 sites
+    # whose graph takes about 162 MB
+    from shapelab import lattice
     from shapelab.lattice import BoxRegion
-    from shapelab.percolation import MAX_BOX_SITES
 
     build = BoxRegion.site_array
 
     def guarded(self):
-        if self.site_count() > MAX_BOX_SITES:
-            raise RuntimeError("site array built above the limit")
+        if self.radius > 48:
+            raise RuntimeError("site array built above the budget")
         return build(self)
 
     monkeypatch.setattr(BoxRegion, "site_array", guarded)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
     doc = _shape_doc(tmp_path, dimension=3,
                      model={"kind": "exponential", "rate": 1.0},
                      directions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -618,18 +627,24 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3
-    assert "Traceback" not in err and "1198337 sites" in err
+    assert "Traceback" not in err
+    assert "box graph of 1198337 sites needs" in err
 
 
-def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys):
+def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys,
+                                                     monkeypatch):
     # 709 sites on a line, searched at once in a box of 1417 sites: one
-    # search of 1004653 nodes
+    # search of 1004653 nodes, about 12 MB with its graph
+    from shapelab import lattice
+
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 7)
     doc = _embed_doc(tmp_path, dimension=1,
                      sites=[[x] for x in range(-354, 355)])
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3
-    assert "Traceback" not in err and "1004653 sites" in err
+    assert "Traceback" not in err
+    assert "search of 709 blocks of 1417 sites needs" in err
     assert not (tmp_path / "emb.json").exists()
 
 
@@ -837,6 +852,55 @@ def test_dimension_beyond_int64_exits_2(tmp_path, capsys, value):
     assert err.startswith("config error: 'dimension' must be")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("dimension", [70, 1_000_000])
+def test_audit_of_a_large_dimension_exits_3_at_once(tmp_path, capsys,
+                                                    dimension):
+    # the targets are the sites of an ell-1 box, whose count is reserved
+    # before its rows are built: 3**(d-1) rows of d columns
+    doc = _audit_doc(tmp_path, dimension=dimension, max_norm=1)
+    start = time.perf_counter()
+    assert _run(tmp_path, doc) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget/convergence failure: counting a "
+                          f"d={dimension} box of radius 1 needs about 10^")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("dimension", [40, 1_000_000])
+def test_shape_default_directions_of_a_large_dimension_exit_3_at_once(
+        tmp_path, capsys, dimension):
+    # the (2 * richness + 1)**d candidate directions are reserved before
+    # they are built
+    doc = _shape_doc(tmp_path, dimension=dimension)
+    del doc["directions"]
+    start = time.perf_counter()
+    assert _run(tmp_path, doc) == 3
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget/convergence failure: counting a "
+                          f"d={dimension} box of radius 1 needs about 10^")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+def test_polytope_of_a_zero_time_constant_exits_2(tmp_path, capsys):
+    doc = _shape_doc(tmp_path, model={"kind": "constant", "value": 0},
+                     polytope_output=str(tmp_path / "poly.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'polytope_output' needs a finite "
+                          "unit ball, got time constant 0.0 along (0, 1)")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+    # without a polytope the zero constant is a valid result
+    del doc["polytope_output"]
+    assert _run(tmp_path, doc) == 0
 
 
 def test_bad_samples_csv_or_jobs_exits_2_naming_the_key(tmp_path, capsys,

@@ -96,7 +96,7 @@ def test_moving_average_is_kernel_sum():
 
 
 def test_sample_field_consistency_and_guard(monkeypatch):
-    from shapelab import environment
+    from shapelab import lattice
 
     env = Environment(Exponential(1.0), seed=4, dimension=2)
     w = env.sample_field((0, 0), 2, norm="linf")
@@ -104,21 +104,25 @@ def test_sample_field_consistency_and_guard(monkeypatch):
     # 5x5 box: 2 axes * 5 * 4 edges
     assert len(edges) == 40
     assert w.tolist() == [env.edge_weight(e) for e in edges]
-    monkeypatch.setattr(environment, "MAX_FIELD_EDGES", 100)
-    with pytest.raises(MemoryError):
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 6)
+    with pytest.raises(MemoryError, match=r"needs \d+ bytes, above the "
+                       r"memory budget of 1000000 bytes"):
         env.sample_field((0, 0), 300)
 
 
 def test_sample_field_checks_the_limit_before_building_sites(monkeypatch):
+    from shapelab import lattice
     from shapelab.lattice import BoxRegion
 
     def refuse(box):
         raise AssertionError("sites built for a box above the limit")
 
     monkeypatch.setattr(BoxRegion, "site_array", refuse)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
     env = Environment(Exponential(1.0), seed=4, dimension=2)
-    # 1101 x 1101 sites and 2 * 1101 * 1100 edges
-    with pytest.raises(MemoryError, match="2422200 edges"):
+    # 1101 x 1101 sites, whose graph takes about 99 MB
+    with pytest.raises(MemoryError, match=r"box graph of 1212201 sites "
+                       r"needs \d+ bytes, .* budget of 50000000 bytes"):
         env.sample_field((0, 0), 550)
 
 
@@ -126,21 +130,23 @@ def test_sample_field_checks_the_index_slots_before_counting_edges(
         monkeypatch):
     import tracemalloc
 
-    from shapelab.lattice import MAX_INDEX_SLOTS, BoxRegion
+    from shapelab import lattice
+    from shapelab.lattice import BoxRegion
 
     def refuse(box):
-        raise AssertionError("edges counted for a box above the slot limit")
+        raise AssertionError("sites built for a box above the budget")
 
-    monkeypatch.setattr(BoxRegion, "edge_count", refuse)
     monkeypatch.setattr(BoxRegion, "site_array", refuse)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
     env = Environment(Exponential(1.0), seed=4, dimension=6)
-    # an ell-1 ball of radius 8 in d=6 holds fewer edges than the edge
-    # limit, in a bounding box of 18**6 slots
+    # an ell-1 ball of radius 8 in d=6 holds 40081 sites, in a bounding
+    # box of 18**6 slots (a 136 MB site index); counting its sites walks
+    # the 17**5 rows of a dense head, reserved first at 136 MB
     assert BoxRegion((0,) * 6, 8, "l1").index_slots() == 18 ** 6
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError,
-                           match=f"{18 ** 6} slots.*{MAX_INDEX_SLOTS}"):
+        with pytest.raises(MemoryError, match=r"counting a d=6 box of radius "
+                           r"8 needs 136306272 bytes, .* of 100000000 bytes"):
             env.sample_field((0,) * 6, 8, norm="l1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

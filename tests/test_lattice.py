@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from shapelab.environment import Constant, Environment
 from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
                               build_path_family, audit_family, default_chain,
                               enumerate_targets, norm1, path_multiplicity,
@@ -37,8 +38,10 @@ def test_box_sites_match_product_enumeration(d, norm):
                       if measure(abs(o) for o in off) <= radius]
             assert box.sites() == expect
             assert box.site_count() == len(expect)
+            # the box graph's edges, read back as its sampled field
+            env = Environment(Constant(1.0), seed=0, dimension=d)
             inside = set(expect)
-            assert box.edge_count() == sum(
+            assert len(env.sample_field(center, radius, norm)) == sum(
                 tuple(c + (j == k) for j, c in enumerate(s)) in inside
                 for s in expect for k in range(d))
 
@@ -95,6 +98,16 @@ def test_family_json_round_trip():
     fam = build_path_family((2, -3))
     back = PathFamily.from_json(fam.to_json())
     assert back == fam
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_enumerate_targets_matches_a_product_filter(d):
+    for max_norm in range(1, 6):
+        oracle = [s for s in product(range(-max_norm, max_norm + 1), repeat=d)
+                  if any(s) and norm1(s) <= max_norm]
+        got = enumerate_targets(d, max_norm)
+        assert got == oracle
+        assert all(type(c) is int for s in got for c in s)
 
 
 def test_family_small_grid_d2_exact():

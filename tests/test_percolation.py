@@ -7,14 +7,14 @@ import pytest
 
 from shapelab.environment import (Constant, Environment, Exponential,
                                   MovingAverage, Pareto, Rotation, TwoValued)
-from shapelab import percolation
+from shapelab import lattice, percolation
 from shapelab.lattice import BoxRegion, SiteIndex, norm1, sub
-from shapelab.percolation import (EXACT, MAX_BOX_SITES, OPEN, BoxGraph,
+from shapelab.percolation import (EXACT, OPEN, BoxGraph,
                                   ConvergenceError, ball, distance,
                                   distance_converged, exact_margin, geodesic,
                                   refine, structure_embed)
 
-from conftest import brute_force_distance
+from conftest import box_edges, brute_force_distance
 from frozen import GOLDEN_TWO_VALUED_DISTANCE
 from test_acceptance import (_box_weight_table, _enumeration_oracle,
                              _rect_box)
@@ -351,15 +351,30 @@ def test_limited_search_equals_unlimited_on_reached_sites():
             assert np.all(np.isinf(part[~near]))
 
 
+def _reserved(monkeypatch) -> list:
+    """The byte counts percolation reserves from now on, in call order."""
+    asked = []
+    reserve = percolation.reserve
+
+    def spy(nbytes, what):
+        asked.append(nbytes)
+        reserve(nbytes, what)
+
+    monkeypatch.setattr(percolation, "reserve", spy)
+    return asked
+
+
 def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
     def fail(self):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
-    box = BoxRegion((0, 0, 0), 92, "l1")  # 1055425 sites
-    assert box.site_count() > MAX_BOX_SITES
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
+    box = BoxRegion((0, 0, 0), 92, "l1")  # 1055425 sites, about 144 MB
     env = Environment(Exponential(1.0), seed=0, dimension=3)
-    with pytest.raises(MemoryError, match=f"1055425 sites.*{MAX_BOX_SITES}"):
+    with pytest.raises(MemoryError, match=r"box graph of 1055425 sites needs "
+                       r"\d+ bytes, above the memory budget of 100000000 "
+                       r"bytes"):
         BoxGraph(env, box)
 
 
@@ -403,49 +418,117 @@ def test_one_environment_stack_keeps_single_arrays():
 
 
 def test_stack_is_counted_against_the_site_limit(monkeypatch):
-    from shapelab import percolation
-
     box = BoxRegion((0, 0), 5, "l1")  # 61 sites
-    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
     envs = [Environment(Exponential(1.0), seed=s, dimension=2)
             for s in range(3)]
+    asked = _reserved(monkeypatch)
+    assert BoxGraph(envs[:2], box).distances_from((0, 0)).shape == (2, 61)
+    # the budget that a stack of two and its search just fit
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", max(asked))
     assert BoxGraph(envs[:2], box).distances_from((0, 0)).shape == (2, 61)
 
     def fail(self):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
-    with pytest.raises(MemoryError, match="stack of 3 boxes holds 183 sites"):
+    with pytest.raises(MemoryError, match=r"stack of 3 box graphs of 61 "
+                       rf"sites needs \d+ bytes, .* of {max(asked)} bytes"):
         BoxGraph(envs, box)
 
 
 def test_multi_source_search_is_counted_against_the_site_limit(monkeypatch):
     env = Environment(Exponential(1.0), seed=1, dimension=2)
     g = BoxGraph(env, BoxRegion((0, 0), 5, "l1"))  # 61 sites
-    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
+    asked = _reserved(monkeypatch)
+    assert g.distances_from([(0, 0), (1, 0)]).shape == (2, 61)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", asked[0])
     assert g.distances_from([(0, 0), (1, 0)]).shape == (2, 61)
 
     def fail(*args, **kwargs):
         raise AssertionError("search allocated")
 
     monkeypatch.setattr(percolation, "_search", fail)
-    with pytest.raises(MemoryError, match="3 blocks holds 183 sites"):
+    with pytest.raises(MemoryError, match=r"search of 3 blocks of 61 sites "
+                       rf"needs \d+ bytes, .* of {asked[0]} bytes"):
         g.distances_from([(0, 0), (1, 0), (0, 1)])
 
 
 def test_box_graph_refuses_a_site_index_above_its_limit(monkeypatch):
     def fail(self):
-        raise AssertionError("sites built or counted")
+        raise AssertionError("sites built")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
-    monkeypatch.setattr(BoxRegion, "site_count", fail)
-    # 335137 sites, under the site limit, in a bounding box of 34**5 slots
-    box = BoxRegion((0,) * 5, 16, "l1")
-    assert box.index_slots() == 34 ** 5 > 8 * MAX_BOX_SITES
+    # 13073 sites, whose tables and hashing take about 7.0 MB, in a
+    # bounding box of 18**5 slots, whose site index takes 7.6 MB more
+    box = BoxRegion((0,) * 5, 8, "l1")
+    assert box.site_count() == 13073 and box.index_slots() == 18 ** 5
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 7)
     env = Environment(Exponential(1.0), seed=0, dimension=5)
-    with pytest.raises(MemoryError,
-                       match=f"{34 ** 5} slots.*{8 * MAX_BOX_SITES}"):
+    asked = _reserved(monkeypatch)
+    with pytest.raises(MemoryError, match=r"box graph of 13073 sites needs "
+                       r"\d+ bytes, above the memory budget of 10000000"):
         BoxGraph(env, box)
+    # without its site index the graph would fit
+    assert asked[-1] - 4 * 18 ** 5 <= 10 ** 7 < asked[-1]
+
+
+class _Built(Exception):
+    """Raised in place of building the sites, once a graph is reserved."""
+
+
+@pytest.mark.parametrize("d, norm, radius", [
+    (1, "l1", 499999), (2, "l1", 706), (2, "linf", 499), (3, "l1", 90),
+    (3, "linf", 49), (4, "l1", 25), (4, "linf", 15), (5, "l1", 11),
+    (5, "linf", 7), (6, "l1", 6), (6, "linf", 4), (2, "l1", 1000)])
+def test_budget_admits_the_largest_boxes_of_the_old_limits(monkeypatch, d,
+                                                           norm, radius):
+    # the largest box per dimension and norm under the former limits of
+    # 10**6 sites and 8 * 10**6 site-index slots, and the 2002001-site
+    # d=2 box of radius 1000
+    def built(self):
+        raise _Built
+
+    monkeypatch.setattr(BoxRegion, "site_array", built)
+    env = Environment(Exponential(1.0), seed=0, dimension=d)
+    with pytest.raises(_Built):
+        BoxGraph(env, BoxRegion((0,) * d, radius, norm))
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_builds_and_searches_peak_below_their_reservation(monkeypatch, d,
+                                                          norm):
+    # in d >= 2 boxes whose tables outweigh the hashing allowance, in the
+    # model with the largest hashing transients
+    radius = {1: 1000, 2: (170, 120)[norm == "linf"],
+              3: (30, 15)[norm == "linf"]}[d]
+    box = BoxRegion((0,) * d, radius, norm)
+    envs = [Environment(MovingAverage((0.3, 0.7)), seed=s, dimension=d)
+            for s in range(3)]
+    origin = (0,) * d
+    three = [origin, (1,) + origin[1:], origin[:-1] + (-1,)]
+    asked = _reserved(monkeypatch)
+    tracemalloc.start()
+    try:
+        for env, searches in ((envs[0], [dict(source=origin),
+                                         dict(source=origin,
+                                              predecessors=True),
+                                         dict(source=three)]),
+                              (envs, [dict(source=origin)])):
+            # each peak counts what is held from before, as a search's
+            # reservation counts its graph; no result is kept
+            asked.clear()
+            tracemalloc.reset_peak()
+            g = BoxGraph(env, box)
+            assert tracemalloc.get_traced_memory()[1] <= asked[-1]
+            for kwargs in searches:
+                asked.clear()
+                tracemalloc.reset_peak()
+                g.distances_from(**kwargs)
+                assert tracemalloc.get_traced_memory()[1] <= asked[-1]
+            del g
+    finally:
+        tracemalloc.stop()
 
 
 def test_index_slots_count_the_site_index_table():
@@ -633,7 +716,7 @@ def test_chunked_build_equals_one_call_over_the_box(monkeypatch, model, d):
         return weigh(self, bases, axes)
 
     monkeypatch.setattr(Environment, "edge_weights", spy)
-    m = box.edge_count()
+    m = len(box_edges(box.center, box.radius, "l1"))
     found = []
     for chunk in (7, m):
         monkeypatch.setattr(percolation, "EDGE_CHUNK", chunk)
@@ -675,11 +758,13 @@ def test_building_the_largest_box_peaks_below_40_mb():
     assert peak <= 40e6
 
 
-def test_largest_box_builds_and_searches_without_box_sized_transients():
+def test_largest_box_builds_and_searches_without_box_sized_transients(
+        monkeypatch):
     # the graph's own tables take about 18.5 MB; building and searching
-    # may add only a few MB on top
+    # may add only a few MB on top, and no more than they reserve
     env = Environment(Exponential(1.0), seed=0, dimension=3)
     box = BoxRegion((0, 0, 0), 48, "l1")
+    asked = _reserved(monkeypatch)
     tracemalloc.start()
     try:
         g = BoxGraph(env, box)
@@ -691,6 +776,7 @@ def test_largest_box_builds_and_searches_without_box_sized_transients():
         tracemalloc.stop()
     assert build <= 25e6
     assert search <= 24e6
+    assert build <= asked[0] and search <= asked[1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

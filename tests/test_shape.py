@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shapelab import shape
+from shapelab import lattice, shape
 from shapelab.environment import (Constant, Environment, Exponential,
                                   MovingAverage, Pareto, Rotation, TwoValued)
 from shapelab.lattice import BoxRegion, norm1
@@ -158,10 +158,11 @@ def test_domination_random_grid():
 
 
 def test_bound_ball_is_counted_against_the_site_limit(monkeypatch):
-    from shapelab import percolation
+    from shapelab import lattice
 
     env = Environment(Exponential(1.0), seed=2, dimension=2)
-    monkeypatch.setattr(percolation, "MAX_BOX_SITES", 150)
+    # a ball, its envelope and their hashing take 192 bytes per site in d=2
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 192 * 150)
     # |n| = 4: the ball of radius 8 holds 145 sites
     assert maximal_bound_rhs(env, (3, 1), DOMINATION_CONSTANT[2]) > 0
 
@@ -170,7 +171,8 @@ def test_bound_ball_is_counted_against_the_site_limit(monkeypatch):
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
     # |n| = 5: the ball of radius 10 holds 221 sites
-    with pytest.raises(MemoryError, match="221 sites"):
+    with pytest.raises(MemoryError, match="bound ball of 221 sites needs "
+                       "42432 bytes, above the memory budget of 28800 bytes"):
         maximal_bound_rhs(env, (3, 2), DOMINATION_CONSTANT[2])
 
 
@@ -351,9 +353,11 @@ def test_maximal_window_above_the_site_limit_builds_no_site(monkeypatch):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
     env = Environment(Exponential(1.0), seed=0, dimension=3)
-    # W=46: the radius-92 box holds 1055425 sites
-    with pytest.raises(MemoryError, match="1055425 sites"):
+    # W=46: the radius-92 box holds 1055425 sites, a graph of about 144 MB
+    refused = r"box graph of 1055425 sites needs \d+ bytes, .* of 100000000"
+    with pytest.raises(MemoryError, match=refused):
         maximal_function(env, 46)
-    with pytest.raises(MemoryError, match="1055425 sites"):
+    with pytest.raises(MemoryError, match=refused):
         sample_maximal_stats(Exponential(1.0), range(3), 46, [1.0], 3)

@@ -104,3 +104,23 @@ def test_every_public_library_name_is_used_traced_or_kept():
                 unused.append(key)
     assert unused == []
     assert sorted(set(KEEP) - defined) == []
+
+
+def test_only_the_memory_budget_raises_memory_error():
+    # every refusal of work above the memory budget goes through
+    # lattice.reserve: no module holds a limit of its own
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for top in tree.body
+                   if path.stem == "lattice"
+                   and isinstance(top, ast.FunctionDef)
+                   and top.name == "reserve" for n in ast.walk(top)}
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if (isinstance(exc, ast.Name) and exc.id == "MemoryError"
+                    and id(node) not in allowed):
+                offenders.append(f"{path.stem}.py:{node.lineno}")
+    assert offenders == []
