@@ -41,7 +41,7 @@ from itertools import count
 
 import numpy as np
 
-from .lattice import PathFamily, Site, row_keys
+from .lattice import BoxRegion, PathFamily, Site, row_keys
 
 _RAYS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
 _NEVER = np.iinfo(np.int64).min
@@ -217,10 +217,9 @@ def _trajectories(N: int, M: int) -> tuple[np.ndarray, np.ndarray]:
 def _columns(K: int, limit: int) -> np.ndarray:
     """The cross-plane sites of the ell-1 ball of radius K, by norm and
     then lexicographically, at most limit of them."""
-    ab = np.indices((2 * K + 1, 2 * K + 1)).reshape(2, -1).T - K
-    norm = np.abs(ab).sum(axis=1)
-    order = np.argsort(norm, kind="stable")
-    return ab[order][norm[order] <= K][:limit]
+    ab = BoxRegion((0, 0), K, "l1").site_array()
+    order = np.argsort(np.abs(ab).sum(axis=1), kind="stable")
+    return ab[order[:limit]]
 
 
 def _hooks(N: int, R: int, M: int, needed: int) -> np.ndarray:

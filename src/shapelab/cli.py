@@ -8,10 +8,14 @@ top-level key.  The library modules are bound here unrun (see
 ``shapelab``): checking a config runs the modules its command's table
 reads, and the command's runner those it calls.
 
-Every output file starts with a header carrying the tool version, the
+Every CSV output starts with a header carrying the tool version, the
 hash of the raw config document, and a timestamp; identical configs
-reproduce identical bytes below it.  Exit codes: 0 success, 2 config
-error, 3 budget or convergence failure, 4 internal invariant violation.
+reproduce identical bytes below it.  A JSON output carries the tool
+version, command and config hash as fields and no timestamp, so
+identical configs reproduce it byte for byte.  A value the library
+refuses becomes a config error in ``_blame`` only.  Exit codes: 0
+success, 2 config error, 3 budget or convergence failure, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
@@ -66,6 +71,18 @@ def _fail(path: str, want: str, value):
 
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
+
+
+@contextmanager
+def _blame(path: str):
+    """The one place a value the library refuses becomes a config error
+    naming path; a ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"invalid {path!r}: {err}", path) from None
 
 
 class Float:
@@ -139,14 +156,8 @@ class List:
         return out
 
 
-class Required:
-    """A key's default: none, unless the key named by unless is given."""
-
-    def __init__(self, unless: str | None = None):
-        self.unless = unless
-
-
-REQUIRED, _OWN = Required(), object()
+# the default of a key that must be given, and of one build fills in
+REQUIRED, _OWN = object(), object()
 
 
 class Spec:
@@ -179,19 +190,13 @@ class Spec:
             where = _join(path, key)
             if key in value and not (value[key] is None and default is None):
                 out[key] = kind.check(value[key], where, done)
-            elif isinstance(default, Required):
-                if default.unless not in value:
-                    raise ConfigError(f"missing config key {where!r}", where)
-                out[key] = None
+            elif default is REQUIRED:
+                raise ConfigError(f"missing config key {where!r}", where)
             elif default is not _OWN:
                 out[key] = (None if default is None
                             else kind.check(default, where, done))
-        try:
+        with _blame(path):
             return self.build(**out)
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError(f"invalid {path!r}: {err}", path) from None
 
 
 class Kinds:
@@ -218,11 +223,9 @@ class Model(Kinds):
 
     def check(self, value, path, done):
         model = super().check(value, path, done)
-        try:
-            if done.get("dimension") is not None:
+        if done.get("dimension") is not None:
+            with _blame(path):
                 model.check_dimension(done["dimension"])
-        except ValueError as err:
-            raise ConfigError(f"invalid {path!r}: {err}", path) from None
         return model
 
 
@@ -315,10 +318,15 @@ def _lattice() -> dict:
     return {"dimension": Int(1), "model": _model()}
 
 
-def _potential() -> Spec:
-    return Spec(schrodinger.PotentialModel, {
-        "kind": (STR, "constant"), "energy": FLOAT, "value": FLOAT,
-        "amplitude": FLOAT, "alpha": FLOAT})
+def _potential() -> Kinds:
+    return Kinds({kind: Spec(partial(schrodinger.PotentialModel, kind),
+                             {"energy": FLOAT, **table})
+                  for kind, table in [
+                      ("constant", {"value": FLOAT}),
+                      ("iid_uniform", {"amplitude": FLOAT}),
+                      ("bernoulli", {"amplitude": FLOAT}),
+                      ("rotation", {"amplitude": FLOAT, "alpha": FLOAT})]},
+                 default="constant")
 
 
 def _lyapunov() -> dict:
@@ -340,7 +348,6 @@ SEEDS = Spec(lambda start, count: range(start, start + count),
              {"start": INT, "count": Int(1)})
 _SEED = (INT, 0)
 _SITE = List(INT, length=lambda done: done["dimension"])
-_CSV_OR = Required(unless="samples_csv")
 _TABLES = {
     "shape": lambda: {
         **_lattice(), "seeds": SEEDS, "n_max": Int(4),
@@ -354,11 +361,9 @@ _TABLES = {
         **_lattice(), "seeds": SEEDS, "window_radius": Int(1),
         "lambda_grid": List(Float(1), nonempty=True)},
     "lorentz-norm": lambda: {
-        "samples_csv": (STR, None), "dimension": (Int(1), _CSV_OR),
-        "model": (_model(), _CSV_OR), "seed": _SEED,
-        "box_center": (_SITE, None),
+        **_lattice(), "seed": _SEED, "box_center": (_SITE, None),
         # a box of radius 0 holds no edge, so no sample
-        "box_radius": (Int(1), _CSV_OR),
+        "box_radius": Int(1),
         "indices": List(List(Float(1, finite=False), length=2))},
     "lyapunov": lambda: {"potential": _potential(), **_lyapunov()},
     "schrodinger-scan": lambda: {"potential": _potential(),
@@ -450,11 +455,8 @@ def _jobs(cli_jobs: int | None) -> int:
     if cli_jobs is not None:
         return max(1, cli_jobs)
     env = os.environ.get("SHAPELAB_JOBS")
-    try:
+    with _blame("SHAPELAB_JOBS"):
         return max(1, int(env)) if env else 1
-    except ValueError:
-        raise ConfigError(f"SHAPELAB_JOBS must be an integer, got {env!r}",
-                          "SHAPELAB_JOBS") from None
 
 
 def _pmap(fn, items, jobs: int):
@@ -462,7 +464,9 @@ def _pmap(fn, items, jobs: int):
         return [fn(it) for it in items]
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once, so never more than items
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -479,11 +483,8 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
         dirs = shape.default_directions(d, cfg["direction_richness"])
     dirs = sorted(dirs)
     if cfg["polytope_output"]:
-        try:
+        with _blame("directions"):
             shape.check_directions(dirs, d)
-        except ValueError as err:
-            raise ConfigError(f"invalid 'directions': {err}",
-                              "directions") from None
     job = partial(shape.directional_constant, cfg["model"], seeds,
                   n_max=n_max, dimension=d, tol=cfg["tolerance"])
     est = shape.ShapeEstimate(directions=tuple(dirs),
@@ -520,19 +521,11 @@ def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_lorentz_norm(cfg: Config, offset: int, jobs: int) -> None:
-    if cfg["samples_csv"] is not None:
-        try:
-            raw = np.loadtxt(cfg["samples_csv"], delimiter=",", ndmin=2)
-            sample = lorentz.WeightedSample(raw[:, 0], raw[:, 1])
-        except (OSError, ValueError, IndexError) as err:
-            raise ConfigError(f"'samples_csv' must name a CSV file of value, "
-                              f"mass rows: {err}", "samples_csv") from None
-    else:
-        d = cfg["dimension"]
-        env = environment.Environment(cfg["model"], seed=cfg["seed"] + offset,
-                                      dimension=d)
-        sample = lorentz.sample_from_environment(env, cfg["box_center"] or (0,) * d,
-                                         cfg["box_radius"])
+    d = cfg["dimension"]
+    env = environment.Environment(cfg["model"], seed=cfg["seed"] + offset,
+                                  dimension=d)
+    sample = lorentz.sample_from_environment(
+        env, cfg["box_center"] or (0,) * d, cfg["box_radius"])
     rows = [(p, q, lorentz.lorentz_norm(sample, p, q)) for p, q in cfg["indices"]]
     _write_csv(cfg, ["p", "q", "norm"], rows)
 
@@ -579,10 +572,8 @@ def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
     dm = cocycle.drift_map(c, cfg["drift_orbit"])
     rows = []
     for n in cfg["targets"]:
-        try:
+        with _blame("eta"):
             row = [*n, cocycle.horofunction_limit(c, eta, n, dm)]
-        except cocycle.DegenerateDirectionError as err:
-            raise ConfigError(f"invalid 'eta': {err}", "eta") from None
         for t in t_grid:
             m = tuple(int(round(t * x)) for x in eta)
             row.append(cocycle.horofunction_empirical(c, m, n))
@@ -593,20 +584,15 @@ def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_spectral_rate(cfg: Config, offset: int, jobs: int) -> None:
-    try:
+    with _blame("sample"):
         rows = cocycle.spectral_rate(cfg["sample"], cfg["n_grid"])
-    except ValueError as err:
-        raise ConfigError(f"invalid 'sample': {err}", "sample") from None
     _write_csv(cfg, ["n", "R_n", "R_n_over_n"], rows)
 
 
 def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
-    try:
+    with _blame("step_scale"):
         inc = rkhs.random_walk(cfg["seed"] + offset, cfg["length"],
                                cfg["step_scale"])
-    except (ValueError, OverflowError) as err:
-        raise ConfigError(f"invalid 'step_scale': {err}",
-                          "step_scale") from None
     _write_csv(cfg, ["n", "kernel_metric", "hyperbolic"],
                rkhs.large_scale_compare(inc))
 

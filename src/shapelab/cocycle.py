@@ -160,8 +160,8 @@ def add_generators(*fs: Callable) -> Callable:
     return f
 
 
-def axis_field_generator(dim_space: int, scale: float = AXIS_SCALE,
-                         tag: int = 0) -> Callable:
+def axis_field_generator(dim_space: int,
+                         scale: float = AXIS_SCALE) -> Callable:
     """IID gaussian vectors attached per axis to that axis's own
     coordinate: f_k at a site reads only the k-th coordinate.
 
@@ -175,7 +175,7 @@ def axis_field_generator(dim_space: int, scale: float = AXIS_SCALE,
         start = dyn.point(offset)[axis]  # seeded shifts only
         counters = np.empty((count, 2 * dim_space, 5), dtype=np.int64)
         counters[..., 0] = 23
-        counters[..., 1] = tag
+        counters[..., 1] = 0
         counters[..., 2] = axis
         counters[..., 3] = start + np.arange(count)[:, None]
         counters[..., 4] = np.arange(2 * dim_space)

@@ -92,14 +92,20 @@ class BoxRegion:
         the largest last-coordinate offset each one admits, and the count
         of sites."""
         d, r = len(self.center), self.radius
-        cube = (2 * r + 1) ** (d - 1)
+        side = 2 * r + 1
+        cube = side ** (d - 1)
         # the dense head and reach (d int64 columns) and their kept copy
         reserve(16 * d * cube, f"counting a d={d} box of radius {r}")
-        head = np.indices((2 * r + 1,) * (d - 1)).reshape(d - 1, cube).T - r
-        if self.norm == "l1":
-            reach = r - np.abs(head).sum(axis=1)
-        else:
-            reach = np.full(len(head), r)
+        head = np.empty((cube, d - 1), dtype=np.int64)
+        reach = np.full(cube, r)
+        offsets = np.arange(-r, r + 1)[:, None]
+        # column k runs through the offsets in runs of side**(d-2-k) equal
+        # rows; filled in place, a column at a time, so any d works
+        for k in range(d - 1):
+            runs = (-1, side, side ** (d - 2 - k))
+            head[:, k].reshape(runs, copy=False)[:] = offsets
+            if self.norm == "l1":
+                reach.reshape(runs, copy=False)[:] -= np.abs(offsets)
         keep = reach >= 0
         reach = reach[keep]
         # in Python ints: 2 * reach + 1 overflows int64 from 2**62 on

@@ -779,9 +779,16 @@ BAD_SPECS = [
      "model.base.shape"),
     # potential
     (_lyapunov_doc, {"potential": {"energy": "abc"}}, "potential.energy"),
-    (_lyapunov_doc, {"potential": {"kind": "nope"}}, "potential"),
+    (_lyapunov_doc, {"potential": {"kind": "nope"}}, "potential.kind"),
     (_lyapunov_doc, {"potential": {"kind": "bernoulli", "amplitud": 5}},
      "potential.amplitud"),
+    # a key that the potential's kind never reads
+    (_lyapunov_doc, {"potential": {"kind": "bernoulli", "value": 5.0}},
+     "potential.value"),
+    (_lyapunov_doc, {"potential": {"kind": "constant", "amplitude": 7.0}},
+     "potential.amplitude"),
+    # lorentz-norm samples boxes only
+    (_lorentz_doc, {"samples_csv": "samples.csv"}, "samples_csv"),
     # cocycle dynamics and generator
     (_kingman_doc, {"dynamics": {"alphas": 0.4}}, "cocycle.dynamics.alphas"),
     (_kingman_doc, {"dynamics": {"kind": "flow"}}, "cocycle.dynamics.kind"),
@@ -903,21 +910,117 @@ def test_polytope_of_a_zero_time_constant_exits_2(tmp_path, capsys):
     assert _run(tmp_path, doc) == 0
 
 
-def test_bad_samples_csv_or_jobs_exits_2_naming_the_key(tmp_path, capsys,
-                                                        monkeypatch):
-    one_column = tmp_path / "one.csv"
-    one_column.write_text("1.0\n2.0\n")
-    for csv in (tmp_path / "missing.csv", one_column):
-        doc = {"command": "lorentz-norm", "samples_csv": str(csv),
-               "indices": [[1.0, 1.0]], "output": str(tmp_path / "l.csv")}
-        assert _run(tmp_path, doc) == 2
-        err = capsys.readouterr().err
-        assert "'samples_csv'" in err and "Traceback" not in err
-        assert not (tmp_path / "l.csv").exists()
+def test_bad_shapelab_jobs_exits_2_naming_it(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SHAPELAB_JOBS", "abc")
     assert _run(tmp_path, _rkhs_doc(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "SHAPELAB_JOBS" in err and "Traceback" not in err
+    assert err.startswith("config error: invalid 'SHAPELAB_JOBS': ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+def test_pool_never_asks_for_more_workers_than_items(monkeypatch):
+    # the pool starts all its workers at once: an in-process stand-in
+    # records what it is asked for, and no process starts
+    import concurrent.futures
+
+    from shapelab import cli
+
+    asked = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+    assert cli._pmap(abs, [1, -2, 3], 10 ** 6) == [1, 2, 3]
+    assert asked == [3]
+
+
+def test_scan_jobs_do_not_change_output(tmp_path):
+    doc = _scan_doc(tmp_path, potential={"kind": "bernoulli",
+                                         "amplitude": 1.0},
+                    energies=[2.0, -0.5, 0.0], n_steps=200)
+    assert _run(tmp_path, doc, extra_args=["--jobs", "1"]) == 0
+    serial = _body(doc["output"])
+    assert len(serial.splitlines()) == 4
+    assert _run(tmp_path, doc, extra_args=["--jobs", "2"]) == 0
+    assert _body(doc["output"]) == serial
+
+
+def _spec_types(spec, seen):
+    """Every schema type reachable from spec, each once (a model's base
+    is the model itself)."""
+    from shapelab import cli
+
+    if id(spec) in seen:
+        return
+    seen.add(id(spec))
+    yield spec
+    if isinstance(spec, cli.Spec):
+        for kind, _ in spec.table.values():
+            yield from _spec_types(kind, seen)
+    elif isinstance(spec, cli.Kinds):
+        for sub in spec.specs.values():
+            yield from _spec_types(sub, seen)
+    elif isinstance(spec, cli.List):
+        yield from _spec_types(spec.item, seen)
+
+
+def test_every_kind_keyed_mapping_is_a_kinds_table():
+    # a Spec with a 'kind' key would judge every kind by one table, so
+    # keys its kind never reads would pass
+    from shapelab import cli
+
+    seen = set()
+    specs = [t for command in cli.COMMANDS
+             for t in _spec_types(cli._schema(command), seen)
+             if isinstance(t, cli.Spec)]
+    assert len(specs) > len(cli.COMMANDS)
+    assert [s for s in specs if "kind" in s.table] == []
+
+
+def test_only_blame_turns_a_refusal_into_a_config_error():
+    # every try of cli.py is in one of these, and of their handlers only
+    # _blame's and the config reader's raise
+    import ast
+
+    from shapelab import cli
+
+    allowed = {
+        "_blame": "a refused value becomes a config error",
+        "Float.check": "number parsing",
+        "Config.__init__": "file and YAML reading",
+        "_run_path_family_audit": "a refused family is a 'rejected' row",
+        "main": "each error class becomes its exit code",
+    }
+    raising = {"_blame", "Config.__init__"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = {}
+
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Try):
+                found.setdefault(name, []).extend(
+                    isinstance(sub, ast.Raise) for handler in child.handlers
+                    for sub in ast.walk(handler))
+            walk(child, name)
+
+    walk(tree, "")
+    assert set(found) <= set(allowed)
+    assert {name for name, raises in found.items() if any(raises)} <= raising
 
 
 def _load_perfbench(name, monkeypatch):

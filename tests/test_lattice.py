@@ -100,6 +100,38 @@ def test_family_json_round_trip():
     assert back == fam
 
 
+def test_box_head_matches_an_indices_oracle():
+    # the head is built a column at a time, with no d-axis array, so it
+    # holds in any dimension; np.indices is the oracle where it reaches
+    for d in range(1, 6):
+        for r in range(5):
+            side = 2 * r + 1
+            cube = side ** (d - 1)
+            dense = np.indices((side,) * (d - 1)).reshape(d - 1, cube).T - r
+            for norm in ("l1", "linf"):
+                box = BoxRegion((2, -1, 0, 3, 1)[:d], r, norm)
+                head, reach, n = box._rows()
+                want = (r - np.abs(dense).sum(axis=1) if norm == "l1"
+                        else np.full(len(dense), r))
+                keep = want >= 0
+                assert head.dtype == reach.dtype == np.int64
+                assert np.array_equal(head, dense[keep])
+                assert np.array_equal(reach, want[keep])
+                assert n == keep.sum() + 2 * want[keep].sum()
+
+
+def test_path_family_columns_match_an_indices_oracle():
+    from shapelab._pathfamily import _columns
+
+    for K in range(8):
+        ab = np.indices((2 * K + 1, 2 * K + 1)).reshape(2, -1).T - K
+        norm = np.abs(ab).sum(axis=1)
+        ordered = ab[np.argsort(norm, kind="stable")]
+        ordered = ordered[np.abs(ordered).sum(axis=1) <= K]
+        for limit in (1, 4, 2 * K * K + 2 * K + 1, 1000):
+            assert np.array_equal(_columns(K, limit), ordered[:limit])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_enumerate_targets_matches_a_product_filter(d):
     for max_norm in range(1, 6):

@@ -364,6 +364,15 @@ def _reserved(monkeypatch) -> list:
     return asked
 
 
+def test_radius_0_box_beyond_64_axes_is_refused_by_its_index():
+    # one site, but a site index of 2**70 slots; the box's head holds no
+    # d-axis array, so the index reservation is what refuses it
+    env = Environment(Exponential(1.0), seed=0, dimension=70)
+    with pytest.raises(MemoryError, match=r"box graph of 1 sites needs "
+                       r"about 10\^22 bytes"):
+        BoxGraph(env, BoxRegion((0,) * 70, 0))
+
+
 def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
     def fail(self):
         raise AssertionError("site_array called")
