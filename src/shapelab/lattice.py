@@ -98,14 +98,17 @@ class BoxRegion:
         reserve(16 * d * cube, f"counting a d={d} box of radius {r}")
         head = np.empty((cube, d - 1), dtype=np.int64)
         reach = np.full(cube, r)
-        offsets = np.arange(-r, r + 1)[:, None]
         # column k runs through the offsets in runs of side**(d-2-k) equal
-        # rows; filled in place, a column at a time, so any d works
+        # rows; filled in place, a column at a time, so any d works.  The
+        # offsets (side <= cube entries) exist only when a column does, so
+        # d = 1 allocates nothing of the radius's size
         for k in range(d - 1):
+            offsets = np.arange(-r, r + 1)[:, None]
+            # a 1-D array, strided or not, reshapes to a view
             runs = (-1, side, side ** (d - 2 - k))
-            head[:, k].reshape(runs, copy=False)[:] = offsets
+            head[:, k].reshape(runs)[:] = offsets
             if self.norm == "l1":
-                reach.reshape(runs, copy=False)[:] -= np.abs(offsets)
+                reach.reshape(runs)[:] -= np.abs(offsets)
         keep = reach >= 0
         reach = reach[keep]
         # in Python ints: 2 * reach + 1 overflows int64 from 2**62 on

@@ -877,6 +877,20 @@ def test_audit_of_a_large_dimension_exits_3_at_once(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
+@pytest.mark.parametrize("max_norm", [2 ** 60, 2 ** 62, 2 ** 63 - 1])
+def test_audit_of_a_huge_one_dimensional_norm_exits_3(tmp_path, capsys,
+                                                      max_norm):
+    # a segment of 2 * max_norm + 1 sites is counted in Python ints and
+    # refused by the sites' reservation; no array of its size is built
+    doc = _audit_doc(tmp_path, dimension=1, max_norm=max_norm)
+    assert _run(tmp_path, doc) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget/convergence failure: the "
+                          f"{2 * max_norm + 1} sites of a box needs about 10^")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
 @pytest.mark.parametrize("dimension", [40, 1_000_000])
 def test_shape_default_directions_of_a_large_dimension_exit_3_at_once(
         tmp_path, capsys, dimension):

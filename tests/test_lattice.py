@@ -120,6 +120,20 @@ def test_box_head_matches_an_indices_oracle():
                 assert n == keep.sum() + 2 * want[keep].sum()
 
 
+def test_one_dimensional_box_count_allocates_nothing_of_its_radius():
+    # d = 1 has no head column, so counting a huge segment builds no
+    # array of its radius's size
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert BoxRegion((0,), 10 ** 7).site_count() == 2 * 10 ** 7 + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_path_family_columns_match_an_indices_oracle():
     from shapelab._pathfamily import _columns
 
