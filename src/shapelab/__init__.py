@@ -14,8 +14,8 @@ import sys
 __version__ = "0.1.0"
 
 # the library modules; shapelab.cli is imported as usual
-_LAZY = ("_pathfamily", "cocycle", "environment", "lattice", "lorentz",
-         "percolation", "rkhs", "schrodinger", "shape")
+_LAZY = ("_pathfamily", "_runs", "cocycle", "environment", "lattice",
+         "lorentz", "percolation", "rkhs", "schrodinger", "shape")
 
 
 class ConvergenceError(RuntimeError):

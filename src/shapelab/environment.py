@@ -330,11 +330,11 @@ class Environment:
     def sample_field(self, center: Site, radius: int,
                      norm: str = "linf") -> np.ndarray:
         """The (m,) weights of all canonical edges with both endpoints in
-        the box, site-major with axes in order: the forward weights of the
-        box's graph, which reserves its tables before it builds a site (see
-        percolation.BoxGraph)."""
+        the box, site-major with axes in order: the finite entries of the
+        box graph's (n, d) forward weight table, which the graph reserves
+        before it builds a site (see percolation.BoxGraph)."""
         from . import lattice, percolation
 
         box = lattice.BoxRegion(tuple(center), radius, norm)
-        wt = percolation.BoxGraph(self, box)._wt[0, :, :self.dimension]
+        wt = percolation.BoxGraph(self, box)._wt[0]
         return wt[np.isfinite(wt)]

@@ -5,9 +5,9 @@ A single site is a tuple of ints.  Bulk site sets are int64 arrays of
 shape (n, d): box sites, and the vertices of a whole path family stored
 path after path with per-path offsets, which the family audit reads
 directly; ``PathFamily.paths`` is a tuple view built only on request.
-``SiteIndex`` is the one site-to-row lookup: a dense int32 table over the
-bounding box of a site array, which gives the box graph its edges and its
-row queries.
+A box's sites are lexicographic and fall into runs, blocks of rows that
+share their first d-1 coordinates and step by one in the last; the box
+graph holds them as runs alone (see ``_runs``).
 Every allocation of a box's size in the package first calls ``reserve``
 with its bytes, which refuses anything above the one ``MEMORY_BUDGET``.
 The ell-1 norm is the canonical lattice norm throughout (it is the word
@@ -39,33 +39,54 @@ def sub(a: Site, b: Site) -> Site:
 # The one memory budget: every allocation of a box's size (a box's rows
 # and sites, a box graph, a search, the bound's ball) first calls reserve
 # with the bytes it is about to hold, worked out from its dtypes and
-# element counts, and is refused above this many.  A box graph holds int64
-# sites, int32 neighbour rows and float64 weights, 8d + 8d + 16d bytes per
-# site and environment, and its build adds a bool edge mask and an int64
-# edge count per site; its site index takes 4 bytes per slot of the box's
-# bounding box, which outgrows an ell-1 ball in d >= 4.  Peaks of build /
-# one search, in bytes per site (tracemalloc, Exponential, 2-core x86_64,
-# numpy 2.4), and the ru_maxrss growth of both:
-#   d=3, radius 48, 152193 sites: 148 / 144, +23 MB (154 B/site);
-#   d=3, radius 72, 508225 sites: 136 / 140, +72 MB (141 B/site);
-#   d=2, radius 700, 981401 sites: 84 / 85, +84 MB (86 B/site);
-#   d=2, radius 1000, 2002001 sites: 83 / 85, +171 MB (85 B/site),
-#   which reserve 167 MB (build) and 193 MB (search).
+# element counts, and is refused above this many.  A box graph holds int32
+# neighbour rows and float64 forward weights, 8d + 8d bytes per site and
+# environment, and its runs, 8(d + 2) bytes per run; its build adds an
+# int64 edge count per site, and a search 9 bytes per node and the
+# transients of its passes.  Peaks of build / one search, in bytes per
+# site (tracemalloc, Exponential, 2-core x86_64, numpy 2.4), and the
+# ru_maxrss growth of both:
+#   d=3, radius 48, 152193 sites: 78 / 75, +11 MB (76 B/site);
+#   d=3, radius 72, 508225 sites: 64 / 70, +35 MB (72 B/site);
+#   d=2, radius 700, 981401 sites: 42 / 42, +40 MB (43 B/site);
+#   d=2, radius 1000, 2002001 sites: 41 / 42, +81 MB (42 B/site),
+#   which reserve 84 MB (build) and 230 MB (search).
 # Of the work that the former limits (10**6 sites, 8 * 10**6 index slots)
 # admitted, the d=3 bound ball of radius 90 reserves the most, 237 MB, and
-# of graphs the predecessor search of the d=5 ell-inf radius-7 box, 161 MB.
+# of graphs the predecessor search of the d=5 ell-inf radius-7 box, 225 MB.
 MEMORY_BUDGET = 256 * 2 ** 20
 
 
-def reserve(nbytes: int, what: str) -> None:
+def reserve(nbytes: int, what: str, power: tuple[int, int] = (1, 0)) -> None:
     """Raises MemoryError, before anything is allocated, when holding
-    nbytes bytes for what would pass MEMORY_BUDGET."""
-    if nbytes > MEMORY_BUDGET:
-        # a count past int's decimal limit is named by its power of ten
-        size = (str(nbytes) if nbytes < 10 ** 18
-                else f"about 10^{math.log10(nbytes):.0f}")
-        raise MemoryError(f"{what} needs {size} bytes, above the memory "
-                          f"budget of {MEMORY_BUDGET} bytes")
+    nbytes * base**exp bytes for what would pass MEMORY_BUDGET, where
+    (base, exp) = power."""
+    base, exp = power
+    # a vast power, far above the budget, is refused from its logarithm
+    # before it is computed: 3**(10**7) alone takes seconds
+    log = math.log10(nbytes) + exp * math.log10(base) if nbytes else 0.0
+    exact = log < 19
+    if exact:
+        nbytes *= base ** exp
+        if nbytes <= MEMORY_BUDGET:
+            return
+        log = math.log10(nbytes)
+    # a count past int's decimal limit is named by its power of ten
+    size = (str(nbytes) if exact and nbytes < 10 ** 18
+            else f"about 10^{log:.0f}")
+    raise MemoryError(f"{what} needs {size} bytes, above the memory "
+                      f"budget of {MEMORY_BUDGET} bytes")
+
+
+def reserve_count(d: int, radius: int) -> int:
+    """Reserves counting the sites of a box of dimension d and this radius
+    (its dense head and reach: d int64 columns per head row, and their
+    kept copy) and returns its head rows, (2 radius + 1)**(d - 1)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    side = 2 * radius + 1
+    reserve(16 * d, f"counting a d={d} box of radius {radius}", (side, d - 1))
+    return side ** (d - 1)
 
 
 @dataclass(frozen=True)
@@ -93,9 +114,7 @@ class BoxRegion:
         of sites."""
         d, r = len(self.center), self.radius
         side = 2 * r + 1
-        cube = side ** (d - 1)
-        # the dense head and reach (d int64 columns) and their kept copy
-        reserve(16 * d * cube, f"counting a d={d} box of radius {r}")
+        cube = reserve_count(d, r)
         head = np.empty((cube, d - 1), dtype=np.int64)
         reach = np.full(cube, r)
         # column k runs through the offsets in runs of side**(d-2-k) equal
@@ -122,17 +141,10 @@ class BoxRegion:
         reserve(8 * (d + 1) * n, f"the {n} sites of a box")
         counts = 2 * reach + 1
         center = np.asarray(self.center, dtype=np.int64)
-        out = np.empty((n, d), dtype=np.int64)
-        # filled a column at a time, so no transient is the size of out
-        for k in range(d - 1):
-            out[:, k] = np.repeat(head[:, k] + center[k], counts)
         # head row j expands to the run of last coordinates
         # center - reach[j]..center + reach[j]
-        last = out[:, -1]
-        last[:] = np.repeat(np.cumsum(counts) - counts + reach - center[-1],
-                            counts)
-        np.subtract(np.arange(len(out)), last, out=last)
-        return out
+        return run_sites(head + center[:-1], counts,
+                         np.cumsum(counts) - counts + reach - center[-1])
 
     def sites(self) -> list[Site]:
         """The sites as tuples, in the order of ``site_array``."""
@@ -141,60 +153,27 @@ class BoxRegion:
     def site_count(self) -> int:
         return self._rows()[2]
 
-    def index_slots(self) -> int:
-        """The slots of the ``SiteIndex`` table over this box's sites,
-        counted without building them: both norms reach radius r along
-        every axis, so the table spans 2r + 1 points per axis plus its
-        one slot of padding."""
-        return (2 * self.radius + 2) ** len(self.center)
+    def counts(self) -> tuple[int, int]:
+        """The runs of ``site_array`` (its distinct first d-1 coordinates)
+        and its sites, from one count."""
+        _, reach, n = self._rows()
+        return len(reach), n
 
 
-class SiteIndex:
-    """Row lookup for distinct lattice sites held as an (n, d) int64 array.
-
-    A dense int32 table over the sites' bounding box holds, per lattice
-    point, the row of that point in ``sites`` or -1; callers bound the
-    sites, so rows fit.  It has one slot of padding on the high side of
-    every axis, so the +e_k shift of a site never leaves it."""
-
-    def __init__(self, sites: np.ndarray):
-        self.sites = sites
-        self._low = sites.min(axis=0)
-        self._table = np.full(sites.max(axis=0) - self._low + 2, -1,
-                              dtype=np.int32)
-        # the step of +e_k in the flattened table
-        self._step = np.array(self._table.strides) // self._table.itemsize
-        self._table.reshape(-1)[self._keys()] = np.arange(len(sites),
-                                                          dtype=np.int32)
-
-    def _keys(self) -> np.ndarray:
-        """Each site's position in the flattened table, with no transient
-        the size of the sites."""
-        keys = self.sites @ self._step
-        keys -= self._low @ self._step
-        return keys
-
-    def rows(self, points) -> np.ndarray:
-        """The row of each point of an (m, d) array, or -1 for a point that
-        is not a site.  Points off the table are masked before the read:
-        numpy takes a negative offset as an index from the far end."""
-        points = np.asarray(points, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] != self.sites.shape[1]:
-            raise ValueError("points must be (m, d)")
-        rel = points - self._low
-        inside = np.all((rel >= 0) & (rel < self._table.shape), axis=1)
-        out = np.full(len(rel), -1, dtype=np.int64)
-        out[inside] = self._table[tuple(rel[inside].T)]
-        return out
-
-    def forward_neighbors(self) -> np.ndarray:
-        """Entry (i, k) is the int32 row of sites[i] + e_k, or -1 when
-        that point is not a site."""
-        keys, flat = self._keys(), self._table.reshape(-1)
-        out = np.empty(self.sites.shape, dtype=np.int32)
-        for k, step in enumerate(self._step):
-            out[:, k] = flat[keys + step]
-        return out
+def run_sites(head: np.ndarray, counts: np.ndarray,
+              base: np.ndarray) -> np.ndarray:
+    """The (n, d) int64 sites of runs: run r is counts[r] rows that share
+    the head (first d-1 coordinates) head[r], and row i of it has last
+    coordinate i - base[r].  Filled a column at a time, so no transient is
+    the size of the sites."""
+    n = int(counts.sum())
+    out = np.empty((n, head.shape[1] + 1), dtype=np.int64)
+    for k in range(head.shape[1]):
+        out[:, k] = np.repeat(head[:, k], counts)
+    last = out[:, -1]
+    last[:] = np.repeat(base, counts)
+    np.subtract(np.arange(n), last, out=last)
+    return out
 
 
 def is_elementary(vertices: Sequence[Site]) -> bool:
@@ -480,5 +459,6 @@ def enumerate_targets(d: int, max_norm: int) -> list[Site]:
     """All nonzero sites of ell-1 norm at most max_norm, lexicographically:
     the sites of that ell-1 box around the origin, which is reserved
     against the memory budget before it is built."""
+    reserve_count(d, max_norm)  # before the d-tuple of the center
     sites = BoxRegion((0,) * d, max_norm, "l1").site_array()
     return [tuple(s) for s in sites[sites.any(axis=1)].tolist()]

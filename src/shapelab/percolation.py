@@ -16,32 +16,35 @@ otherwise.  Refinement stops once no value is open, or at its radius cap.
 Later rounds search only as far as the previous round's largest value,
 since no value can rise.  A box graph reserves the bytes of its tables
 (see ``lattice.reserve``) before it builds any site, and a search the
-bytes of its graph and its per-node arrays before it allocates, so either
-is refused above ``lattice.MEMORY_BUDGET``.
+bytes of its graph, its per-node arrays and its passes' transients before
+it allocates, so either is refused above ``lattice.MEMORY_BUDGET``.
 
-A box graph holds the box's sites once, as the lexicographic (n, d) int64
-array of ``BoxRegion.site_array``.  Sites map to rows through the lattice
-module's ``SiteIndex``, and every reader (target profiles, geodesics,
-balls, the embedding) works on rows of that array.  The graph's row
-tables (the site index and the neighbour rows) are int32, since the
-budget keeps every row and node id far below 2**31, and its weights are
-hashed in chunks of exactly ``EDGE_CHUNK`` edges straight into the
-float64 weight table, which is allocated first.  Each chunk's rows are
-found from running per-row edge counts, and a search computes its
-targets from the neighbour rows, so neither builds nor searches holds a
-transient table the size of the box.
+A box graph numbers the box's sites in lexicographic order, the rows of
+``BoxRegion.site_array``, which it reads once and keeps only as runs
+(see ``_runs``); points map to rows by binary search over the runs,
+``sites`` rebuilds the site array on request, and every reader (target
+profiles, geodesics, balls, the embedding) works on rows.  Besides the
+runs the graph holds two tables: the int32 neighbour rows, since the
+budget keeps every row and node id far below 2**31, and the float64
+forward edge weights, one per edge, which a search also reads for the
+edge's backward direction.  Both are allocated first, and the weights
+are hashed in chunks of exactly ``EDGE_CHUNK`` edges straight into their
+table.  Each chunk's rows are found from running per-row edge counts,
+its edges' neighbours from one row offset per run and axis, and a search
+computes its targets from the neighbour rows, so neither builds nor
+searches holds a transient table the size of the box.
 
 A box graph can also hold a stack of E environments over one box, for
-statistics over many seeds.  The sites, their index and the neighbour
-table are built once, each environment fills its own block of edge
-weights, and one search from the source's row in every block returns an
-(E, n) array equal, bit for bit, to E separate searches.  The budget
+statistics over many seeds.  The runs and the neighbour table are built
+once, each environment fills its own block of edge weights, and one
+search from the source's row in every block returns an (E, n) array
+equal, bit for bit, to E separate searches.  The budget
 counts the whole stack; the shape module sizes its stacks by
 ``shape.STACK_SITES``.  In the same way one search from k sources of a
 one-environment graph returns the (k, n) array of k separate searches.
 
 Every search is ``_search``, a bucketed label-correcting search over
-those index tables.  Its weights are the least left folds of path
+those two tables.  Its weights are the least left folds of path
 weights (see ``BoxGraph.distances_from``), the one fixed point that any
 exact shortest-path search reaches, so they do not depend on the order in
 which it relaxes edges.
@@ -59,8 +62,8 @@ import numpy as np
 
 from . import ConvergenceError
 from .environment import Environment
-from .lattice import (BoxRegion, LatticePath, Site, SiteIndex, norm1,
-                      reserve, sub)
+from ._runs import SiteRuns
+from .lattice import BoxRegion, LatticePath, Site, norm1, reserve, sub
 
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
@@ -72,9 +75,10 @@ WHOLE_FRONTIER = 512
 
 # A box graph hashes its edge weights in chunks of this many edges (the
 # last one shorter), straight into its weight table.  A chunk's transients
-# take about 110 bytes per edge, some 2 MB at any box size (7 MB at 65536
-# edges, over a third of the largest built box's tables), and a call of
-# this size hashes no slower per edge than a larger one.  A box of at most
+# take about 130 to 230 bytes per edge by model and dimension, 2 to 4 MB
+# at any box size (9 to 15 MB at 65536 edges, more than the 7.3 MB of the
+# largest built box's tables), and a call of this size hashes no slower
+# per edge than a larger one.  A box of at most
 # this many edges makes one edge_weights call per environment.
 EDGE_CHUNK = 16384
 
@@ -101,41 +105,45 @@ def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
     return BoxRegion(center, radius, "l1")
 
 
-def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
-            limit: float = math.inf, predecessors: bool = False):
+def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
+            sources: np.ndarray, limit: float = math.inf,
+            predecessors: bool = False):
     """Least path weights in B blocks of one graph: block b searches from
     row sources[b] with the weight table wt[b % E].
 
-    nbr is the (n, 2d) neighbour-row table, a row's own row where it has
-    no neighbour, and wt the (E, n, 2d) table of the matching edge
-    weights, inf on those self-loops.  Node b*n + i is row i of block b.
-    Returns the (B, n) weights, inf beyond limit, and with predecessors
-    also the (B, n) predecessor rows, -9999 at the sources and at the
-    sites beyond limit.
+    nbr is the (n, 2d) neighbour-row table, forward along each axis and
+    then backward, a row's own row where it has no neighbour, and wt the
+    (E, n, d) table of forward edge weights, inf where a row has no
+    forward neighbour.  The backward edge of row i along axis k is the
+    forward edge of row nbr[i, d + k], and its weight is read there; a
+    missing backward neighbour is a self-loop, whose candidate never beats
+    the row's own weight.  Node b*n + i is row i of block b.  Returns the
+    (B, n) weights, inf beyond limit, and with predecessors also the
+    (B, n) predecessor rows, -9999 at the sources and at the sites beyond
+    limit.
 
     A bucketed label-correcting search (delta-stepping, Meyer and Sanders
-    2003) with the mean edge weight as bucket width: each pass relaxes
-    every frontier node below the bucket's bound at once, or the whole
-    frontier while it holds at most WHOLE_FRONTIER nodes, and puts the
-    nodes it improved back on the frontier.  Weights at or below limit are
-    final once the frontier's least weight passes limit.  A pass reads its
-    targets from nbr, each node's block base plus its neighbour rows, so a
-    search allocates no (n, 2d) table of its own."""
-    n = len(nbr)
+    2003) with the given bucket width: each pass relaxes every frontier
+    node below the bucket's bound at once, or the whole frontier while it
+    holds at most WHOLE_FRONTIER nodes, and puts the nodes it improved
+    back on the frontier.  Weights at or below limit are final once the
+    frontier's least weight passes limit.  A pass reads its targets from
+    nbr, each node's block base plus its neighbour rows, so a search
+    allocates no (n, 2d) table of its own."""
+    n, d = wt.shape[1:]
     blocks = len(sources)
-    wt = wt.reshape(-1, nbr.shape[1])
+    # entry (e*n + i)*d + k holds the forward weight of row i along axis k
+    # in block e
+    flat = wt.reshape(-1)
+    axes = np.tile(np.arange(d), 2)
+    # k sources search one weight block, a stack's blocks their own
+    shared = len(wt) < blocks
     dist = np.full(blocks * n, np.inf)
     queued = np.zeros(blocks * n, dtype=bool)
     front = np.arange(blocks) * n + sources
     dist[front] = 0.0
     queued[front] = True
     pred = np.full(blocks * n, -9999) if predecessors else None
-    # a mask, not a copy of the finite weights: the width only schedules
-    # the passes
-    finite = np.isfinite(wt)
-    width = float(np.mean(wt, where=finite)) if finite.any() else 0.0
-    width = width or 1.0
-    del finite
     bound = -math.inf
     while front.size:
         here = dist[front]
@@ -150,10 +158,19 @@ def _search(nbr: np.ndarray, wt: np.ndarray, sources: np.ndarray,
             node, here = node[take], here[take]
         queued[node] = False
         row = node % n
-        # node - row is the node's block base
-        target = (node - row)[:, None] + nbr[row]
-        # a stack's node indexes its own weight block, k sources share one
-        cand = here[:, None] + wt[node % len(wt)]
+        base = (node - row)[:, None]  # the node's block base
+        near = nbr[row]
+        target = base + near
+        # each edge's weight, in one read of the table, at the row of its
+        # base site: the node's own row for a forward edge, the row it
+        # reaches for a backward one (int32 entries suffice: the budget
+        # keeps the table below 2**31 entries)
+        near[:, :d] = row[:, None]
+        if not shared:
+            near += base
+        near *= d
+        near += axes
+        cand = here[:, None] + flat[near]
         better = cand < dist[target]
         target, cand = target[better], cand[better]
         np.minimum.at(dist, target, cand)
@@ -180,19 +197,21 @@ class BoxGraph:
     """Weighted nearest-neighbor graph on the sites of one box, for one
     environment or a stack of them.
 
-    ``sites`` is the box's (n, d) int64 site array in lexicographic order;
-    row i of every distance array belongs to sites[i], and ``rows`` maps
-    points back to rows.  The graph is two tables over the rows: the
-    (n, 2d) int32 neighbour rows, forward along each axis and then backward
-    (a row's own row where the box ends), and the (E, n, 2d) float64
-    weights of those edges (inf on the self-loops), one block per
-    environment.  Both are allocated first; the weights are then hashed in
-    site-major chunks of EDGE_CHUNK edges, one ``edge_weights`` call per
+    Row i of every distance array belongs to the i-th site of the box in
+    lexicographic order; ``rows`` maps points to rows, and ``sites``
+    rebuilds the (n, d) int64 site array on request.  The graph keeps the
+    box's sites as their runs (``_runs.SiteRuns``), and besides them two
+    tables over the rows: the (n, 2d) int32 neighbour rows, forward along
+    each axis and then backward (a row's own row where the box ends), and
+    the (E, n, d) float64 forward weights (inf where the box ends), one
+    block per environment; a backward edge is its neighbour's forward
+    edge, so each weight is stored once.  Both tables are allocated first;
+    the weights are then hashed in the site-major chunks of EDGE_CHUNK
+    edges that ``SiteRuns.edges`` yields, one ``edge_weights`` call per
     environment and chunk (one for an edgeless box), and written straight
-    into the table.  A chunk's rows come from the running count of edges
-    per row, so no list of all the box's edges is built.  A stack
-    of E environments shares the sites, their index and the neighbour
-    table, and environment e fills weight block e."""
+    into the table, so no list of the box's edges or sites is built.  A
+    stack of E environments shares the runs and the neighbour table, and
+    environment e fills weight block e."""
 
     def __init__(self, env: Environment | Sequence[Environment],
                  box: BoxRegion):
@@ -200,65 +219,64 @@ class BoxGraph:
         self.envs = tuple(env) if self.stacked else (env,)
         if not self.envs:
             raise ValueError("a stack needs at least one environment")
-        # any region with a site_array() can be searched; a BoxRegion is
-        # counted first, so no site of a graph above the budget is built
+        # any region whose site_array() falls into runs can be searched; a
+        # BoxRegion is counted first, so no site of a graph above the
+        # budget is built
         if isinstance(box, BoxRegion):
-            self._reserve(box.site_count(), len(box.center), box.index_slots())
+            runs, n = box.counts()
+            self._reserve(n, len(box.center), runs)
         self.box = box
-        self.sites = box.site_array()
+        # the site array is read once, into its runs, and not kept; a
+        # region that does not fall into runs raises ValueError
+        self._runs = SiteRuns(box.site_array())
+        n, d = int(self._runs.start[-1]), self._runs.head.shape[1] + 1
         if not isinstance(box, BoxRegion):
-            span = self.sites.max(axis=0) - self.sites.min(axis=0) + 2
-            self._reserve(*self.sites.shape, math.prod(span.tolist()))
-        self._index = SiteIndex(self.sites)
-        n, d = self.sites.shape
-        forward = self._index.forward_neighbors()
-        # the real edges: entry (i, k) for the edge from row i along +e_k
-        edge = forward >= 0
+            self._reserve(n, d, len(self._runs.head))
         self._nbr = np.empty((n, 2 * d), dtype=np.int32)
         self._nbr[:] = np.arange(n, dtype=np.int32)[:, None]
-        np.copyto(self._nbr[:, :d], forward, where=edge)
-        del forward
-        self._wt = np.full((len(self.envs), n, 2 * d), np.inf)
+        self._wt = np.full((len(self.envs), n, d), np.inf)
         nbr = self._nbr.reshape(-1)
         wt = self._wt.reshape(len(self.envs), -1)
-        # the edges are numbered site-major; ends[i] counts those of rows
-        # 0..i, so a chunk's rows are found without listing every edge
-        ends = edge.sum(axis=1)
-        np.cumsum(ends, out=ends)
-        m = int(ends[-1])
+        total, m = 0.0, 0
         # an edgeless box still makes its one call per environment
-        for start in range(0, max(m, 1), EDGE_CHUNK):
-            stop = min(start + EDGE_CHUNK, m)
-            first = int(np.searchsorted(ends, start, side="right"))
-            last = int(np.searchsorted(ends, stop)) + 1
-            skip = start - (int(ends[first - 1]) if first else 0)
-            rows, axes = np.divmod(
-                np.flatnonzero(edge[first:last])[skip:skip + stop - start], d)
-            rows += first
-            # each edge's two slots in the flattened (n, 2d) tables:
-            # forward from its base row, backward from the row it reaches
-            ahead = rows * (2 * d) + axes
-            back = nbr[ahead] * (2 * d) + (axes + d)
-            nbr[back] = rows
-            bases = self.sites[rows]
+        for rows, axes, reach, bases in self._runs.edges(EDGE_CHUNK):
+            m += len(rows)
+            # each edge's slots in the flattened tables: forward from its
+            # base row, backward from the row it reaches
+            nbr[rows * (2 * d) + axes] = reach
+            nbr[reach * (2 * d) + axes + d] = rows
             for w, env in zip(wt, self.envs):
-                w[ahead] = w[back] = env.edge_weights(bases, axes)
+                w[rows * d + axes] = weights = env.edge_weights(bases, axes)
+                total += weights.sum()
+        # the bucket width of every search: the mean edge weight, which
+        # only schedules the passes
+        self._width = float(total / (m * len(self.envs))) if total else 1.0
 
-    def _reserve(self, n: int, d: int, slots: int) -> None:
-        """Reserves, by dtype, the int64 sites, int32 neighbour rows and
-        float64 weights of each block, the build's bool edge mask and
-        int64 edge counts, the int32 site index and one chunk of hashing
+    def _reserve(self, n: int, d: int, runs: int) -> None:
+        """Reserves, by dtype, the int32 neighbour rows and float64 forward
+        weights of each block, the runs (int64 head, start, base and key),
+        and the build's transients: the int64 edge count per row (or,
+        before it, the sites and their run marks, held no longer than
+        that), the per-run row bounds and offsets, and one chunk of hashing
         transients (tracemalloc: 88 + 32d bytes per edge at most, any
         model, d = 1..4)."""
         blocks = len(self.envs)
-        self._bytes = (n * (16 * d + 16 * d * blocks + d + 8) + 4 * slots
+        self._bytes = (n * (8 * d + 8 * d * blocks + 8) + runs * (64 * d + 64)
                        + EDGE_CHUNK * (128 + 32 * d))
         what = "box graph" if blocks == 1 else f"stack of {blocks} box graphs"
         reserve(self._bytes, f"{what} of {n} sites")
 
+    @property
+    def sites(self) -> np.ndarray:
+        """The box's (n, d) int64 site array in lexicographic order, rebuilt
+        from the runs (and reserved with the graph) on every call."""
+        n, d = len(self._nbr), self._runs.head.shape[1] + 1
+        reserve(self._bytes + 8 * (d + 1) * n, f"the {n} sites of a graph")
+        return self._runs.site_array()
+
     def rows(self, points) -> np.ndarray:
         """The row of each point of an (m, d) array, -1 outside the box."""
-        return self._index.rows(points)
+        return self._runs.rows(points)
 
     def row(self, site: Site) -> int:
         """The row of one site; ValueError when it lies outside the box."""
@@ -302,12 +320,15 @@ class BoxGraph:
                 raise ValueError(f"sources outside box {self.box}")
         else:
             rows = np.full(len(self.envs), self.row(source))
-        # the graph, per node dist, queued and pred, a mask byte per weight
-        nodes = len(rows) * len(self.sites)
-        reserve(self._bytes + nodes * (17 if predecessors else 9)
-                + self._wt.size, f"search of {len(rows)} blocks of "
-                f"{len(self.sites)} sites")
-        out = _search(self._nbr, self._wt, rows, limit, predecessors)
+        # the graph; per node dist, queued and pred, and a pass's
+        # transients (tracemalloc: 27d bytes per node at most, stacks of up
+        # to 30 boxes, d = 2..8, any model)
+        n, d = self._wt.shape[1:]
+        nodes = len(rows) * n
+        reserve(self._bytes + nodes * ((17 if predecessors else 9) + 32 * d),
+                f"search of {len(rows)} blocks of {n} sites")
+        out = _search(self._nbr, self._wt, self._width, rows, limit,
+                      predecessors)
         if self.stacked or many:
             return out
         return tuple(a[0] for a in out) if predecessors else out[0]

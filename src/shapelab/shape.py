@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Environment, WeightModel
-from .lattice import BoxRegion, Site, norm1, reserve
+from .lattice import BoxRegion, Site, norm1, reserve, reserve_count
 from .percolation import OPEN, BoxGraph, ConvergenceError, refine
 
 @dataclass(frozen=True)
@@ -132,6 +132,7 @@ def default_directions(d: int, richness: int = 2) -> list[Site]:
     spanning all axis sign combinations, sorted.  The candidates are the
     sites of the ell-inf box of that radius, reserved against the memory
     budget before they are built."""
+    reserve_count(d, richness)  # before the d-tuple of the center
     cube = BoxRegion((0,) * d, richness, "linf").site_array()
     cube = cube[cube.any(axis=1)]
     prim = cube // np.gcd.reduce(cube, axis=1)[:, None]
@@ -165,9 +166,9 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 # (see BoxGraph), of at most this many sites in all; a box larger than
 # this is searched alone.  This sets speed, not memory: every stack is
 # reserved against lattice.MEMORY_BUDGET, as any box graph is.  Building
-# and searching a stack takes about 60 (d=2) to 140 (d=3) bytes of peak
+# and searching a stack takes about 40 (d=2) to 80 (d=3) bytes of peak
 # memory per site (tracemalloc: 30 boxes of 545 sites, 19 of 833), and up
-# to about 300 in a stack of a few larger boxes, which hashes each box's
+# to about 200 in a stack of a few larger boxes, which hashes each box's
 # edges in one call.  A search costs
 # mostly its passes, whose number does not grow with the stack, so larger
 # stacks pay off: 500 seeds of a 545-site box (d=2, W=8) take a median

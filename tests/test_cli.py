@@ -607,7 +607,7 @@ def test_two_valued_shape_with_zero_tolerance_is_certified(tmp_path):
 def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     # exponential distances never certify and tolerance 0 never converges,
     # so refinement runs to radius 96 = 16 * gap, a ball of 1198337 sites
-    # whose graph takes about 162 MB
+    # whose graph takes about 68 MB
     from shapelab import lattice
     from shapelab.lattice import BoxRegion
 
@@ -619,7 +619,7 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
         return build(self)
 
     monkeypatch.setattr(BoxRegion, "site_array", guarded)
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
     doc = _shape_doc(tmp_path, dimension=3,
                      model={"kind": "exponential", "rate": 1.0},
                      directions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -861,7 +861,7 @@ def test_dimension_beyond_int64_exits_2(tmp_path, capsys, value):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
-@pytest.mark.parametrize("dimension", [70, 1_000_000])
+@pytest.mark.parametrize("dimension", [70, 1_000_000, 10_000_000])
 def test_audit_of_a_large_dimension_exits_3_at_once(tmp_path, capsys,
                                                     dimension):
     # the targets are the sites of an ell-1 box, whose count is reserved
@@ -891,7 +891,7 @@ def test_audit_of_a_huge_one_dimensional_norm_exits_3(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
-@pytest.mark.parametrize("dimension", [40, 1_000_000])
+@pytest.mark.parametrize("dimension", [40, 1_000_000, 10_000_000])
 def test_shape_default_directions_of_a_large_dimension_exit_3_at_once(
         tmp_path, capsys, dimension):
     # the (2 * richness + 1)**d candidate directions are reserved before

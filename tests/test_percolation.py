@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapelab.environment import (Constant, Environment, Exponential,
                                   MovingAverage, Pareto, Rotation, TwoValued)
 from shapelab import lattice, percolation
-from shapelab.lattice import BoxRegion, SiteIndex, norm1, sub
+from shapelab.lattice import BoxRegion, norm1, sub
 from shapelab.percolation import (EXACT, OPEN, BoxGraph,
                                   ConvergenceError, ball, distance,
                                   distance_converged, exact_margin, geodesic,
@@ -194,6 +195,71 @@ def test_box_graph_row_lookup(d, norm):
             g.distances_from(outside[-1])
 
 
+@settings(derandomize=True, deadline=None, max_examples=700)
+@given(st.data())
+def test_rows_and_neighbours_match_a_dict_of_tuples(data):
+    # ell-1 and ell-inf balls, and rectangles of side 1..4 (d <= 3)
+    d = data.draw(st.integers(1, 4), label="d")
+    kind = data.draw(st.sampled_from(["l1", "linf", "rect"][:2 + (d < 4)]),
+                     label="kind")
+    center = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=d,
+                                      max_size=d), label="center"))
+    radius = data.draw(st.integers(0, (12, 7, 4, 2)[d - 1]), label="radius")
+    region = (_rect_box(center, min(radius, 3) + 1) if kind == "rect"
+              else BoxRegion(center, radius, kind))
+    sites = region.site_array()
+    row = {s: i for i, s in enumerate(map(tuple, sites.tolist()))}
+    g = BoxGraph(Environment(Constant(1.0), seed=0, dimension=d), region)
+    assert _same_bits(g.sites, sites)
+    # every point of the sites' bounding box widened by two, and points
+    # far outside it on either side
+    lo, hi = sites.min(axis=0) - 2, sites.max(axis=0) + 3
+    grid = np.stack(np.meshgrid(*map(np.arange, lo, hi), indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    far = np.array([[1 << 40] * d, [-(1 << 40)] * d,
+                    list(center[:-1]) + [1 << 40]], dtype=np.int64)
+    points = np.concatenate([grid, far])
+    want = [row.get(p, -1) for p in map(tuple, points.tolist())]
+    assert g.rows(points).tolist() == want
+    # forward along each axis, then backward; a row's own row where the
+    # region ends
+    for s, i in row.items():
+        for k in range(d):
+            for col, step in ((k, 1), (d + k, -1)):
+                near = s[:k] + (s[k] + step,) + s[k + 1:]
+                assert g._nbr[i, col] == row.get(near, i)
+
+
+class _Listed:
+    """A region given by its site list."""
+
+    def __init__(self, sites):
+        self.sites = sites
+
+    def site_array(self):
+        return np.asarray(self.sites, dtype=np.int64)
+
+
+def test_a_region_that_is_not_runs_is_refused():
+    env = Environment(Constant(1.0), seed=0, dimension=2)
+    # a gap inside the run of head (0,)
+    with pytest.raises(ValueError, match="runs of consecutive"):
+        BoxGraph(env, _Listed([(0, 0), (0, 1), (0, 3), (1, 0)]))
+    # runs, but not in lexicographic order
+    with pytest.raises(ValueError, match="lexicographic"):
+        BoxGraph(env, _Listed([(1, 0), (1, 1), (0, 0)]))
+    with pytest.raises(ValueError, match="at least one site"):
+        BoxGraph(env, _Listed(np.zeros((0, 2))))
+    # heads whose bounding box has no int64 keys
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*63"):
+        BoxGraph(Environment(Constant(1.0), seed=0, dimension=3),
+                 _Listed([(0, 0, 0), (1 << 32, 1 << 32, 0)]))
+    # a run may hold one site, and heads need not be adjacent
+    g = BoxGraph(env, _Listed([(0, 5), (3, -1), (3, 0)]))
+    assert g.rows([(3, 0), (0, 5), (1, 5), (3, 1)]).tolist() == [2, 0, -1, -1]
+    assert g.distances_from((3, -1)).tolist() == [math.inf, 0.0, 1.0]
+
+
 def test_ball_is_sorted_list():
     env = Environment(Exponential(1.0), seed=6, dimension=3)
     b = ball(env, (1, 0, -1), 2.0, 5)
@@ -364,13 +430,15 @@ def _reserved(monkeypatch) -> list:
     return asked
 
 
-def test_radius_0_box_beyond_64_axes_is_refused_by_its_index():
-    # one site, but a site index of 2**70 slots; the box's head holds no
-    # d-axis array, so the index reservation is what refuses it
+def test_radius_0_box_beyond_64_axes_builds_its_one_site():
+    # one site in one run, and no table over the box's 2**70-point
+    # bounding cube: the graph holds the site and searches it
     env = Environment(Exponential(1.0), seed=0, dimension=70)
-    with pytest.raises(MemoryError, match=r"box graph of 1 sites needs "
-                       r"about 10\^22 bytes"):
-        BoxGraph(env, BoxRegion((0,) * 70, 0))
+    g = BoxGraph(env, BoxRegion((0,) * 70, 0))
+    assert g.sites.tolist() == [[0] * 70]
+    assert g.rows([(0,) * 70, (0,) * 69 + (1,), (1,) + (0,) * 69]).tolist() \
+        == [0, -1, -1]
+    assert g.distances_from((0,) * 70).tolist() == [0.0]
 
 
 def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
@@ -378,11 +446,11 @@ def test_box_graph_refuses_a_box_above_the_site_limit(monkeypatch):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
-    box = BoxRegion((0, 0, 0), 92, "l1")  # 1055425 sites, about 144 MB
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
+    box = BoxRegion((0, 0, 0), 92, "l1")  # 1055425 sites, about 60 MB
     env = Environment(Exponential(1.0), seed=0, dimension=3)
     with pytest.raises(MemoryError, match=r"box graph of 1055425 sites needs "
-                       r"\d+ bytes, above the memory budget of 100000000 "
+                       r"\d+ bytes, above the memory budget of 50000000 "
                        r"bytes"):
         BoxGraph(env, box)
 
@@ -432,16 +500,16 @@ def test_stack_is_counted_against_the_site_limit(monkeypatch):
             for s in range(3)]
     asked = _reserved(monkeypatch)
     assert BoxGraph(envs[:2], box).distances_from((0, 0)).shape == (2, 61)
-    # the budget that a stack of two and its search just fit
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", max(asked))
-    assert BoxGraph(envs[:2], box).distances_from((0, 0)).shape == (2, 61)
+    # the budget that a stack of two just fits (its search needs more)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", asked[0])
+    assert BoxGraph(envs[:2], box)._bytes == asked[0]
 
     def fail(self):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
     with pytest.raises(MemoryError, match=r"stack of 3 box graphs of 61 "
-                       rf"sites needs \d+ bytes, .* of {max(asked)} bytes"):
+                       rf"sites needs \d+ bytes, .* of {asked[0]} bytes"):
         BoxGraph(envs, box)
 
 
@@ -462,23 +530,20 @@ def test_multi_source_search_is_counted_against_the_site_limit(monkeypatch):
         g.distances_from([(0, 0), (1, 0), (0, 1)])
 
 
-def test_box_graph_refuses_a_site_index_above_its_limit(monkeypatch):
-    def fail(self):
-        raise AssertionError("sites built")
-
-    monkeypatch.setattr(BoxRegion, "site_array", fail)
-    # 13073 sites, whose tables and hashing take about 7.0 MB, in a
-    # bounding box of 18**5 slots, whose site index takes 7.6 MB more
+def test_box_graph_builds_the_box_whose_site_index_broke_the_budget(
+        monkeypatch):
+    # 13073 sites in a bounding box of 18**5 points: a dense int32 table
+    # over that box would need 7.6 MB beside the graph, above a budget of
+    # 10**7 bytes, while the runs take bytes per run
     box = BoxRegion((0,) * 5, 8, "l1")
-    assert box.site_count() == 13073 and box.index_slots() == 18 ** 5
+    assert box.site_count() == 13073
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 7)
     env = Environment(Exponential(1.0), seed=0, dimension=5)
     asked = _reserved(monkeypatch)
-    with pytest.raises(MemoryError, match=r"box graph of 13073 sites needs "
-                       r"\d+ bytes, above the memory budget of 10000000"):
-        BoxGraph(env, box)
-    # without its site index the graph would fit
-    assert asked[-1] - 4 * 18 ** 5 <= 10 ** 7 < asked[-1]
+    g = BoxGraph(env, box)
+    assert asked == [g._bytes] and g._bytes <= 10 ** 7
+    dist = g.distances_from((0,) * 5)
+    assert dist.shape == (13073,) and np.isfinite(dist).all()
 
 
 class _Built(Exception):
@@ -540,12 +605,59 @@ def test_builds_and_searches_peak_below_their_reservation(monkeypatch, d,
         tracemalloc.stop()
 
 
-def test_index_slots_count_the_site_index_table():
-    for center, radius, norm in [((0,), 0, "l1"), ((2, -1), 4, "l1"),
-                                 ((1, 0, 3), 3, "linf"), ((0,) * 4, 2, "l1")]:
+@pytest.mark.parametrize("d, radius", [(2, 120), (3, 30)])
+def test_box_graph_holds_its_two_tables_and_its_runs_only(d, radius):
+    box = BoxRegion((0,) * d, radius, "l1")
+    runs, n = box.counts()
+    BoxGraph(Environment(Exponential(1.0), seed=0, dimension=d),
+             BoxRegion((0,) * d, 2))
+    for blocks in (1, 3):
+        envs = [Environment(MovingAverage((0.3, 0.7)), seed=s, dimension=d)
+                for s in range(blocks)]
+        tracemalloc.start()
+        try:
+            g = BoxGraph(envs if blocks > 1 else envs[0], box)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # int32 neighbour rows and float64 forward weights, plus the runs'
+        # heads, starts and bases and their lookup codes
+        assert held <= (8 * d + 8 * d * blocks) * n + 24 * d * runs + 8192
+        held = {**vars(g), **vars(g._runs)}
+        assert not [k for k, v in held.items()
+                    if isinstance(v, np.ndarray) and v.shape == (n, d)]
+        del g
+
+
+def test_search_reserves_no_weight_mask_and_reuses_its_width(monkeypatch):
+    env = Environment(Exponential(1.0), seed=3, dimension=2)
+    g = BoxGraph(env, BoxRegion((0, 0), 6, "l1"))  # 85 sites
+    # the bucket width is the mean edge weight, found once by the build
+    assert g._width == pytest.approx(np.mean(g._wt[np.isfinite(g._wt)]),
+                                     rel=1e-12)
+    asked = _reserved(monkeypatch)
+    with monkeypatch.context() as m:
+        def mask(*args, **kwargs):
+            raise AssertionError("weight mask built")
+
+        m.setattr(np, "isfinite", mask)
+        g.distances_from((0, 0))
+        g.distances_from((0, 0), predecessors=True)
+    # the graph, per node dist and queued (and pred), and 32d bytes per
+    # node for a pass's transients
+    assert asked == [g._bytes + 85 * (9 + 64), g._bytes + 85 * (17 + 64)]
+
+
+def test_counts_count_the_runs_and_sites_of_the_site_array():
+    for center, radius, norm in [((0,), 0, "l1"), ((5,), 3, "linf"),
+                                 ((2, -1), 4, "l1"), ((1, 0, 3), 3, "linf"),
+                                 ((0,) * 4, 2, "l1")]:
         box = BoxRegion(center, radius, norm)
-        table = SiteIndex(box.site_array())._table
-        assert table.size == box.index_slots()
+        heads = {tuple(s[:-1]) for s in box.site_array().tolist()}
+        assert box.counts() == (len(heads), box.site_count())
+        g = BoxGraph(Environment(Constant(1.0), seed=0,
+                                 dimension=len(center)), box)
+        assert len(g._runs.head) == len(heads)
 
 
 class _NegativeForSeed(Constant):
@@ -685,21 +797,23 @@ def test_multi_source_search_rejects_stacks_and_outside_sites():
 
 
 def _one_call_tables(envs, box):
-    """The neighbour and weight tables of a box graph, each environment's
-    weights from one edge_weights call over the box's edges, grouped by
-    axis (the chunked build goes site by site)."""
+    """The neighbour and forward weight tables of a box graph, the rows
+    from a dict of the sites and each environment's weights from one
+    edge_weights call over the box's edges, grouped by axis (the chunked
+    build goes site by site)."""
     sites = box.site_array()
     n, d = sites.shape
-    forward = SiteIndex(sites).forward_neighbors()
+    row = {s: i for i, s in enumerate(map(tuple, sites.tolist()))}
+    forward = np.array([[row.get(s[:k] + (s[k] + 1,) + s[k + 1:], -1)
+                         for k in range(d)] for s in row]).reshape(n, d)
     axes, rows = np.nonzero(forward.T >= 0)
     cols = forward[rows, axes]
     nbr = np.repeat(np.arange(n, dtype=np.int32), 2 * d).reshape(n, 2 * d)
     nbr[rows, axes] = cols
     nbr[cols, axes + d] = rows
-    wt = np.full((len(envs), n, 2 * d), np.inf)
+    wt = np.full((len(envs), n, d), np.inf)
     for block, env in zip(wt, envs):
-        block[rows, axes] = block[cols, axes + d] = env.edge_weights(
-            sites[rows], axes)
+        block[rows, axes] = env.edge_weights(sites[rows], axes)
     return nbr, wt
 
 
@@ -747,8 +861,10 @@ def test_chunked_build_equals_one_call_over_the_box(monkeypatch, model, d):
 def test_row_tables_are_int32_and_sites_int64():
     env = Environment(Exponential(1.0), seed=0, dimension=3)
     g = BoxGraph(env, BoxRegion((0, 1, 0), 4, "l1"))
-    assert g._nbr.dtype == np.int32
-    assert g._index._table.dtype == np.int32
+    n = len(g._nbr)
+    assert g._nbr.dtype == np.int32 and g._nbr.shape == (n, 6)
+    # one forward weight per edge and axis, not one per edge end
+    assert g._wt.dtype == np.float64 and g._wt.shape == (1, n, 3)
     assert g.sites.dtype == np.int64
     assert g.rows(g.sites).dtype == np.int64
 
@@ -769,7 +885,7 @@ def test_building_the_largest_box_peaks_below_40_mb():
 
 def test_largest_box_builds_and_searches_without_box_sized_transients(
         monkeypatch):
-    # the graph's own tables take about 18.5 MB; building and searching
+    # the graph's own tables take about 7.3 MB; building and searching
     # may add only a few MB on top, and no more than they reserve
     env = Environment(Exponential(1.0), seed=0, dimension=3)
     box = BoxRegion((0, 0, 0), 48, "l1")

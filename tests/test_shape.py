@@ -1,5 +1,7 @@
 import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +78,22 @@ def test_default_directions_primitive_and_spanning():
     assert (1, 0) in dirs and (0, 1) in dirs and (1, 1) in dirs
     assert all(math.gcd(*[abs(c) for c in d]) == 1 for d in dirs)
     assert len(set(dirs)) == len(dirs)
+
+
+def test_default_directions_refuse_a_huge_dimension_at_once():
+    # the count of the 3**d candidates is refused from its logarithm,
+    # before the exact power or the d-tuple of the box's center is built
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(MemoryError, match=r"counting a d=10000000 box of "
+                           r"radius 1 needs about 10\^4771220 bytes"):
+            default_directions(10 ** 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 10 ** 6
 
 
 def test_maximal_function_constant_and_bounded():
@@ -353,10 +371,10 @@ def test_maximal_window_above_the_site_limit_builds_no_site(monkeypatch):
         raise AssertionError("site_array called")
 
     monkeypatch.setattr(BoxRegion, "site_array", fail)
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 10 ** 8)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
     env = Environment(Exponential(1.0), seed=0, dimension=3)
-    # W=46: the radius-92 box holds 1055425 sites, a graph of about 144 MB
-    refused = r"box graph of 1055425 sites needs \d+ bytes, .* of 100000000"
+    # W=46: the radius-92 box holds 1055425 sites, a graph of about 60 MB
+    refused = r"box graph of 1055425 sites needs \d+ bytes, .* of 50000000"
     with pytest.raises(MemoryError, match=refused):
         maximal_function(env, 46)
     with pytest.raises(MemoryError, match=refused):
