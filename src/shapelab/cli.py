@@ -21,8 +21,9 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import atexit
 import datetime
-import hashlib
+import gc
 import inspect
 import json
 import math
@@ -38,6 +39,20 @@ import yaml
 
 from . import (ConvergenceError, __version__, cocycle, environment, lattice,
                lorentz, percolation, rkhs, schrodinger, shape)
+
+# CPython's built-in SHA-256, named _sha2 from 3.12 on: hashlib would
+# load OpenSSL's libcrypto (about 3.7 MB of resident memory) for one
+# digest per output
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
+
+# the interpreter's last collection would walk every object the imports
+# and the run made; frozen objects are skipped.  Registered once here,
+# not run at the end of main, so a process that calls main many times
+# still collects the cycles of each run.
+atexit.register(gc.freeze)
 
 
 class ConfigError(ValueError):
@@ -424,7 +439,7 @@ class Config:
 
     def sha256(self) -> str:
         canon = json.dumps(self.doc, sort_keys=True, default=str)
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
 
 def _header(cfg: Config) -> list[str]:
@@ -514,8 +529,10 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
     seeds = [s + offset for s in cfg["seeds"]]
-    stats = shape.sample_maximal_stats(cfg["model"], seeds, cfg["window_radius"],
-                                 cfg["lambda_grid"], cfg["dimension"])
+    with _blame("lambda_grid"):
+        stats = shape.sample_maximal_stats(
+            cfg["model"], seeds, cfg["window_radius"], cfg["lambda_grid"],
+            cfg["dimension"])
     _write_csv(cfg, ["lambda", "tail", "product"],
                stats.tail_products(cfg["dimension"]))
 

@@ -24,6 +24,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
+_U_MAX = 1.0 - _INV53  # the largest variate counter_uniform returns
 
 # Orbits (transfer products, cocycle generators) are hashed and evaluated
 # in batches of at most this many steps, which bounds their working memory
@@ -76,6 +77,19 @@ class WeightModel:
         positive floor lets refinement certify boxed distances as exact."""
         return 0.0
 
+    def ceiling(self) -> float:
+        """A deterministic upper bound on every float ``weights`` returns,
+        inf when none is known.  The models below refuse, when they are
+        made, parameters whose bound is not finite, so no weight they
+        return overflows."""
+        return math.inf
+
+    def _refuse_overflow(self) -> None:
+        bound = self.ceiling()
+        if not math.isfinite(bound):
+            raise ValueError(f"{self.kind} weights can overflow: their "
+                             f"bound is {bound!r}")
+
     def check_dimension(self, d: int) -> None:
         """Raise ValueError when the model cannot weigh the edges of Z^d;
         environments call it when they are made."""
@@ -97,6 +111,9 @@ class Constant(WeightModel):
     def floor(self):
         return float(self.value)
 
+    def ceiling(self):
+        return float(self.value)
+
 
 @dataclass(frozen=True)
 class Exponential(WeightModel):
@@ -107,10 +124,17 @@ class Exponential(WeightModel):
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("rate must be positive")
+        self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
         u = counter_uniform(seed, _edge_counters(bases, axes, 1))
         return -np.log1p(-u) / self.rate
+
+    def ceiling(self):
+        # weights() at the largest variate: log1p, the division and their
+        # rounding are all monotone
+        with np.errstate(over="ignore"):
+            return float(-np.log1p(-_U_MAX) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -126,6 +150,7 @@ class Pareto(WeightModel):
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
             raise ValueError("shape and scale must be positive")
+        self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
         u = counter_uniform(seed, _edge_counters(bases, axes, 2))
@@ -135,6 +160,11 @@ class Pareto(WeightModel):
         # the power of 1 - u in (0, 1] to a negative exponent is at least 1
         # exactly, so its rounding is too, and so is scale times it
         return float(self.scale)
+
+    def ceiling(self):
+        # weights() at the largest variate, where 1 - u is 2**-53 exactly
+        with np.errstate(over="ignore"):
+            return float(self.scale * np.power(_INV53, -1.0 / self.shape))
 
 
 @dataclass(frozen=True)
@@ -150,6 +180,7 @@ class TwoValued(WeightModel):
             raise ValueError("prob_low must lie in [0,1]")
         if min(self.low, self.high) < 0:
             raise ValueError("values must be nonnegative")
+        self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
         u = counter_uniform(seed, _edge_counters(bases, axes, 3))
@@ -157,6 +188,9 @@ class TwoValued(WeightModel):
 
     def floor(self):
         return float(min(self.low, self.high))
+
+    def ceiling(self):
+        return float(max(self.low, self.high))
 
 
 _PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -166,9 +200,12 @@ _PROFILES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "cosine": lambda x: 0.5 * (1.0 - np.cos(2.0 * math.pi * x)),
     "shifted": lambda x: 0.5 + x,
 }
-# the least value of each profile on [0,1), rounding included
+# the least value of each profile on [0,1), and a bound on its largest,
+# rounding included
 _PROFILE_FLOORS = {"identity": 0.0, "tent": 0.0, "cosine": 0.0,
                    "shifted": 0.5}
+_PROFILE_CEILINGS = {"identity": 1.0, "tent": 1.0, "cosine": 1.0,
+                     "shifted": 1.5}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -240,6 +277,9 @@ class Rotation(WeightModel):
     def floor(self):
         return min(_PROFILE_FLOORS[name] for name in self._names())
 
+    def ceiling(self):
+        return max(_PROFILE_CEILINGS[name] for name in self._names())
+
 
 @dataclass(frozen=True)
 class MovingAverage(WeightModel):
@@ -254,6 +294,7 @@ class MovingAverage(WeightModel):
     def __post_init__(self):
         if not self.kernel or min(self.kernel) < 0:
             raise ValueError("kernel must be nonempty and nonnegative")
+        self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
         out = np.zeros(len(bases), dtype=float)
@@ -273,6 +314,13 @@ class MovingAverage(WeightModel):
         # monotone, so each partial sum stays at or below the computed
         # one; sum(kernel) * base floor rounds differently and need not
         base, out = self.base.floor(), 0.0
+        for coef in self.kernel:
+            out += coef * base
+        return out
+
+    def ceiling(self):
+        # the same accumulation over the base's bound, for the same reason
+        base, out = self.base.ceiling(), 0.0
         for coef in self.kernel:
             out += coef * base
         return out

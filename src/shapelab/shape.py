@@ -136,7 +136,8 @@ def default_directions(d: int, richness: int = 2) -> list[Site]:
     cube = BoxRegion((0,) * d, richness, "linf").site_array()
     cube = cube[cube.any(axis=1)]
     prim = cube // np.gcd.reduce(cube, axis=1)[:, None]
-    return [tuple(v) for v in np.unique(prim, axis=0).tolist()]
+    # not np.unique(prim, axis=0), which imports numpy.ma
+    return sorted(set(map(tuple, prim.tolist())))
 
 
 def check_directions(directions, d: int) -> None:
@@ -222,13 +223,19 @@ class MaximalStats:
 
 def sample_maximal_stats(model: WeightModel, seeds, window_radius: int,
                          lambda_grid, dimension: int) -> MaximalStats:
-    if np.min(np.asarray(lambda_grid, dtype=float)) < 1.0:
+    grid = np.asarray(lambda_grid, dtype=float)
+    if np.min(grid) < 1.0:
         raise ValueError("the tail grid starts at 1")
+    with np.errstate(over="ignore"):  # lam ** d as tail_products takes it
+        big = [lam for lam in grid if not np.isfinite(lam ** dimension)]
+    if big:
+        raise ValueError(f"lambda {float(big[0])!r} to the power "
+                         f"{dimension} overflows")
     envs = [Environment(model, seed=int(seed), dimension=dimension)
             for seed in sorted(seeds)]
     return MaximalStats(window_radius=window_radius,
                         values=maximal_function(envs, window_radius),
-                        lambda_grid=np.asarray(lambda_grid, dtype=float))
+                        lambda_grid=grid)
 
 
 # --------------------------------------------------------------------------

@@ -164,6 +164,17 @@ def test_full_round_trip_floats(tmp_path):
         assert repr(float(d)) == d and repr(float(beta)) == beta
 
 
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_config_hash_is_the_sha256_of_the_canonical_document(config):
+    import hashlib
+
+    cfg = Config(config)
+    canon = json.dumps(yaml.safe_load(config.read_text()), sort_keys=True,
+                       default=str)
+    assert cfg.sha256() == hashlib.sha256(canon.encode()).hexdigest()
+
+
 def test_header_carries_hash_and_version(tmp_path):
     doc = {"command": "rkhs-walk", "length": 5,
            "output": str(tmp_path / "w.csv")}
@@ -409,9 +420,10 @@ def test_commands_without_box_graphs_leave_scipy_unloaded(tmp_path):
     assert out.splitlines() == ["0 []"] * len(runs)
 
 
-# the shapelab modules run by the end of a run of each orbit command (no
-# box graphs): its table's modules and its runner's, no others
-_ORBIT_MODULES = {
+# the shapelab modules run by the end of a run of each command: its
+# table's modules and its runner's, no others
+_RUN_MODULES = {
+    "shape": ["_runs", "environment", "lattice", "percolation", "shape"],
     "schrodinger-scan": ["environment", "schrodinger"],
     "lyapunov": ["environment", "schrodinger"],
     "kingman": ["cocycle", "environment"],
@@ -440,8 +452,12 @@ def test_commands_import_only_their_own_modules(tmp_path):
         {"command": "spectral-rate", "n_grid": [1, 4],
          "sample": {"kind": "geometric", "sigma2": 1.0, "ratio": 0.5}},
         {"command": "path-family-audit", "dimension": 3, "max_norm": 2},
+        # default directions, the box graphs and their searches
+        {"command": "shape", "dimension": 2, "n_max": 4,
+         "model": {"kind": "exponential"}, "seeds": {"start": 0, "count": 1},
+         "direction_richness": 2},
     ]
-    assert sorted(d["command"] for d in docs) == sorted(_ORBIT_MODULES)
+    assert sorted(d["command"] for d in docs) == sorted(_RUN_MODULES)
     # every library module is registered on import; type() reads a
     # registered module without running it, and is ModuleType once it ran
     code = ("import sys, types\n"
@@ -455,7 +471,8 @@ def test_commands_import_only_their_own_modules(tmp_path):
             "print(all(f'shapelab.{m}' in sys.modules for m in "
             "shapelab._LAZY))\n"
             "print(cli.main(sys.argv[1:]), run(),\n"
-            "      'concurrent.futures' in sys.modules)\n")
+            "      'concurrent.futures' in sys.modules,\n"
+            "      '_hashlib' in sys.modules, 'numpy.ma' in sys.modules)\n")
     for doc in docs:
         command = doc["command"]
         cfg = tmp_path / f"{command}.yaml"
@@ -465,9 +482,9 @@ def test_commands_import_only_their_own_modules(tmp_path):
             [sys.executable, "-c", code, command, str(cfg), "--jobs", "1"],
             capture_output=True, text=True, check=True).stdout.splitlines()
         want = ["shapelab", "shapelab.cli"] + [
-            f"shapelab.{m}" for m in _ORBIT_MODULES[command]]
+            f"shapelab.{m}" for m in _RUN_MODULES[command]]
         assert out == [repr(["shapelab", "shapelab.cli"]), "True",
-                       f"0 {sorted(want)!r} False"], command
+                       f"0 {sorted(want)!r} False False False"], command
 
 
 def test_every_library_module_is_registered_lazily():
@@ -710,6 +727,34 @@ def test_rotation_not_matching_the_dimension_is_config_error(
         tmp_path, capsys, make, model, key):
     doc = make(tmp_path, model=model)
     _assert_config_error(tmp_path, capsys, doc, key)
+    assert not Path(doc["output"]).exists()
+
+
+@pytest.mark.parametrize("make, model", [
+    (_embed_doc, {"kind": "pareto", "shape": 0.01}),
+    (_embed_doc, {"kind": "moving_average", "kernel": [1.0e308, 1.0e308]}),
+    (_maximal_tail_doc, {"kind": "exponential", "rate": 1.0e-308}),
+    (_shape_doc, {"kind": "moving_average", "kernel": [1.0e308, 1.0e308],
+                  "base": {"kind": "rotation", "profiles": "shifted"}}),
+], ids=["pareto", "moving_average", "exponential", "moving_average_base"])
+def test_model_whose_weights_can_overflow_exits_2(tmp_path, capsys, make,
+                                                  model):
+    doc = make(tmp_path, model=model)
+    assert _run(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid 'model': ")
+    assert "can overflow" in err and err.count("\n") == 1
+    assert not Path(doc["output"]).exists()
+
+
+def test_lambda_whose_power_overflows_exits_2(tmp_path, capsys):
+    doc = _maximal_tail_doc(tmp_path, lambda_grid=[1.0, 1.0e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: invalid 'lambda_grid': lambda 1e+300 to "
+                   "the power 2 overflows\n")
     assert not Path(doc["output"]).exists()
 
 

@@ -198,6 +198,54 @@ def test_moving_average_floor_follows_the_kernel_order():
     assert sum(model.kernel) * 0.50375 > model.floor()
 
 
+@pytest.mark.parametrize("model, ceiling", [
+    (Constant(2.5), 2.5),
+    (Exponential(0.5), 2.0 * 36.7368005696771),
+    (Pareto(1.5, 0.7), 0.7 * 2.0 ** (53 / 1.5)),
+    (TwoValued(3.0, 1.5, 0.5), 3.0),
+    (Rotation(), 1.0),
+    (Rotation(profiles=("shifted", "cosine", "tent")), 1.5),
+    (MovingAverage((0.1, 0.2), TwoValued(1.0, 2.0)), 0.1 * 2.0 + 0.2 * 2.0),
+], ids=lambda v: None if isinstance(v, float) else type(v).__name__)
+def test_ceiling_bounds_every_sampled_weight(model, ceiling):
+    assert model.ceiling() == pytest.approx(ceiling, rel=1e-12)
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3):
+        bases = rng.integers(-10**6, 10**6, size=(20000, d))
+        axes = rng.integers(0, d, size=20000)
+        w = Environment(model, seed=3, dimension=d).edge_weights(bases, axes)
+        assert w.max() <= model.ceiling()
+
+
+@pytest.mark.parametrize("model", [
+    Exponential(1e-3), Pareto(0.06), Pareto(3.0, 2.5),
+    MovingAverage((0.5, 2.0), Pareto(0.5))],
+    ids=lambda m: type(m).__name__)
+def test_ceiling_is_the_weight_of_the_largest_variate(monkeypatch, model):
+    # counter_uniform never returns more than 1 - 2**-53
+    from shapelab import environment
+
+    monkeypatch.setattr(environment, "counter_uniform",
+                        lambda seed, counters: np.full(len(counters),
+                                                       1.0 - 2.0 ** -53))
+    w = model.weights(0, np.zeros((3, 2), dtype=np.int64), np.arange(3) % 2)
+    assert np.all(w == model.ceiling())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Exponential(1e-308),
+    lambda: Pareto(0.01),
+    lambda: Pareto(2.0, math.inf),
+    lambda: TwoValued(1.0, math.inf),
+    lambda: MovingAverage((1e308, 1e308)),
+    lambda: MovingAverage((1e308, 1e308), Rotation(profiles="shifted")),
+], ids=["exponential", "pareto", "pareto_scale", "two_valued",
+        "moving_average", "moving_average_rotation"])
+def test_models_whose_weights_can_overflow_are_refused(make):
+    with pytest.raises(ValueError, match="can overflow"):
+        make()
+
+
 def test_rotation_floor_rejects_unknown_profiles():
     with pytest.raises(ValueError):
         Rotation(profiles="square").floor()

@@ -2,6 +2,7 @@ import functools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_default_directions_primitive_and_spanning():
     assert len(set(dirs)) == len(dirs)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_default_directions_are_numpy_unique_rows(d):
+    # sorted as np.unique sorts the rows, without importing numpy.ma
+    for richness in (1, 2, 3):
+        dirs = default_directions(d, richness)
+        assert all(type(c) is int for v in dirs for c in v)
+        assert np.unique(np.array(dirs), axis=0).tolist() == list(
+            map(list, dirs))
+    assert default_directions(2, 1) == [(-1, -1), (-1, 0), (-1, 1), (0, -1),
+                                        (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
 def test_default_directions_refuse_a_huge_dimension_at_once():
     # the count of the 3**d candidates is refused from its logarithm,
     # before the exact power or the d-tuple of the box's center is built
@@ -128,6 +141,19 @@ def test_tail_products_bounded_weights_vanish():
 def test_tail_grid_must_start_at_one():
     with pytest.raises(ValueError):
         sample_maximal_stats(Constant(1.0), range(4), 3, [0.5, 1.0], 2)
+
+
+def test_tail_grid_refuses_a_power_that_overflows():
+    # 1e102 ** 3 is finite, 1e103 ** 3 is not; refused before any search
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = sample_maximal_stats(Constant(1.0), range(2), 1,
+                                     [1.0, 1e102], 3)
+        assert np.isfinite(stats.tail_products(3)).all()
+        with pytest.raises(ValueError, match=r"lambda 1e\+103 to the power "
+                           r"3 overflows"):
+            sample_maximal_stats(Constant(1.0), range(2), 1,
+                                 [1.0, 1e103, 2.0], 3)
 
 
 def test_generator_sup_field_is_incident_max():
