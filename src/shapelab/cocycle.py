@@ -26,6 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import lattice
 from .environment import ORBIT_CHUNK, counter_uniform
 
 Site = tuple[int, ...]
@@ -382,6 +383,10 @@ def kingman_decompose(c: HilbertCocycle, length: int, axis: int = 0,
     """
     if not c.has_trivial_representation:
         raise ValueError("kingman_decompose requires the identity representation")
+    # rho, phi and the remainders, and the Birkhoff sums and their shifted
+    # copy that the remainders are computed from
+    lattice.reserve(40 * (length + 1),
+                    f"Kingman decomposition of length {length}")
     d, D = c.dim_group, c.dim_space
     if drift_vector is None:
         if drift_orbit is None:
@@ -541,29 +546,6 @@ def cesaro_fejer_average(sp: SpectralSample, n: int) -> tuple[float, float]:
     rhs = sum((1.0 - abs(k) / n) * sp.autocorrelation(k)
               for k in range(-n + 1, n))
     return float(lhs), float(np.real(rhs))
-
-
-def mean_ergodic_projection(sp: SpectralSample, n: int):
-    """The triangular average (1/n^2) sum_{|k|<=n} (n - |k|) U^k f, which
-    converges to the projection of f on the U-invariant vectors."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if isinstance(sp, OperatorSample):
-        D = len(sp.f)
-        acc = np.zeros(D)
-        fwd = sp.f.copy()
-        bwd = sp.f.copy()
-        acc += n * sp.f
-        for k in range(1, n + 1):
-            fwd = sp.U @ fwd
-            bwd = sp.U.T @ bwd
-            acc += (n - k) * (fwd + bwd)
-        return acc / (n * n)
-    if isinstance(sp, RotationSample):
-        z = sum((n - abs(k)) * cmath.exp(2j * math.pi * sp.alpha * k)
-                for k in range(-n, n + 1))
-        return sp.amplitude * z / (n * n)
-    raise TypeError("mean ergodic projection needs an orbit-backed sample")
 
 
 def spectral_rate(sp: SpectralSample, n_grid: Sequence[int]):

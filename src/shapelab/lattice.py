@@ -37,7 +37,8 @@ def sub(a: Site, b: Site) -> Site:
 
 
 # The one memory budget: every allocation of a box's size (a box's rows
-# and sites, a box graph, a search, the bound's ball) first calls reserve
+# and sites, a box graph, a search, the bound's ball), and of a Kingman
+# decomposition's length or a shape profile's n_max, first calls reserve
 # with the bytes it is about to hold, worked out from its dtypes and
 # element counts, and is refused above this many.  A box graph holds int32
 # neighbour rows and float64 forward weights, 8d + 8d bytes per site and
@@ -53,7 +54,7 @@ def sub(a: Site, b: Site) -> Site:
 #   which reserve 84 MB (build) and 230 MB (search).
 # Of the work that the former limits (10**6 sites, 8 * 10**6 index slots)
 # admitted, the d=3 bound ball of radius 90 reserves the most, 237 MB, and
-# of graphs the predecessor search of the d=5 ell-inf radius-7 box, 225 MB.
+# of graphs the search of the d=5 ell-inf radius-7 box, 219 MB.
 MEMORY_BUDGET = 256 * 2 ** 20
 
 
@@ -299,12 +300,6 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     lo = rows.min(axis=0, initial=0)
     span = rows.max(axis=0, initial=0) - lo + 1
     return np.ravel_multi_index(tuple((rows - lo).T), tuple(span))
-
-
-def path_multiplicity(family: PathFamily, m: Sequence[int]) -> int:
-    """Number of family paths whose vertex set contains m."""
-    hit = np.all(family.vertices == np.asarray(m, dtype=np.int64), axis=1)
-    return int(np.unique(family.path_ids()[hit]).size)
 
 
 def default_chain(n: Site) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
-"""Lorentz space machinery for empirical samples: distribution function,
-decreasing rearrangement, and the two-index norms computed in closed form
-on step functions.
+"""Lorentz space machinery for empirical samples: the decreasing
+rearrangement and the two-index norms computed in closed form on step
+functions.
 
 Every weighted sample is a nonnegative step function in disguise, so the
 norm integrals reduce to sums of power terms per step; no quadrature is
@@ -93,13 +93,6 @@ class StepFunction:
             raise ValueError("domain is [0, inf)")
         i = int(np.searchsorted(self.breaks, t, side="right")) - 1
         return float(self.levels[i]) if i < len(self.levels) else 0.0
-
-
-def distribution_function(sample: WeightedSample, alpha: float) -> float:
-    """Total mass where the value strictly exceeds alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return float(np.sum(sample.masses[sample.values > alpha]))
 
 
 def lorentz_norm(sample: WeightedSample, p: float, q: float) -> float:

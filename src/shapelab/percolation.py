@@ -1,6 +1,6 @@
-"""The random semimetric: boxed shortest-path weights, geodesics, balls,
-and the finite-site embedding that realizes distances as sup-norms of
-additive difference tables.
+"""The random semimetric: boxed shortest-path weights and the finite-site
+embedding that realizes distances as sup-norms of additive difference
+tables.
 
 The infimum over all lattice paths is approximated by computation inside
 a finite box.  Boxed values only decrease as the box grows, so truncation
@@ -23,7 +23,7 @@ A box graph numbers the box's sites in lexicographic order, the rows of
 ``BoxRegion.site_array``, which it reads once and keeps only as runs
 (see ``_runs``); points map to rows by binary search over the runs,
 ``sites`` rebuilds the site array on request, and every reader (target
-profiles, geodesics, balls, the embedding) works on rows.  Besides the
+profiles and the embedding) works on rows.  Besides the
 runs the graph holds two tables: the int32 neighbour rows, since the
 budget keeps every row and node id far below 2**31, and the float64
 forward edge weights, one per edge, which a search also reads for the
@@ -44,10 +44,10 @@ counts the whole stack; the shape module sizes its stacks by
 one-environment graph returns the (k, n) array of k separate searches.
 
 Every search is ``_search``, a bucketed label-correcting search over
-those two tables.  Its weights are the least left folds of path
-weights (see ``BoxGraph.distances_from``), the one fixed point that any
-exact shortest-path search reaches, so they do not depend on the order in
-which it relaxes edges.
+those two tables, and it returns weights only.  Its weights are the least
+left folds of path weights (see ``BoxGraph.distances_from``), the one
+fixed point that any exact shortest-path search reaches, so they do not
+depend on the order in which it relaxes edges.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 from . import ConvergenceError
 from .environment import Environment
 from ._runs import SiteRuns
-from .lattice import BoxRegion, LatticePath, Site, norm1, reserve, sub
+from .lattice import BoxRegion, Site, norm1, reserve, sub
 
 
 # A search relaxes a frontier of at most this many nodes whole, bucket or
@@ -94,20 +94,16 @@ class DistanceResult:
     exact: bool = False
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    path: LatticePath
-    total_weight: float
-
-
 def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
     center = tuple((a + b) // 2 for a, b in zip(m, n))
     return BoxRegion(center, radius, "l1")
 
 
+# a path whose fold passes the float range weighs inf, as fl(x + w) rounds
+# it, and so may the bucket's bound
+@np.errstate(over="ignore")
 def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
-            sources: np.ndarray, limit: float = math.inf,
-            predecessors: bool = False):
+            sources: np.ndarray, limit: float = math.inf) -> np.ndarray:
     """Least path weights in B blocks of one graph: block b searches from
     row sources[b] with the weight table wt[b % E].
 
@@ -118,9 +114,7 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
     forward edge of row nbr[i, d + k], and its weight is read there; a
     missing backward neighbour is a self-loop, whose candidate never beats
     the row's own weight.  Node b*n + i is row i of block b.  Returns the
-    (B, n) weights, inf beyond limit, and with predecessors also the
-    (B, n) predecessor rows, -9999 at the sources and at the sites beyond
-    limit.
+    (B, n) weights, inf beyond limit.
 
     A bucketed label-correcting search (delta-stepping, Meyer and Sanders
     2003) with the given bucket width: each pass relaxes every frontier
@@ -143,7 +137,6 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
     front = np.arange(blocks) * n + sources
     dist[front] = 0.0
     queued[front] = True
-    pred = np.full(blocks * n, -9999) if predecessors else None
     bound = -math.inf
     while front.size:
         here = dist[front]
@@ -174,23 +167,11 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
         better = cand < dist[target]
         target, cand = target[better], cand[better]
         np.minimum.at(dist, target, cand)
-        if predecessors:
-            # every target was improved; of the candidates that set its
-            # new weight the lowest row becomes its predecessor
-            origin = np.broadcast_to(row[:, None], better.shape)[better]
-            won = cand == dist[target]
-            pred[target] = n
-            np.minimum.at(pred, target[won], origin[won])
         queued[target] = True
         front = queued.nonzero()[0]
     dist = dist.reshape(blocks, n)
-    beyond = dist > limit
-    dist[beyond] = np.inf
-    if not predecessors:
-        return dist
-    pred = pred.reshape(blocks, n)
-    pred[beyond] = -9999
-    return dist, pred
+    dist[dist > limit] = np.inf
+    return dist
 
 
 class BoxGraph:
@@ -247,10 +228,15 @@ class BoxGraph:
             nbr[reach * (2 * d) + axes + d] = rows
             for w, env in zip(wt, self.envs):
                 w[rows * d + axes] = weights = env.edge_weights(bases, axes)
+                # scaled in place, after the table took its copy
+                weights *= 2.0 ** -64
                 total += weights.sum()
         # the bucket width of every search: the mean edge weight, which
-        # only schedules the passes
-        self._width = float(total / (m * len(self.envs))) if total else 1.0
+        # only schedules the passes.  The weights are summed scaled by the
+        # exact 2**-64, so a sum of finite weights stays finite, and the
+        # mean is the unscaled one bit for bit above weights of 2**-958
+        self._width = (float(total / (m * len(self.envs))) * 2.0 ** 64
+                       if total else 1.0)
 
     def _reserve(self, n: int, d: int, runs: int) -> None:
         """Reserves, by dtype, the int32 neighbour rows and float64 forward
@@ -286,7 +272,7 @@ class BoxGraph:
         return i
 
     def distances_from(self, source: Site | Sequence[Site],
-                       limit: float = math.inf, predecessors: bool = False):
+                       limit: float = math.inf) -> np.ndarray:
         """Exact shortest-path weights from source to every box site: an
         (n,) array, for a stack an (E, n) array whose row e is searched in
         environment e, and for a sequence of k sources (one environment
@@ -303,35 +289,26 @@ class BoxGraph:
         path's prefix, by induction, since float addition rounds
         monotonically and fl(x + w) >= x for w >= 0.  So a stack's rows and
         a multi-source call's rows equal separate searches bit for bit, and
-        so does any exact search of the same graph.
-
-        With predecessors (one environment and one source) the search
-        tree's predecessor rows come back too, as (weights, predecessors)."""
+        so does any exact search of the same graph."""
         sources = np.asarray(source)
         many = sources.ndim == 2
         if many and self.stacked:
             raise ValueError("several sources need a one-environment graph")
-        if (self.stacked or many) and predecessors:
-            raise ValueError("predecessors need one environment and one "
-                             "source")
         if many:
             rows = self.rows(sources)
             if (rows < 0).any():
                 raise ValueError(f"sources outside box {self.box}")
         else:
             rows = np.full(len(self.envs), self.row(source))
-        # the graph; per node dist, queued and pred, and a pass's
-        # transients (tracemalloc: 27d bytes per node at most, stacks of up
-        # to 30 boxes, d = 2..8, any model)
+        # the graph; per node dist and queued, and a pass's transients
+        # (tracemalloc: 27d bytes per node at most, stacks of up to 30
+        # boxes, d = 2..8, any model)
         n, d = self._wt.shape[1:]
         nodes = len(rows) * n
-        reserve(self._bytes + nodes * ((17 if predecessors else 9) + 32 * d),
+        reserve(self._bytes + nodes * (9 + 32 * d),
                 f"search of {len(rows)} blocks of {n} sites")
-        out = _search(self._nbr, self._wt, self._width, rows, limit,
-                      predecessors)
-        if self.stacked or many:
-            return out
-        return tuple(a[0] for a in out) if predecessors else out[0]
+        out = _search(self._nbr, self._wt, self._width, rows, limit)
+        return out if self.stacked or many else out[0]
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -445,46 +422,6 @@ def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
         2 * gap, radius_cap, tol, env.model.floor(), depth)
     return DistanceResult(float(value[0]), radius, bool(state[0] != OPEN),
                           bool(state[0] == EXACT))
-
-
-def geodesic(env: Environment, m: Site, n: Site, box_radius: int,
-             box: BoxRegion | None = None) -> Geodesic:
-    """A witness path achieving the boxed distance.  Among equally short
-    paths the one returned is the branch of the search's predecessor tree
-    (``_search``: a site's predecessor is the lowest row among the
-    candidates that last lowered its weight), which is deterministic for a
-    given box but follows no lexicographic rule.  Every step satisfies
-    dist[u] + w == dist[v] exactly, so the weight accumulated from the
-    lexicographically smaller endpoint matches distance() exactly; the
-    returned path runs from m to n."""
-    m, n = tuple(m), tuple(n)
-    if box is None:
-        box = _midpoint_box(m, n, box_radius)
-    if not (box.contains(m) and box.contains(n)):
-        raise ValueError("query endpoints must lie inside the box")
-    src, dst = (m, n) if m <= n else (n, m)
-    g = BoxGraph(env, box)
-    s, t = g.row(src), g.row(dst)
-    dist, pred = g.distances_from(src, predecessors=True)
-    if not math.isfinite(dist[t]):
-        raise RuntimeError("target unreachable inside box")
-    chain = [t]
-    while chain[-1] != s:
-        chain.append(pred[chain[-1]])
-    verts = g.sites[chain].tolist()
-    if tuple(verts[0]) != m:
-        verts.reverse()
-    return Geodesic(path=LatticePath(verts), total_weight=float(dist[t]))
-
-
-def ball(env: Environment, center: Site, t: float, box_radius: int) -> list[Site]:
-    """All box sites within semimetric distance t of the center, sorted."""
-    if t < 0:
-        raise ValueError("radius t must be nonnegative")
-    g = BoxGraph(env, BoxRegion(tuple(center), box_radius, "l1"))
-    # the site array is lexicographic, so the selection comes out sorted
-    inside = g.sites[g.distances_from(center) <= t]
-    return list(zip(*inside.T.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Transfer-matrix cocycles of the discrete Schrodinger equation with an
-ergodic potential: ordered unimodular 2x2 products, the log-norm
-semimetric, Furstenberg-Kesten/Lyapunov limits, and the second-order
-recurrence itself.
+ergodic potential: ordered unimodular 2x2 products and their
+Furstenberg-Kesten/Lyapunov limits.
 
 Long products are renormalized once their norm passes a threshold, with
 the scale carried separately in log space, so growth rates stay exact up
@@ -170,25 +169,6 @@ def transfer_product_scaled(tc: TransferCocycle, n: int) -> ScaledMatrix:
                    forward)
 
 
-def transfer_product(tc: TransferCocycle, n: int) -> np.ndarray:
-    """Dense S(n, x); raises if the product has outgrown float range."""
-    scaled = transfer_product_scaled(tc, n)
-    if scaled.log_scale + math.log(max(np.max(np.abs(scaled.mat)), 1e-300)) > 700:
-        raise OverflowError("transfer product exceeds float range; use "
-                            "transfer_product_scaled")
-    return scaled.dense()
-
-
-def matrix_semimetric(tc: TransferCocycle, m: int, n: int) -> float:
-    """max(log+ |S_n S_m^{-1}|, log+ |S_m S_n^{-1}|).
-
-    S_n S_m^{-1} = S(n - m, T^m x) by the cocycle identity, so both
-    factors are evaluated as single ordered products."""
-    fwd = transfer_product_scaled(tc.shifted(m), n - m).log_norm()
-    bwd = transfer_product_scaled(tc.shifted(n), m - n).log_norm()
-    return max(fwd, 0.0, bwd)
-
-
 @dataclass(frozen=True)
 class LyapunovEstimate:
     value: float
@@ -230,47 +210,3 @@ def lyapunov(potential: PotentialModel, n_steps: int,
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return LyapunovEstimate(value=float(arr.mean()), stderr=stderr,
                             n_steps=n_steps, n_seeds=n_seeds)
-
-
-@dataclass(frozen=True)
-class DifferenceSolution:
-    """Solution samples of the scaled recurrence: v_n = values[n] *
-    exp(log_scales[n])."""
-
-    values: np.ndarray
-    log_scales: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        return self.values * np.exp(self.log_scales)
-
-
-def solve_difference(a: float, b: float, tc: TransferCocycle,
-                     n_steps: int) -> DifferenceSolution:
-    """Iterate the second-order recurrence from (v_0, v_1) = (a, b),
-    rescaling the running pair jointly when it grows and recording the
-    scale in force at each index.
-
-    The indexing matches the transfer products: (v_k, v_{k+1}) =
-    S(k, x) (a, b), so v_{k+1} = (energy - V(T^{k-1} x)) v_k - v_{k-1}.
-    """
-    vals = np.zeros(n_steps + 1)
-    logs = np.zeros(n_steps + 1)
-    prev, cur = float(a), float(b)
-    scale = 0.0
-    vals[0] = prev
-    if n_steps >= 1:
-        vals[1] = cur
-    k = 1
-    for chunk in _coefficients(tc, max(n_steps - 1, 0)):
-        for coeff in chunk:  # energy - V at step k-1
-            nxt = coeff * cur - prev
-            prev, cur = cur, nxt
-            mag = max(abs(prev), abs(cur))
-            if mag > _RENORM_THRESHOLD:
-                prev /= mag
-                cur /= mag
-                scale += math.log(mag)
-            vals[k + 1] = cur
-            logs[k + 1] = scale
-            k += 1
-    return DifferenceSolution(values=vals, log_scales=logs)

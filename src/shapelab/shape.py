@@ -53,6 +53,9 @@ def _direction_profile(env: Environment, theta: Site, n_max: int,
     value, certified against the model's weight floor."""
     theta = tuple(theta)
     zero = (0,) * env.dimension
+    # per multiple its factor, its target and target row, and its value
+    reserve((8 * len(theta) + 24) * n_max,
+            f"profile of {n_max} multiples of {theta}")
     targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
     gap = norm1(theta) * n_max
     center = tuple(c // 2 for c in targets[-1].tolist())

@@ -426,7 +426,7 @@ _RUN_MODULES = {
     "shape": ["_runs", "environment", "lattice", "percolation", "shape"],
     "schrodinger-scan": ["environment", "schrodinger"],
     "lyapunov": ["environment", "schrodinger"],
-    "kingman": ["cocycle", "environment"],
+    "kingman": ["cocycle", "environment", "lattice"],
     "horofunction": ["cocycle", "environment"],
     "rkhs-walk": ["environment", "rkhs"],
     "spectral-rate": ["cocycle", "environment"],
@@ -665,6 +665,35 @@ def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys,
     assert not (tmp_path / "emb.json").exists()
 
 
+@pytest.mark.parametrize("size, budget", [(2 ** 40, None), (10 ** 5, 10 ** 6)],
+                         ids=["huge", "mid"])
+@pytest.mark.parametrize("command, key, what", [
+    ("kingman", "length", "Kingman decomposition of length {}"),
+    ("shape", "n_max", "profile of {} multiples of (1, 0)"),
+], ids=["kingman", "shape"])
+def test_array_length_from_the_config_is_reserved_first(tmp_path, capsys,
+                                                         monkeypatch, size,
+                                                         budget, command,
+                                                         key, what):
+    # refused by the memory budget before any array of that length (and,
+    # for kingman, before the drift orbit of 4 * length steps) is made
+    from shapelab import lattice
+
+    if budget is not None:
+        monkeypatch.setattr(lattice, "MEMORY_BUDGET", budget)
+    if command == "kingman":
+        doc = _kingman_doc(tmp_path)
+        del doc["drift_orbit"]
+    else:
+        doc = _shape_doc(tmp_path, directions=[[1, 0]])
+    doc[key] = size
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and what.format(size) + " needs" in err[0]
+    assert not Path(doc["output"]).exists()
+
+
 def _rkhs_doc(tmp_path, **overrides):
     doc = {"command": "rkhs-walk", "length": 5,
            "output": str(tmp_path / "r.csv")}
@@ -756,6 +785,19 @@ def test_lambda_whose_power_overflows_exits_2(tmp_path, capsys):
     assert err == ("config error: invalid 'lambda_grid': lambda 1e+300 to "
                    "the power 2 overflows\n")
     assert not Path(doc["output"]).exists()
+
+
+def test_embed_check_of_huge_accepted_weights_warns_of_nothing(tmp_path,
+                                                                capsys):
+    # weights of about 1e307 (ceiling 3e307) pass the overflow check, and
+    # their sum, past the float range, is never formed
+    model = {"kind": "moving_average", "kernel": [1.0e307, 1.0e307],
+             "base": {"kind": "rotation", "profiles": "shifted"}}
+    doc = _embed_doc(tmp_path, model=model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("make, key, value, named", [

@@ -12,8 +12,7 @@ from shapelab.cocycle import (AutocorrSample, CircleRotation,
                               constant_generator, drift_map,
                               fourier_generator, horofunction_empirical,
                               horofunction_limit, kingman_decompose,
-                              mean_ergodic_projection, spectral_rate,
-                              twisted_coboundary_generator)
+                              spectral_rate, twisted_coboundary_generator)
 
 ALPHAS = (math.sqrt(2) - 1, math.sqrt(3) - 1)
 
@@ -236,30 +235,64 @@ def test_fejer_identity_generic_specs():
             assert abs(lhs - rhs) <= 1e-10
 
 
-def test_mean_ergodic_projection_identity_operator():
+def test_invariant_component_of_the_identity_is_the_vector():
     f = np.array([0.3, -0.4])
     sp = OperatorSample(np.eye(2), f)
+    assert np.max(np.abs(sp.invariant_component() - f)) <= 1e-12
+    # the whole orbit sum is n f
     for n in (1, 7, 30):
-        # triangular coefficients sum exactly to n^2
-        assert np.max(np.abs(mean_ergodic_projection(sp, n) - f)) <= 1e-12
+        assert sp.partial_sum_norm2(n) == pytest.approx(n * n * (f @ f),
+                                                        rel=1e-12)
 
 
-def test_mean_ergodic_projection_rotation_decays():
-    sp = RotationSample(ALPHAS[0])
-    vals = [abs(mean_ergodic_projection(sp, n)) for n in (10, 100, 1000, 10000)]
-    assert vals[-1] < 1e-3
-    bound = [n * v for n, v in zip((10, 100, 1000, 10000), vals)]
-    assert max(bound) < 2.0 / abs(2 * math.sin(math.pi * ALPHAS[0]))
+def test_rotation_partial_sums_stay_below_the_geometric_bound():
+    # |sum_{k<n} e^{2 pi i alpha k}| <= 1 / |sin(pi alpha)| for every n, so
+    # an irrational rotation leaves no invariant part
+    alpha = ALPHAS[0]
+    assert RotationSample(alpha).invariant_norm() == 0.0
+    sp = OperatorSample(_rot(2 * math.pi * alpha), np.array([1.0, 0.0]))
+    assert np.max(np.abs(sp.invariant_component())) <= 1e-12
+    bound = 1.0 / abs(math.sin(math.pi * alpha))
+    for n in (10, 100, 1000, 10000):
+        assert math.sqrt(RotationSample(alpha).partial_sum_norm2(n)) <= bound
+        assert math.sqrt(sp.partial_sum_norm2(n)) <= bound + 1e-9
 
 
-def test_mean_ergodic_projection_block_operator():
+def _twisted_cocycle():
+    reps = (_rot(0.3), _rot(1.1))
+    return HilbertCocycle(2, SeededShift(4, 2), twisted_coboundary_generator(
+        lambda dyn, off: dyn.uniforms(off, 55, 2), reps), reps)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_hilbert_semimetric_axioms(gaussian_cocycle, twisted):
+    c = _twisted_cocycle() if twisted else gaussian_cocycle
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        m, n, k = (tuple(int(v) for v in rng.integers(-6, 7, 2))
+                   for _ in range(3))
+        dmn = c.semimetric(m, n)
+        assert c.semimetric(m, m) == 0.0 and dmn >= 0.0
+        assert dmn == pytest.approx(c.semimetric(n, m), rel=1e-12, abs=1e-12)
+        assert dmn <= c.semimetric(m, k) + c.semimetric(k, n) + 1e-9
+
+
+def test_hilbert_semimetric_stationarity(gaussian_cocycle):
+    # rho_{T_k x}(m, n) = rho_x(m + k, n + k)
+    for k in ((1, 0), (-3, 2), (10, -7)):
+        shifted = gaussian_cocycle.shifted(k)
+        for m, n in (((0, 0), (4, 1)), ((-2, 3), (1, -1))):
+            mk = tuple(a + b for a, b in zip(m, k))
+            nk = tuple(a + b for a, b in zip(n, k))
+            assert shifted.semimetric(m, n) == pytest.approx(
+                gaussian_cocycle.semimetric(mk, nk), rel=1e-12)
+
+
+def test_invariant_component_of_a_block_operator():
     # invariant first coordinate, rotating remaining block
     U = np.eye(3)
     U[1:, 1:] = _rot(1.0)
-    f = np.array([0.8, 1.0, -0.5])
-    sp = OperatorSample(U, f)
-    got = mean_ergodic_projection(sp, 10_000)
-    assert np.max(np.abs(got - np.array([0.8, 0.0, 0.0]))) <= 1e-6
+    sp = OperatorSample(U, np.array([0.8, 1.0, -0.5]))
     assert np.max(np.abs(sp.invariant_component() - [0.8, 0.0, 0.0])) <= 1e-12
 
 

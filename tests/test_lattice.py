@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,10 +11,15 @@ import pytest
 from shapelab.environment import Constant, Environment
 from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
                               build_path_family, audit_family, default_chain,
-                              enumerate_targets, norm1, path_multiplicity,
-                              sub)
+                              enumerate_targets, norm1, sub)
 
 from frozen import LEMMA_COMB_CONSTANT
+
+
+def path_multiplicity(family: PathFamily, m: Sequence[int]) -> int:
+    """Number of family paths whose vertex set contains m."""
+    hit = np.all(family.vertices == np.asarray(m, dtype=np.int64), axis=1)
+    return int(np.unique(family.path_ids()[hit]).size)
 
 
 def test_box_membership_exact():

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from shapelab.environment import Environment, Exponential
-from shapelab.lorentz import (StepFunction, WeightedSample,
-                              distribution_function, lorentz_norm, lp_norm,
-                              sample_from_environment)
+from shapelab.lorentz import (StepFunction, WeightedSample, lorentz_norm,
+                              lp_norm, sample_from_environment)
 
 from conftest import box_edges
+
+
+def distribution_function(sample: WeightedSample, alpha: float) -> float:
+    """Total mass where the value strictly exceeds alpha."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    return float(np.sum(sample.masses[sample.values > alpha]))
 
 
 def _random_sample(rng):

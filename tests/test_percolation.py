@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from shapelab.environment import (Constant, Environment, Exponential,
 from shapelab import lattice, percolation
 from shapelab.lattice import BoxRegion, norm1, sub
 from shapelab.percolation import (EXACT, OPEN, BoxGraph,
-                                  ConvergenceError, ball, distance,
-                                  distance_converged, exact_margin, geodesic,
-                                  refine, structure_embed)
+                                  ConvergenceError, distance,
+                                  distance_converged, exact_margin, refine,
+                                  structure_embed)
 
 from conftest import box_edges, brute_force_distance
 from frozen import GOLDEN_TWO_VALUED_DISTANCE
@@ -113,62 +114,6 @@ def test_nonconvergence_flag_honored():
     assert math.isfinite(r.value) and r.box_radius_used == 8
 
 
-def test_geodesic_matches_distance_and_oracle():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        env = Environment(Exponential(1.0), seed=int(rng.integers(1 << 30)),
-                          dimension=2)
-        box = BoxRegion((1, 1), 1, "linf")
-        g = geodesic(env, (0, 0), (2, 2), 99, box=box)
-        assert g.path[0] == (0, 0) and g.path[-1] == (2, 2)
-        assert g.total_weight == distance(env, (0, 0), (2, 2), 99, box=box).value
-        assert g.total_weight == brute_force_distance(env, (0, 0), (2, 2), box)
-
-
-def test_geodesic_weight_is_path_sum():
-    env = Environment(Exponential(1.0), seed=77, dimension=2)
-    g = geodesic(env, (3, 1), (0, 0), 8)
-    acc = 0.0
-    # accumulate from the lexicographically smaller endpoint, the same
-    # order the engine uses
-    verts = list(g.path)
-    if verts[0] > verts[-1]:
-        verts.reverse()
-    for a, b in zip(verts, verts[1:]):
-        axis = max(range(2), key=lambda k: abs(b[k] - a[k]))
-        base = a if b[axis] > a[axis] else b
-        acc += env.edge_weight((base, axis))
-    assert acc == g.total_weight
-
-
-def test_geodesic_deterministic_under_ties():
-    env = Environment(Constant(1.0), seed=0, dimension=2)
-    g1 = geodesic(env, (0, 0), (2, 1), 6)
-    g2 = geodesic(env, (0, 0), (2, 1), 6)
-    assert g1.path == g2.path
-    assert len(g1.path) == 4 and g1.total_weight == 3.0
-
-
-def test_geodesic_under_total_ties_is_elementary_and_exact():
-    # every path weighs 0, so the search tree alone picks the witness
-    env = Environment(Constant(0.0), seed=0, dimension=2)
-    for m, n in [((0, 0), (3, 2)), ((2, -1), (-2, 1)), ((1, 1), (1, 1))]:
-        g = geodesic(env, m, n, 6)
-        assert g.path[0] == m and g.path[-1] == n
-        assert len(set(g.path)) == len(g.path)
-        assert g.total_weight == distance(env, m, n, 6).value == 0.0
-
-
-def test_ball_properties():
-    env = Environment(Constant(2.0), seed=0, dimension=2)
-    b = ball(env, (0, 0), 4.0, 6)
-    assert set(b) == {s for s in BoxRegion((0, 0), 2, "l1").sites()}
-    envr = Environment(Exponential(1.0), seed=6, dimension=2)
-    small = set(ball(envr, (0, 0), 1.0, 8))
-    big = set(ball(envr, (0, 0), 2.5, 8))
-    assert (0, 0) in small and small <= big
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("norm", ["l1", "linf"])
 def test_box_graph_row_lookup(d, norm):
@@ -260,12 +205,28 @@ def test_a_region_that_is_not_runs_is_refused():
     assert g.distances_from((3, -1)).tolist() == [math.inf, 0.0, 1.0]
 
 
-def test_ball_is_sorted_list():
-    env = Environment(Exponential(1.0), seed=6, dimension=3)
-    b = ball(env, (1, 0, -1), 2.0, 5)
-    assert isinstance(b, list) and len(b) > 1
-    assert b == sorted(b)
-    assert all(type(s) is tuple and all(type(c) is int for c in s) for s in b)
+def test_sublevel_set_of_constant_weights_is_an_l1_ball():
+    env = Environment(Constant(2.0), seed=0, dimension=2)
+    g = BoxGraph(env, BoxRegion((0, 0), 6, "l1"))
+    ball = set(BoxRegion((0, 0), 2, "l1").sites())
+    full = g.distances_from((0, 0))
+    part = g.distances_from((0, 0), 4.0)
+    sites = [tuple(s) for s in g.sites.tolist()]
+    assert {s for s, v in zip(sites, full) if v <= 4.0} == ball
+    assert {s for s, v in zip(sites, part) if v < math.inf} == ball
+    # every weight is twice the l1 norm, exactly
+    assert full.tolist() == [2.0 * norm1(s) for s in sites]
+
+
+def test_sublevel_sets_of_limited_searches_are_nested():
+    env = Environment(Exponential(1.0), seed=6, dimension=2)
+    g = BoxGraph(env, BoxRegion((0, 0), 8, "l1"))
+    small = g.distances_from((0, 0), 1.0)
+    big = g.distances_from((0, 0), 2.5)
+    inner = np.isfinite(small)
+    assert inner[g.row((0, 0))] and 1 < inner.sum() < np.isfinite(big).sum()
+    assert np.array_equal(big[inner], small[inner])
+    assert np.all(big[~inner] > 1.0)
 
 
 def test_mean_subadditivity():
@@ -489,8 +450,6 @@ def test_one_environment_stack_keeps_single_arrays():
     assert np.array_equal(stack.distances_from((1, 1)),
                           single.distances_from((1, 1))[None, :])
     with pytest.raises(ValueError):
-        stack.distances_from((1, 1), predecessors=True)
-    with pytest.raises(ValueError):
         BoxGraph([], box)
 
 
@@ -584,21 +543,17 @@ def test_builds_and_searches_peak_below_their_reservation(monkeypatch, d,
     asked = _reserved(monkeypatch)
     tracemalloc.start()
     try:
-        for env, searches in ((envs[0], [dict(source=origin),
-                                         dict(source=origin,
-                                              predecessors=True),
-                                         dict(source=three)]),
-                              (envs, [dict(source=origin)])):
+        for env, searches in ((envs[0], [origin, three]), (envs, [origin])):
             # each peak counts what is held from before, as a search's
             # reservation counts its graph; no result is kept
             asked.clear()
             tracemalloc.reset_peak()
             g = BoxGraph(env, box)
             assert tracemalloc.get_traced_memory()[1] <= asked[-1]
-            for kwargs in searches:
+            for source in searches:
                 asked.clear()
                 tracemalloc.reset_peak()
-                g.distances_from(**kwargs)
+                g.distances_from(source)
                 assert tracemalloc.get_traced_memory()[1] <= asked[-1]
             del g
     finally:
@@ -642,10 +597,22 @@ def test_search_reserves_no_weight_mask_and_reuses_its_width(monkeypatch):
 
         m.setattr(np, "isfinite", mask)
         g.distances_from((0, 0))
-        g.distances_from((0, 0), predecessors=True)
-    # the graph, per node dist and queued (and pred), and 32d bytes per
-    # node for a pass's transients
-    assert asked == [g._bytes + 85 * (9 + 64), g._bytes + 85 * (17 + 64)]
+    # the graph, per node dist and queued, and 32d bytes per node for a
+    # pass's transients
+    assert asked == [g._bytes + 85 * (9 + 64)]
+
+
+def test_bucket_width_of_huge_weights_is_their_finite_mean():
+    # weights of about 1e307 (ceiling 3e307) sum past the float range
+    env = Environment(MovingAverage((1e307, 1e307),
+                                    base=Rotation(profiles="shifted")),
+                      seed=0, dimension=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = BoxGraph(env, BoxRegion((0, 0), 3, "l1"))
+    finite = g._wt[np.isfinite(g._wt)]
+    assert math.isfinite(g._width)
+    assert g._width == pytest.approx(np.sum(finite / finite.size), rel=1e-12)
 
 
 def test_counts_count_the_runs_and_sites_of_the_site_array():
@@ -754,31 +721,27 @@ def test_search_equals_scipy_dijkstra_bit_for_bit(monkeypatch, model, d,
 @pytest.mark.parametrize("whole", [0, None], ids=["buckets", "whole"])
 @pytest.mark.parametrize("model", ORACLE_MODELS,
                          ids=lambda m: f"{type(m).__name__}")
-def test_predecessor_rows_form_an_exact_search_tree(monkeypatch, model,
-                                                    whole):
+def test_distance_rows_are_a_fixed_point_of_edge_relaxation(monkeypatch,
+                                                            model, whole):
+    # every site's weight is the least fl(d[u] + w) over its edges (0 at
+    # the source), so some edge attains it exactly and none improves it
     if whole is not None:
         monkeypatch.setattr(percolation, "WHOLE_FRONTIER", whole)
     env = Environment(model, seed=5, dimension=2)
     g = BoxGraph(env, BoxRegion((0, 0), 6, "l1"))
-    source = g.row((1, -2))
-    dist, pred = g.distances_from((1, -2), predecessors=True)
-    assert pred[source] == -9999
-    for v in range(len(g.sites)):
-        if v == source:
-            continue
-        u = int(pred[v])
-        step = g.sites[v] - g.sites[u]
-        axis = int(np.flatnonzero(step)[0])
-        assert np.abs(step).sum() == 1
-        base = g.sites[u if step[axis] > 0 else v]
-        w = env.edge_weight((tuple(base.tolist()), axis))
-        assert dist[u] + w == dist[v]
-        # following the tree from v reaches the source
-        seen = {v}
-        while u != source:
-            assert u not in seen
-            seen.add(u)
-            u = int(pred[u])
+    dist = g.distances_from((1, -2))
+    edges = box_edges((0, 0), 6, "l1")
+    bases = np.array([b for b, _ in edges])
+    axes = np.array([k for _, k in edges])
+    ends = bases + np.eye(2, dtype=np.int64)[axes]
+    u, v = g.rows(bases), g.rows(ends)
+    w = np.array([env.edge_weight(e) for e in edges])
+    best = np.full(len(dist), np.inf)
+    best[g.row((1, -2))] = 0.0
+    np.minimum.at(best, v, dist[u] + w)
+    np.minimum.at(best, u, dist[v] + w)
+    assert np.isfinite(dist).all()
+    assert np.array_equal(best, dist)
 
 
 def test_multi_source_search_rejects_stacks_and_outside_sites():
@@ -788,8 +751,6 @@ def test_multi_source_search_rejects_stacks_and_outside_sites():
         BoxGraph([env, env], box).distances_from([(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="outside box"):
         BoxGraph(env, box).distances_from([(0, 0), (3, 3)])
-    with pytest.raises(ValueError, match="predecessors"):
-        BoxGraph(env, box).distances_from([(0, 0)], predecessors=True)
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from shapelab.schrodinger import (DifferenceSolution, LyapunovEstimate,
-                                  PotentialModel, TransferCocycle, lyapunov,
-                                  matrix_semimetric, operator_norm_2x2,
-                                  solve_difference, transfer_product,
-                                  transfer_product_scaled)
+from shapelab.schrodinger import (PotentialModel, TransferCocycle, lyapunov,
+                                  operator_norm_2x2, transfer_product_scaled)
 
 FREE = PotentialModel("constant", energy=0.0, value=0.0)
 IID = PotentialModel("iid_uniform", energy=0.3, amplitude=1.0)
+
+
+def transfer_product(tc: TransferCocycle, n: int) -> np.ndarray:
+    """Dense S(n, x); raises if the product has outgrown float range."""
+    scaled = transfer_product_scaled(tc, n)
+    if scaled.log_scale + math.log(max(np.max(np.abs(scaled.mat)), 1e-300)) > 700:
+        raise OverflowError("transfer product exceeds float range; use "
+                            "transfer_product_scaled")
+    return scaled.dense()
 
 
 def test_identity_at_zero():
@@ -62,29 +68,6 @@ def test_operator_norm_closed_form():
             np.linalg.norm(a, 2), rel=1e-12)
 
 
-def test_semimetric_axioms():
-    tc = TransferCocycle(IID, seed=7)
-    rng = np.random.default_rng(2)
-    assert matrix_semimetric(tc, 4, 4) == 0.0
-    free = TransferCocycle(FREE)
-    assert matrix_semimetric(free, -3, 11) == 0.0
-    for _ in range(300):
-        m, n, k = (int(v) for v in rng.integers(-40, 41, 3))
-        dmn = matrix_semimetric(tc, m, n)
-        dnm = matrix_semimetric(tc, n, m)
-        assert dmn == dnm and dmn >= 0.0
-        assert dmn <= (matrix_semimetric(tc, m, k)
-                       + matrix_semimetric(tc, k, n) + 1e-9)
-
-
-def test_semimetric_stationarity():
-    tc = TransferCocycle(IID, seed=4)
-    for shift in (1, -3, 10):
-        a = matrix_semimetric(tc.shifted(shift), 0, 6)
-        b = matrix_semimetric(tc, shift, 6 + shift)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_lyapunov_free_case_zero():
     est = lyapunov(PotentialModel("constant", energy=0.0), 1000, n_seeds=2)
     assert abs(est.value) <= 1e-12
@@ -132,47 +115,11 @@ def test_log_norm_subadditivity_in_mean():
     assert long.mean() <= 2 * short.mean() + 3 * se
 
 
-def test_difference_free_period_four():
-    sol = solve_difference(0.0, 1.0, TransferCocycle(FREE), 8)
-    assert sol.dense().tolist() == [0.0, 1.0, 0.0, -1.0, -0.0, 1.0, 0.0, -1.0, -0.0]
-
-
-def test_difference_zero_initial_is_zero():
-    sol = solve_difference(0.0, 0.0, TransferCocycle(IID, seed=2), 50)
-    assert np.all(sol.dense() == 0.0)
-
-
-def test_difference_matches_transfer_products():
-    tc = TransferCocycle(IID, seed=5)
-    a, b = 0.7, -0.2
-    sol = solve_difference(a, b, tc, 1000)
-    for k in (1, 10, 100, 500, 999):
-        s = transfer_product_scaled(tc, k)
-        vec = s.mat @ np.array([a, b])
-        got = sol.values[k] * math.exp(sol.log_scales[k] - s.log_scale)
-        assert got == pytest.approx(vec[0], rel=1e-9, abs=1e-12)
-
-
 def test_nonfinite_potential_rejected():
     with pytest.raises(ValueError):
         PotentialModel("constant", energy=math.inf)
     with pytest.raises(ValueError):
         PotentialModel("smooth")
-
-
-def test_matrix_semimetric_shape_smoke():
-    # inf-of-means of the log-norm semimetric along the orbit approaches
-    # the growth-rate estimate, the one-dimensional shape constant
-    pot = PotentialModel("bernoulli", energy=0.0)
-    ks = [250, 500, 1000, 2000]
-    means = []
-    for k in ks:
-        vals = [matrix_semimetric(TransferCocycle(pot, seed=s), 0, k) / k
-                for s in range(6)]
-        means.append(float(np.mean(vals)))
-    assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
-    est = lyapunov(pot, 4000, n_seeds=6)
-    assert min(means) == pytest.approx(est.value, abs=0.02)
 
 
 KERNEL_POTENTIALS = [
@@ -207,6 +154,44 @@ def test_scalar_kernel_matches_one_step_products(pot):
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, got, ref)
 
 
+@pytest.mark.parametrize("pot", KERNEL_POTENTIALS, ids=lambda p: p.kind)
+def test_log_norm_of_transfer_products_is_a_semimetric(pot):
+    # rho(m, n) = log |S(n - m, T^m x)|: S(m, n) is the inverse of S(n, m)
+    # in SL(2, R), of the same norm, at least 1, and submultiplicative
+    tc = TransferCocycle(pot, seed=7)
+
+    def rho(m, n):
+        return transfer_product_scaled(tc.shifted(m), n - m).log_norm()
+
+    assert rho(4, 4) == 0.0
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        m, n, k = (int(v) for v in rng.integers(-40, 41, 3))
+        dmn = rho(m, n)
+        assert dmn >= -1e-12
+        assert dmn == pytest.approx(rho(n, m), rel=1e-9, abs=1e-9)
+        assert dmn <= rho(m, k) + rho(k, n) + 1e-9
+
+
+def test_transfer_products_solve_the_difference_equation():
+    # S(k, x) (u_0, u_1) = (u_k, u_{k+1}) for u_{j+2} = (E - V_j) u_{j+1} - u_j
+    tc = TransferCocycle(PotentialModel("bernoulli", energy=0.1), seed=4,
+                         offset=9)
+    prev, cur, scale = 0.3, -1.1, 0.0
+    for k in range(1, 2051):
+        prev, cur = cur, float(tc.one_step(k - 1)[1, 1]) * cur - prev
+        mag = max(abs(prev), abs(cur))
+        if mag > 1e8:
+            prev, cur = prev / mag, cur / mag
+            scale += math.log(mag)
+        if k in (1, 2, 10, 100, 1024, 1025, 2050):
+            s = transfer_product_scaled(tc, k)
+            got = s.mat @ np.array([0.3, -1.1]) * math.exp(s.log_scale - scale)
+            want = np.array([prev, cur])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    assert scale > 0.0
+
+
 # n up to, at and across an ORBIT_CHUNK (1024) boundary: the pass to 2n
 # continues the n-step state, so its batches start at n
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 1500])
@@ -223,18 +208,3 @@ def test_debiased_lyapunov_single_pass_is_exact(n):
     est = lyapunov(pot, n, n_seeds=seeds, seed0=10)
     assert est.value == float(arr.mean())
     assert est.stderr == float(arr.std(ddof=1) / math.sqrt(seeds))
-
-
-def test_difference_matches_one_step_recurrence():
-    tc = TransferCocycle(PotentialModel("bernoulli", energy=0.1), seed=4,
-                         offset=9)
-    n_steps = 2050
-    sol = solve_difference(0.3, -1.1, tc, n_steps)
-    prev, cur, scale = 0.3, -1.1, 0.0
-    for k in range(1, n_steps):
-        prev, cur = cur, float(tc.one_step(k - 1)[1, 1]) * cur - prev
-        mag = max(abs(prev), abs(cur))
-        if mag > 1e8:
-            prev, cur = prev / mag, cur / mag
-            scale += math.log(mag)
-        assert sol.values[k + 1] == cur and sol.log_scales[k + 1] == scale

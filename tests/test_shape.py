@@ -380,9 +380,9 @@ def test_maximal_function_is_the_one_seed_stack(monkeypatch):
     stacked = []
     search = BoxGraph.distances_from
 
-    def spy(self, source, limit=math.inf, predecessors=False):
+    def spy(self, source, limit=math.inf):
         stacked.append(self.stacked)
-        return search(self, source, limit, predecessors)
+        return search(self, source, limit)
 
     monkeypatch.setattr(BoxGraph, "distances_from", spy)
     got = maximal_function(env, 5)

@@ -1,42 +1,32 @@
 """The library's public surface: every module-level function and class of
 a library module is used by the package, wrapped by the benchmark's
-tracer, or kept on purpose for a reason named here; and no library module
-imports the command-line driver."""
+tracer, or kept on purpose for a reason named here, which names the
+acceptance criterion or frozen constant that reads it; and no library
+module imports the command-line driver."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "shapelab"
 
-# module.name -> why it stays although nothing in src/ calls it
+# module.name -> why it stays although nothing in src/ reads it: the
+# acceptance criterion ("criterion NN") that reads it, or the constant of
+# tests/frozen.py that its test pins
 KEEP = {
-    "cocycle.cesaro_fejer_average": "paper object: Cesaro-Fejer averages "
-                                    "of the cocycle's unitary action",
-    "cocycle.mean_ergodic_projection": "paper object: the mean ergodic "
-                                       "projection onto invariant vectors",
-    "lattice.path_multiplicity": "reference oracle the path-family audit "
-                                 "is compared against",
-    "lorentz.distribution_function": "paper object: the distribution "
-                                     "function of a weighted sample",
-    "lorentz.lp_norm": "paper object: the L^p norm of the diagonal-index "
+    "cocycle.cesaro_fejer_average": "criterion 12: both sides of the Fejer "
+                                    "identity",
+    "lorentz.lp_norm": "criterion 09: the L^p side of the diagonal-index "
                        "identity",
-    "percolation.distance_converged": "paper object: the semimetric with "
-                                      "its convergence flag",
-    "percolation.geodesic": "paper object: geodesics of the semimetric",
-    "rkhs.kernel_metric": "paper object: the squared kernel metric that "
-                          "large_scale_compare computes in log scale",
-    "rkhs.hyperbolic_distance": "paper object: the Poincare distance",
-    "schrodinger.transfer_product": "reference oracle the scaled transfer "
-                                    "products are compared against",
-    "schrodinger.matrix_semimetric": "paper object: the semimetric of a "
-                                     "transfer-matrix cocycle",
-    "schrodinger.solve_difference": "paper object: solutions of the "
-                                    "difference equation",
-    "shape.estimate_shape": "paper object: the estimated limit shape",
-    "shape.maximal_bound_rhs": "paper object: the right side of the "
-                               "maximal inequality",
+    "percolation.distance_converged": "GOLDEN_TWO_VALUED_DISTANCE: the "
+                                      "converged two-valued distance",
+    "rkhs.kernel_metric": "criterion 15: the squared kernel metric",
+    "rkhs.hyperbolic_distance": "criterion 15: the Poincare distance",
+    "shape.estimate_shape": "criterion 04: the constant-weight limit shape",
+    "shape.maximal_bound_rhs": "criterion 07: the right side of the maximal "
+                               "inequality",
 }
 
 
@@ -53,6 +43,23 @@ def _referenced(nodes) -> set[str]:
                 out.add(n.id)
             elif isinstance(n, ast.Attribute):
                 out.add(n.attr)
+    return out
+
+
+def _reads_from(tree, mod: str) -> set[str]:
+    """The names another module reads from module mod: those it imports
+    from mod, and every attribute it reads.  A bare name is not a read,
+    since it may be a local of the same spelling."""
+    # the last part of the module an import names: "" for "from . import"
+    # and "shapelab" for "from shapelab import" read the package itself
+    wanted = {"", "shapelab"} if mod == "__init__" else {mod}
+    out = set()
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.ImportFrom)
+                and (n.module or "").split(".")[-1] in wanted):
+            out.update(a.name for a in n.names)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
     return out
 
 
@@ -91,7 +98,8 @@ def test_every_public_library_name_is_used_traced_or_kept():
     traced = _traced()
     defined, unused = set(), []
     for mod, tree in library.items():
-        others = _referenced(t for m, t in trees.items() if m != mod)
+        others = set().union(*(_reads_from(t, mod)
+                               for m, t in trees.items() if m != mod))
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
@@ -124,3 +132,30 @@ def test_only_the_memory_budget_raises_memory_error():
                     and id(node) not in allowed):
                 offenders.append(f"{path.stem}.py:{node.lineno}")
     assert offenders == []
+
+
+def test_every_kept_name_is_read_by_the_reader_its_reason_names():
+    # a reason starts "criterion NN:", and test_criterion_NN_* reads the
+    # name, or starts with a constant of tests/frozen.py, and a test that
+    # reads that constant reads the name too
+    tests = [node for path in sorted((ROOT / "tests").glob("test_*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("test_")]
+    frozen = {t.id for node in ast.parse((ROOT / "tests" / "frozen.py")
+                                         .read_text()).body
+              if isinstance(node, ast.Assign) for t in node.targets}
+    unread = []
+    for key, reason in KEEP.items():
+        criterion = re.fullmatch(r"criterion (\d\d): .+", reason)
+        constant = reason.split(":")[0]
+        if criterion:
+            prefix = f"test_criterion_{criterion[1]}_"
+            readers = [t for t in tests if t.name.startswith(prefix)]
+        elif constant in frozen:
+            readers = [t for t in tests if constant in _referenced([t])]
+        else:
+            readers = []
+        if not any(key.split(".")[1] in _referenced([t]) for t in readers):
+            unread.append(key)
+    assert unread == []
