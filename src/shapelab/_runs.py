@@ -91,12 +91,12 @@ class SiteRuns:
 
     def edges(self, size: int) -> Iterator[tuple[np.ndarray, ...]]:
         """The sites' unit steps (i, k) from row i to the site i + e_k, in
-        site-major order with axes in order, in chunks of size steps (one
-        empty chunk when there is none): per chunk the rows i, the axes k,
-        the rows reached and the (m, d) int64 sites of the rows i.  Each
-        chunk's rows are found from running per-row step counts, and each
-        step's end from one row offset per run and axis, so nothing the
-        size of all the steps is built."""
+        site-major order with axes in order, in chunks of max(1, size // d)
+        whole rows, so of at most size steps when size >= d: per chunk the
+        rows i, the axes k, the rows reached and the (m, d) int64 sites of
+        the rows i.  A one-site region yields one empty chunk.  Each step's
+        end is found from one row offset per run and axis, so nothing the
+        size of all the rows or steps is built."""
         d = self.head.shape[1] + 1
         start, stop = self.start[:-1], self.start[1:]
         # rows lo..hi-1 of each run step along each axis to the row off
@@ -115,27 +115,15 @@ class SiteRuns:
             off[:, k] = self.base[j] - self.base
             lo[:, k] = np.clip(self.start[j] - off[:, k], start, stop)
             hi[:, k] = np.clip(self.start[j + 1] - off[:, k], lo[:, k], stop)
-        # ends[i] counts the steps of rows 0..i: +1 where each interval of
-        # rows starts and -1 past it, summed once into steps per row and
-        # again into their running count
-        ends = np.zeros(self.start[-1] + 1, dtype=np.int64)
-        np.add.at(ends, lo, 1)
-        np.add.at(ends, hi, -1)
-        np.cumsum(ends, out=ends)
-        np.cumsum(ends, out=ends)
-        ends = ends[:-1]
-        m = int(ends[-1])
-        for first in range(0, max(m, 1), size):
-            last = min(first + size, m)
-            top = int(np.searchsorted(ends, first, side="right"))
-            skip = first - (int(ends[top - 1]) if top else 0)
-            rows = np.arange(top, int(np.searchsorted(ends, last)) + 1)
+        n = int(self.start[-1])
+        count = max(1, size // d)
+        for first in range(0, n, count):
+            rows = np.arange(first, min(first + count, n))
             run = np.searchsorted(self.start, rows, side="right") - 1
             step = (lo[run] <= rows[:, None]) & (rows[:, None] < hi[run])
-            rows, axes = np.divmod(
-                np.flatnonzero(step)[skip:skip + last - first], d)
+            rows, axes = np.divmod(np.flatnonzero(step), d)
             run = run[rows]
-            rows += top
+            rows += first
             bases = np.empty((len(rows), d), dtype=np.int64)
             bases[:, :-1] = self.head[run]
             bases[:, -1] = rows - self.base[run]

@@ -27,12 +27,13 @@ import gc
 import inspect
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import yaml
@@ -448,30 +449,26 @@ def _header(cfg: Config) -> list[str]:
             f"# config-sha256: {cfg.sha256()}", f"# timestamp: {stamp}"]
 
 
-def _write(path, text: str) -> None:
+def _write(path, lines: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as out:
+        out.writelines(line + "\n" for line in lines)
 
 
-def _write_csv(cfg: Config, columns: list[str], rows: list[tuple]) -> None:
-    lines = _header(cfg) + [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write(cfg["output"], "\n".join(lines) + "\n")
+def _write_csv(cfg: Config, columns: list[str],
+               rows: Iterable[tuple]) -> None:
+    """Writes each row as it is iterated, so rows that a generator yields
+    are never held together."""
+    _write(cfg["output"], chain(_header(cfg) + [",".join(columns)],
+                                (",".join(_fmt(v) for v in row)
+                                 for row in rows)))
 
 
 def _write_json(cfg: Config, path: Path, payload) -> None:
     doc = {"tool": f"shapelab {__version__}", "command": cfg.command,
            "config_sha256": cfg.sha256(), "payload": payload}
-    _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def _jobs(cli_jobs: int | None) -> int:
-    if cli_jobs is not None:
-        return max(1, cli_jobs)
-    env = os.environ.get("SHAPELAB_JOBS")
-    with _blame("SHAPELAB_JOBS"):
-        return max(1, int(env)) if env else 1
+    _write(path, [json.dumps(doc, indent=1, sort_keys=True)])
 
 
 def _pmap(fn, items, jobs: int):
@@ -574,14 +571,18 @@ def _run_kingman(cfg: Config, offset: int, jobs: int) -> None:
     # without drift_orbit, kingman_decompose picks its own default
     kd = cocycle.kingman_decompose(cfg["cocycle"], length,
                                     drift_orbit=cfg["drift_orbit"])
-    rows = []
-    phi_sum = 0.0
-    for k in range(1, length + 1):
-        phi_sum += kd.phi[k - 1]
-        rows.append((k, float(kd.rho[k]), phi_sum, float(kd.remainders[k]),
-                     float(kd.remainders[k] / k)))
+
+    def rows():
+        # one row at a time from the arrays; the running Birkhoff sum
+        # stays a numpy scalar
+        phi_sum = 0.0
+        for k in range(1, length + 1):
+            phi_sum += kd.phi[k - 1]
+            yield (k, float(kd.rho[k]), phi_sum, float(kd.remainders[k]),
+                   float(kd.remainders[k] / k))
+
     _write_csv(cfg, ["n", "rho", "birkhoff", "remainder", "remainder_over_n"],
-               rows)
+               rows())
 
 
 def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
@@ -591,9 +592,10 @@ def _run_horofunction(cfg: Config, offset: int, jobs: int) -> None:
     for n in cfg["targets"]:
         with _blame("eta"):
             row = [*n, cocycle.horofunction_limit(c, eta, n, dm)]
-        for t in t_grid:
-            m = tuple(int(round(t * x)) for x in eta)
-            row.append(cocycle.horofunction_empirical(c, m, n))
+        with _blame("cocycle"):
+            for t in t_grid:
+                m = tuple(int(round(t * x)) for x in eta)
+                row.append(cocycle.horofunction_empirical(c, m, n))
         rows.append(tuple(row))
     cols = [f"n_{k}" for k in range(c.dim_group)] + ["h_limit"]
     cols += [f"h_at_{t}" for t in t_grid]
@@ -673,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", type=Path)
         p.add_argument("--seed-offset", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -682,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config declares command {cfg.command!r} but the "
                 f"{args.command!r} subcommand was invoked")
-        _RUNNERS[cfg.command](cfg, args.seed_offset, _jobs(args.jobs))
+        _RUNNERS[cfg.command](cfg, args.seed_offset, max(1, args.jobs))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -422,11 +422,23 @@ class DegenerateDirectionError(ValueError):
     """The requested direction pairs to a trivial drift vector."""
 
 
+# a norm past the float range reads inf, and a difference or ratio of
+# infinities nan, both refused here
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is {value}: the cocycle's values pass "
+                         "the float range")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def horofunction_empirical(c: HilbertCocycle, m: Site, n: Site) -> float:
-    """h_m(n) = rho(m, n) - rho(m, 0)."""
-    return c.semimetric(m, n) - c.semimetric(m, (0,) * c.dim_group)
+    """h_m(n) = rho(m, n) - rho(m, 0); ValueError when it is not finite."""
+    return _finite(c.semimetric(m, n) - c.semimetric(m, (0,) * c.dim_group),
+                   f"h_m(n) at m = {tuple(m)}, n = {tuple(n)}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def horofunction_limit(c: HilbertCocycle, eta: Sequence[float], n: Site,
                        drift: DriftMap) -> float:
     """The limiting horofunction along direction eta:
@@ -435,14 +447,16 @@ def horofunction_limit(c: HilbertCocycle, eta: Sequence[float], n: Site,
     This is the Busemann value of the Hilbert ray in direction xi.  It is
     what the expansion of rho(t*eta, n) - rho(t*eta, 0) converges to, and
     the brute-force limit of the empirical horofunctions reproduces it
-    exactly for constant-drift examples.
+    exactly for constant-drift examples.  ValueError when it is not
+    finite.
     """
     xi = drift(np.asarray(eta, dtype=float))
     norm = float(np.linalg.norm(xi))
     if norm == 0.0:
         raise DegenerateDirectionError(
             "direction pairs to a null drift vector; horofunction undefined")
-    return float(-(c.evaluate(n) @ xi) / norm)
+    return _finite(float(-(c.evaluate(n) @ xi) / norm),
+                   f"the horofunction limit at n = {tuple(n)}")
 
 
 # --------------------------------------------------------------------------

@@ -379,10 +379,15 @@ class Environment:
                      norm: str = "linf") -> np.ndarray:
         """The (m,) weights of all canonical edges with both endpoints in
         the box, site-major with axes in order: the finite entries of the
-        box graph's (n, d) forward weight table, which the graph reserves
-        before it builds a site (see percolation.BoxGraph)."""
+        box graph's (n, d) forward weight table.  The graph, the table's
+        finite mask and the weights taken from it are reserved before a
+        site is built (see percolation.graph_bytes)."""
         from . import lattice, percolation
 
         box = lattice.BoxRegion(tuple(center), radius, norm)
+        runs, n = box.counts()
+        d = self.dimension
+        lattice.reserve(percolation.graph_bytes(n, d, runs) + 9 * n * d,
+                        f"the edge sample of a box graph of {n} sites")
         wt = percolation.BoxGraph(self, box)._wt[0]
         return wt[np.isfinite(wt)]

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,24 +37,25 @@ def sub(a: Site, b: Site) -> Site:
 
 
 # The one memory budget: every allocation of a box's size (a box's rows
-# and sites, a box graph, a search, the bound's ball), and of a Kingman
-# decomposition's length or a shape profile's n_max, first calls reserve
-# with the bytes it is about to hold, worked out from its dtypes and
-# element counts, and is refused above this many.  A box graph holds int32
-# neighbour rows and float64 forward weights, 8d + 8d bytes per site and
-# environment, and its runs, 8(d + 2) bytes per run; its build adds an
-# int64 edge count per site, and a search 9 bytes per node and the
-# transients of its passes.  Peaks of build / one search, in bytes per
-# site (tracemalloc, Exponential, 2-core x86_64, numpy 2.4), and the
-# ru_maxrss growth of both:
-#   d=3, radius 48, 152193 sites: 78 / 75, +11 MB (76 B/site);
-#   d=3, radius 72, 508225 sites: 64 / 70, +35 MB (72 B/site);
-#   d=2, radius 700, 981401 sites: 42 / 42, +40 MB (43 B/site);
-#   d=2, radius 1000, 2002001 sites: 41 / 42, +81 MB (42 B/site),
-#   which reserve 84 MB (build) and 230 MB (search).
+# and sites, a box graph, a search, an edge sample, the bound's ball), and
+# of a Kingman decomposition's length or a shape profile's n_max, first
+# calls reserve with the bytes it is about to hold, worked out from its
+# dtypes and element counts, and is refused above this many.  A box graph
+# holds int32 neighbour rows and float64 forward weights, 8d + 8d bytes
+# per site and environment, and its runs, 8(d + 2) bytes per run; its
+# build adds one chunk of hashing transients (and, before the tables, the
+# sites), and a search 9 bytes per node and the transients of its passes.
+# Peaks of build / one search, in bytes per site (tracemalloc,
+# Exponential, 2-core x86_64, numpy 2.4), and the ru_maxrss growth of
+# both:
+#   d=3, radius 48, 152193 sites: 70 / 76, +12 MB (81 B/site);
+#   d=3, radius 72, 508225 sites: 56 / 70, +37 MB (73 B/site);
+#   d=2, radius 700, 981401 sites: 35 / 42, +42 MB (43 B/site);
+#   d=2, radius 1000, 2002001 sites: 33 / 42, +84 MB (42 B/site),
+#   which reserve 68 MB (build) and 214 MB (search).
 # Of the work that the former limits (10**6 sites, 8 * 10**6 index slots)
 # admitted, the d=3 bound ball of radius 90 reserves the most, 237 MB, and
-# of graphs the search of the d=5 ell-inf radius-7 box, 219 MB.
+# of graphs the search of the d=5 ell-inf radius-7 box, 213 MB.
 MEMORY_BUDGET = 256 * 2 ** 20
 
 
@@ -177,31 +178,6 @@ def run_sites(head: np.ndarray, counts: np.ndarray,
     return out
 
 
-def is_elementary(vertices: Sequence[Site]) -> bool:
-    """True when consecutive vertices differ by exactly one unit step."""
-    return all(norm1(sub(b, a)) == 1 for a, b in zip(vertices, vertices[1:]))
-
-
-class LatticePath(tuple):
-    """An elementary path, stored as its vertex sequence."""
-
-    def __new__(cls, vertices: Iterable[Sequence[int]]):
-        verts = tuple(tuple(int(c) for c in v) for v in vertices)
-        if not verts:
-            raise ValueError("path needs at least one vertex")
-        if not is_elementary(verts):
-            raise ValueError("vertices must form an elementary path")
-        return super().__new__(cls, verts)
-
-    @property
-    def start(self) -> Site:
-        return self[0]
-
-    @property
-    def end(self) -> Site:
-        return self[-1]
-
-
 @dataclass(frozen=True, eq=False)
 class PathFamily:
     """The spread-out family of elementary paths from 0 to ``target``.
@@ -264,9 +240,10 @@ class PathFamily:
         return zip(off, off[1:])
 
     @cached_property
-    def paths(self) -> tuple[LatticePath, ...]:
+    def paths(self) -> tuple[tuple[Site, ...], ...]:
+        """Each path as a tuple of its vertex tuples."""
         rows = self.vertices.tolist()
-        return tuple(LatticePath(rows[a:b]) for a, b in self._bounds())
+        return tuple(tuple(map(tuple, rows[a:b])) for a, b in self._bounds())
 
     def to_json(self) -> str:
         rows = self.vertices.tolist()

@@ -28,9 +28,9 @@ runs the graph holds two tables: the int32 neighbour rows, since the
 budget keeps every row and node id far below 2**31, and the float64
 forward edge weights, one per edge, which a search also reads for the
 edge's backward direction.  Both are allocated first, and the weights
-are hashed in chunks of exactly ``EDGE_CHUNK`` edges straight into their
-table.  Each chunk's rows are found from running per-row edge counts,
-its edges' neighbours from one row offset per run and axis, and a search
+are hashed in chunks of whole rows, at most ``EDGE_CHUNK`` edges each,
+straight into their table.  A chunk's edges and their neighbours are
+found from one row interval and offset per run and axis, and a search
 computes its targets from the neighbour rows, so neither builds nor
 searches holds a transient table the size of the box.
 
@@ -73,13 +73,14 @@ from .lattice import BoxRegion, Site, norm1, reserve, sub
 # smallest boxes and leaves the largest unchanged.
 WHOLE_FRONTIER = 512
 
-# A box graph hashes its edge weights in chunks of this many edges (the
-# last one shorter), straight into its weight table.  A chunk's transients
-# take about 130 to 230 bytes per edge by model and dimension, 2 to 4 MB
-# at any box size (9 to 15 MB at 65536 edges, more than the 7.3 MB of the
-# largest built box's tables), and a call of this size hashes no slower
-# per edge than a larger one.  A box of at most
-# this many edges makes one edge_weights call per environment.
+# A box graph hashes its edge weights in chunks of EDGE_CHUNK // d whole
+# rows (at least one), so of at most this many edges, straight into its
+# weight table.  A chunk's transients take about 130 to 230 bytes per edge
+# by model and dimension, 2 to 4 MB at any box size (9 to 15 MB at 65536
+# edges, more than the 7.3 MB of the largest built box's tables), and a
+# call of this size hashes no slower per edge than a larger one.  A box of
+# at most EDGE_CHUNK // d rows makes one edge_weights call per
+# environment.
 EDGE_CHUNK = 16384
 
 # per-value refinement states
@@ -174,6 +175,20 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
     return dist
 
 
+def graph_bytes(n: int, d: int, runs: int, blocks: int = 1) -> int:
+    """The bytes a box graph reserves for n sites in d dimensions that fall
+    into runs runs, with blocks environments: by dtype, the int32
+    neighbour rows and float64 forward weights of each block, the runs
+    (int64 head, start, base and key), and the build's transients: the
+    per-run row bounds and offsets, one chunk of hashing transients
+    (tracemalloc: 88 + 32d bytes per edge at most, any model, d = 1..4),
+    and before the tables the int64 sites, as large as the neighbour rows,
+    with their run marks and step check, 10 bytes per site, which outweigh
+    one block of weights only at d = 1."""
+    return (n * (8 * d + max(8 * d * blocks, 10)) + runs * (64 * d + 64)
+            + EDGE_CHUNK * (128 + 32 * d))
+
+
 class BoxGraph:
     """Weighted nearest-neighbor graph on the sites of one box, for one
     environment or a stack of them.
@@ -187,12 +202,13 @@ class BoxGraph:
     the (E, n, d) float64 forward weights (inf where the box ends), one
     block per environment; a backward edge is its neighbour's forward
     edge, so each weight is stored once.  Both tables are allocated first;
-    the weights are then hashed in the site-major chunks of EDGE_CHUNK
-    edges that ``SiteRuns.edges`` yields, one ``edge_weights`` call per
-    environment and chunk (one for an edgeless box), and written straight
-    into the table, so no list of the box's edges or sites is built.  A
-    stack of E environments shares the runs and the neighbour table, and
-    environment e fills weight block e."""
+    the weights are then hashed in the site-major chunks of whole rows,
+    at most EDGE_CHUNK edges each, that ``SiteRuns.edges`` yields, one
+    ``edge_weights`` call per environment and chunk (one for an edgeless
+    box), and written straight into the table, so no list of the box's
+    edges or sites, and no count per row, is built.  A stack of E
+    environments shares the runs and the neighbour table, and environment
+    e fills weight block e."""
 
     def __init__(self, env: Environment | Sequence[Environment],
                  box: BoxRegion):
@@ -239,16 +255,8 @@ class BoxGraph:
                        if total else 1.0)
 
     def _reserve(self, n: int, d: int, runs: int) -> None:
-        """Reserves, by dtype, the int32 neighbour rows and float64 forward
-        weights of each block, the runs (int64 head, start, base and key),
-        and the build's transients: the int64 edge count per row (or,
-        before it, the sites and their run marks, held no longer than
-        that), the per-run row bounds and offsets, and one chunk of hashing
-        transients (tracemalloc: 88 + 32d bytes per edge at most, any
-        model, d = 1..4)."""
         blocks = len(self.envs)
-        self._bytes = (n * (8 * d + 8 * d * blocks + 8) + runs * (64 * d + 64)
-                       + EDGE_CHUNK * (128 + 32 * d))
+        self._bytes = graph_bytes(n, d, runs, blocks)
         what = "box graph" if blocks == 1 else f"stack of {blocks} box graphs"
         reserve(self._bytes, f"{what} of {n} sites")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -132,7 +133,7 @@ def test_seed_offset_changes_output(tmp_path):
     assert first != second
 
 
-def test_jobs_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
+def test_jobs_flag_does_not_change_output(tmp_path):
     doc = {
         "command": "shape",
         "dimension": 2,
@@ -145,9 +146,6 @@ def test_jobs_flag_and_env_do_not_change_output(tmp_path, monkeypatch):
     assert _run(tmp_path, doc) == 0
     serial = _body(tmp_path / "s.csv")
     assert _run(tmp_path, doc, extra_args=["--jobs", "3"]) == 0
-    assert _body(tmp_path / "s.csv") == serial
-    monkeypatch.setenv("SHAPELAB_JOBS", "2")
-    assert _run(tmp_path, doc) == 0
     assert _body(tmp_path / "s.csv") == serial
 
 
@@ -332,8 +330,9 @@ def test_bad_embed_sites_is_config_error(tmp_path, capsys, sites):
 
 
 def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys, monkeypatch):
-    # a d=1 box of radius R holds 2R + 1 sites, a graph of about 93 MB at
-    # this radius, and is refused before any site is built
+    # a d=1 box of radius R holds 2R + 1 sites, a graph and edge sample
+    # of about 57 MB at this radius, and is refused before any site is
+    # built
     from shapelab import lattice
 
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
@@ -1011,13 +1010,35 @@ def test_polytope_of_a_zero_time_constant_exits_2(tmp_path, capsys):
     assert _run(tmp_path, doc) == 0
 
 
-def test_bad_shapelab_jobs_exits_2_naming_it(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHAPELAB_JOBS", "abc")
-    assert _run(tmp_path, _rkhs_doc(tmp_path)) == 2
+def test_horofunction_past_the_float_range_exits_2(tmp_path, capsys):
+    # the shipped config with a generator whose norms pass the float range
+    doc = yaml.safe_load((CONFIG_DIR / "horofunction.yaml").read_text())
+    doc["cocycle"]["generator"]["value"] = [1.0e300, 4.0]
+    doc["output"] = str(tmp_path / "h.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(tmp_path, doc) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: invalid 'SHAPELAB_JOBS': ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: invalid 'eta': the horofunction "
+                          "limit at n = (1, 0) is nan")
+    assert err.count("\n") == 1 and "Warning" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+def test_kingman_writes_its_rows_as_it_makes_them(tmp_path):
+    # the decomposition reserves 40 bytes per step, 4 MB here; the rows
+    # are written one at a time, not held as tuples
+    doc = yaml.safe_load((CONFIG_DIR / "kingman.yaml").read_text())
+    doc.update(length=100000, drift_orbit=1000,
+               output=str(tmp_path / "k.csv"))
+    tracemalloc.start()
+    try:
+        assert _run(tmp_path, doc) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert len(_body(tmp_path / "k.csv").splitlines()) == 100001
 
 
 def test_pool_never_asks_for_more_workers_than_items(monkeypatch):

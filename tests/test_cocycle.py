@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ def test_horofunction_limit_antisymmetry():
         minus = tuple(-x for x in n)
         assert horofunction_limit(c, eta, n, dm) == pytest.approx(
             -horofunction_limit(c, eta, minus, dm), rel=1e-12)
+
+
+def test_horofunctions_past_the_float_range_are_refused():
+    # squared entries pass the float range: the norms read inf and their
+    # difference or ratio nan, refused without a warning
+    c = HilbertCocycle(2, SeededShift(0, 2), constant_generator([1e300, 4.0]))
+    dm = drift_map(c, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"limit at n = \(1, 0\) is nan"):
+            horofunction_limit(c, (1.0, 0.0), (1, 0), dm)
+        with pytest.raises(ValueError, match=r"m = \(16, 0\), n = \(1, 0\)"):
+            horofunction_empirical(c, (16, 0), (1, 0))
 
 
 def test_horofunction_degenerate_direction():

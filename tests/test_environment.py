@@ -120,7 +120,7 @@ def test_sample_field_checks_the_limit_before_building_sites(monkeypatch):
     monkeypatch.setattr(BoxRegion, "site_array", refuse)
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
     env = Environment(Exponential(1.0), seed=4, dimension=2)
-    # 1101 x 1101 sites, whose graph takes about 52 MB
+    # 1101 x 1101 sites, whose graph and edge sample reserve about 64 MB
     with pytest.raises(MemoryError, match=r"box graph of 1212201 sites "
                        r"needs \d+ bytes, .* budget of 50000000 bytes"):
         env.sample_field((0, 0), 550)

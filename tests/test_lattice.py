@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from shapelab.environment import Constant, Environment
-from shapelab.lattice import (BoxRegion, FamilyAudit, LatticePath, PathFamily,
+from shapelab.lattice import (BoxRegion, FamilyAudit, PathFamily,
                               build_path_family, audit_family, default_chain,
                               enumerate_targets, norm1, sub)
 
@@ -50,11 +50,6 @@ def test_box_sites_match_product_enumeration(d, norm):
             assert len(env.sample_field(center, radius, norm)) == sum(
                 tuple(c + (j == k) for j, c in enumerate(s)) in inside
                 for s in expect for k in range(d))
-
-
-def test_lattice_path_rejects_jumps():
-    with pytest.raises(ValueError):
-        LatticePath([(0, 0), (1, 1)])
 
 
 def test_family_cardinality_and_straight_line():
@@ -232,7 +227,7 @@ def _tuple_audit(family):
     counts = {}
     containment_ok = start_end_ok = True
     for p in family.paths:
-        if p.start != (0,) * d or p.end != n:
+        if p[0] != (0,) * d or p[-1] != n:
             start_end_ok = False
         for v in set(p):
             counts[v] = counts.get(v, 0) + 1

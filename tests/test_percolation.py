@@ -806,8 +806,9 @@ def test_chunked_build_equals_one_call_over_the_box(monkeypatch, model, d):
         monkeypatch.setattr(percolation, "EDGE_CHUNK", chunk)
         calls.clear()
         one, stack = BoxGraph(envs[0], box), BoxGraph(envs, box)
-        # one call per environment and chunk, all edges once each
-        assert len(calls) == 4 * math.ceil(m / chunk)
+        # one call per environment and chunk of chunk // d whole rows, all
+        # edges once each
+        assert len(calls) == 4 * math.ceil(len(sites) / max(1, chunk // d))
         assert max(calls) <= chunk and sum(calls) == 4 * m
         for g, wt in ((one, want_wt[:1]), (stack, want_wt)):
             assert _same_bits(g._nbr, want_nbr)
@@ -842,6 +843,32 @@ def test_building_the_largest_box_peaks_below_40_mb():
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+
+
+def test_hashing_holds_one_chunk_beyond_the_two_tables(monkeypatch):
+    # d=2, radius 700: the int32 neighbour rows and float64 weights take
+    # 32 bytes per site, 31.4 MB; while hashing, a build holds only its runs
+    # and one chunk beyond them, and no count per row
+    env = Environment(Exponential(1.0), seed=0, dimension=2)
+    box = BoxRegion((0, 0), 700, "l1")
+    tables = 32 * box.site_count()
+    beyond = []
+    weigh = Environment.edge_weights
+
+    def spy(self, bases, axes):
+        beyond.append(tracemalloc.get_traced_memory()[0] - tables)
+        return weigh(self, bases, axes)
+
+    monkeypatch.setattr(Environment, "edge_weights", spy)
+    tracemalloc.start()
+    try:
+        BoxGraph(env, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables == 31404832
+    assert max(beyond) <= 3e6
+    assert peak <= 36e6
 
 
 def test_largest_box_builds_and_searches_without_box_sized_transients(
