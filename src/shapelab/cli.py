@@ -489,7 +489,7 @@ def _pmap(fn, items, jobs: int):
 
 def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     d, n_max = cfg["dimension"], cfg["n_max"]
-    seeds = [s + offset for s in cfg["seeds"]]
+    seeds = range(cfg["seeds"].start + offset, cfg["seeds"].stop + offset)
     dirs = cfg["directions"]
     if dirs is None:
         dirs = shape.default_directions(d, cfg["direction_richness"])
@@ -525,7 +525,7 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
 
 
 def _run_maximal_tail(cfg: Config, offset: int, jobs: int) -> None:
-    seeds = [s + offset for s in cfg["seeds"]]
+    seeds = range(cfg["seeds"].start + offset, cfg["seeds"].stop + offset)
     with _blame("lambda_grid"):
         stats = shape.sample_maximal_stats(
             cfg["model"], seeds, cfg["window_radius"], cfg["lambda_grid"],

@@ -74,7 +74,8 @@ class WeightModel:
     def floor(self) -> float:
         """A deterministic lower bound on every float ``weights`` returns.
         0 is always one, since environments reject negative weights; a
-        positive floor lets refinement certify boxed distances as exact."""
+        positive floor raises the truncation certificate of a search
+        (``BoxGraph.certified``) by the edges out of and back into its box."""
         return 0.0
 
     def ceiling(self) -> float:

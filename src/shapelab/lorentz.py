@@ -133,5 +133,13 @@ def lp_norm(sample: WeightedSample, p: float) -> float:
 
 
 def sample_from_environment(env, center, radius: int) -> WeightedSample:
-    """Edge weights in a box as a probability sample (equal masses)."""
+    """Edge weights in a box as a probability sample (equal masses).  Its
+    norms are reserved first, at 80 bytes per edge, and its edges by
+    sample_field: the sample, its rearrangement and one norm's power terms
+    (tracemalloc: 75 bytes per edge at most, d = 1..3, any index pair)."""
+    from . import lattice
+
+    n = lattice.BoxRegion(tuple(center), radius, "linf").counts()[1]
+    lattice.reserve(80 * n * env.dimension, "the norms of the edge sample "
+                    f"of a box graph of {n} sites")
     return WeightedSample.from_values(env.sample_field(center, radius))

@@ -5,12 +5,10 @@ tables.
 The infimum over all lattice paths is approximated by computation inside
 a finite box.  Boxed values only decrease as the box grows, so truncation
 is auditable: refinement doubles the box radius and gives every value one
-of three states.  A value is exact when it lies below the truncation
-certificate's margin (``exact_margin``): with every edge weighing at least
-the model's floor a > 0, a path that leaves the ell-1 box of radius R
-around c from a source s has at least k = R + 1 - |s - c|_1 edges and a
-computed weight of at least a*k*(1 - k*2**-52), so a boxed value below
-that is the unboxed value, bit for bit.  A value is converged when it
+of three states.  A value is exact when its search's truncation
+certificate (``BoxGraph.certified``), which every model has, shows that
+no path leaving the box and coming back weighs less: then it is the
+unboxed value, bit for bit.  A value is converged when it
 moved by less than a tolerance since the previous round, and open
 otherwise.  Refinement stops once no value is open, or at its radius cap.
 Later rounds search only as far as the previous round's largest value,
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,18 +92,14 @@ class DistanceResult:
     exact: bool = False
 
 
-def _midpoint_box(m: Site, n: Site, radius: int) -> BoxRegion:
-    center = tuple((a + b) // 2 for a, b in zip(m, n))
-    return BoxRegion(center, radius, "l1")
-
-
 # a path whose fold passes the float range weighs inf, as fl(x + w) rounds
 # it, and so may the bucket's bound
 @np.errstate(over="ignore")
 def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
-            sources: np.ndarray, limit: float = math.inf) -> np.ndarray:
+            dist: np.ndarray, limit: float = math.inf) -> np.ndarray:
     """Least path weights in B blocks of one graph: block b searches from
-    row sources[b] with the weight table wt[b % E].
+    the start weights dist[b], inf at a row it does not start from, with
+    the weight table wt[b % E].
 
     nbr is the (n, 2d) neighbour-row table, forward along each axis and
     then backward, a row's own row where it has no neighbour, and wt the
@@ -114,8 +107,8 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
     forward neighbour.  The backward edge of row i along axis k is the
     forward edge of row nbr[i, d + k], and its weight is read there; a
     missing backward neighbour is a self-loop, whose candidate never beats
-    the row's own weight.  Node b*n + i is row i of block b.  Returns the
-    (B, n) weights, inf beyond limit.
+    the row's own weight.  Node b*n + i is row i of block b.  Searches
+    the (B, n) array dist in place and returns it, inf beyond limit.
 
     A bucketed label-correcting search (delta-stepping, Meyer and Sanders
     2003) with the given bucket width: each pass relaxes every frontier
@@ -126,18 +119,16 @@ def _search(nbr: np.ndarray, wt: np.ndarray, width: float,
     nbr, each node's block base plus its neighbour rows, so a search
     allocates no (n, 2d) table of its own."""
     n, d = wt.shape[1:]
-    blocks = len(sources)
+    blocks = len(dist)
     # entry (e*n + i)*d + k holds the forward weight of row i along axis k
     # in block e
     flat = wt.reshape(-1)
     axes = np.tile(np.arange(d), 2)
     # k sources search one weight block, a stack's blocks their own
     shared = len(wt) < blocks
-    dist = np.full(blocks * n, np.inf)
-    queued = np.zeros(blocks * n, dtype=bool)
-    front = np.arange(blocks) * n + sources
-    dist[front] = 0.0
-    queued[front] = True
+    dist = dist.reshape(-1)
+    queued = dist < math.inf
+    front = queued.nonzero()[0]
     bound = -math.inf
     while front.size:
         here = dist[front]
@@ -289,15 +280,16 @@ class BoxGraph:
         bit for bit, and the sites beyond it read inf.
 
         Every row is the least left fold S_0 = 0, S_j = fl(S_{j-1} + w_j)
-        over the box paths from its source (see exact_margin), whatever
-        order the search relaxes the edges in.  Each weight the search
-        holds is the fold of some path, so never below that least fold; and
-        when no edge relaxes any more, a weight above it is impossible:
-        along a least path each site's weight is at most the fold of the
-        path's prefix, by induction, since float addition rounds
-        monotonically and fl(x + w) >= x for w >= 0.  So a stack's rows and
-        a multi-source call's rows equal separate searches bit for bit, and
-        so does any exact search of the same graph."""
+        over the box paths from its source, whatever order the search
+        relaxes the edges in.  Each weight the search holds is the fold of
+        some path, so never below that least fold; and when no edge relaxes
+        any more, a weight above it is impossible: along a least path each
+        site's weight is at most the fold of the path's prefix, by
+        induction, since float addition rounds monotonically and fl(x + w)
+        >= x for w >= 0.  So a stack's rows and a multi-source call's rows
+        equal separate searches bit for bit, and so does any exact search
+        of the same graph.  ``certified`` tells which weights are the
+        unboxed ones."""
         sources = np.asarray(source)
         many = sources.ndim == 2
         if many and self.stacked:
@@ -315,8 +307,44 @@ class BoxGraph:
         nodes = len(rows) * n
         reserve(self._bytes + nodes * (9 + 32 * d),
                 f"search of {len(rows)} blocks of {n} sites")
-        out = _search(self._nbr, self._wt, self._width, rows, limit)
+        dist = np.full((len(rows), n), np.inf)
+        dist[np.arange(len(rows)), rows] = 0.0
+        out = _search(self._nbr, self._wt, self._width, dist, limit)
         return out if self.stacked or many else out[0]
+
+    @np.errstate(over="ignore")  # fl(x + a) may round to inf, still a bound
+    def certified(self, dist: np.ndarray, rows) -> np.ndarray:
+        """Which weights dist[..., rows] of a ``distances_from`` result are
+        the unboxed weights, bit for bit: those below the certificate B.  A
+        path that leaves the box first reaches an edge row (one with a
+        missing neighbour) along a box path, then takes an edge of at least
+        the model's floor a, so it weighs at least X = fl(m + a), m the
+        search's least weight at an edge row, as folds are monotone (see
+        distances_from).  It comes back in at an edge row by another such
+        edge, so at a site x it weighs at least B(x), the least fold of a
+        box path from an edge row to x started at fl(X + a), which a second
+        search finds, as far as the largest weight asked about.  Rows
+        beyond a search's limit read inf, still a bound, as every weight
+        the search reports lies at or below its limit."""
+        n, d = self._wt.shape[1:]
+        table, picks = dist.reshape(-1, n), np.atleast_1d(rows)
+        # the caller's weights and the second search's, the edge rows, and
+        # the picked weights with their masks
+        reserve(self._bytes + table.size * (17 + 32 * d) + (5 + 2 * d) * n
+                + 32 * len(table) * picks.size,
+                f"certificate of {len(table)} searches of {n} sites")
+        own = np.arange(n, dtype=np.int32)
+        edge = (self._nbr == own[:, None]).any(axis=1)
+        floors = np.array([env.model.floor() for env in self.envs])
+        floor = floors[:, None] if self.stacked else floors[0]
+        start = np.full(table.shape, np.inf)
+        start[:, edge] = table[:, edge].min(axis=1)[:, None] + floor + floor
+        values = table[:, picks]
+        finite = values[values < math.inf]
+        back = _search(self._nbr, self._wt, self._width, start,
+                       float(finite.max()) if finite.size else -math.inf)
+        return (values < back[:, picks]).reshape(dist.shape[:-1]
+                                                 + np.shape(rows))
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
@@ -330,84 +358,47 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
     holds bit for bit."""
     m, n = tuple(m), tuple(n)
     if box is None:
-        box = _midpoint_box(m, n, box_radius)
+        box = BoxRegion(tuple((a + b) // 2 for a, b in zip(m, n)), box_radius)
     if not (box.contains(m) and box.contains(n)):
         raise ValueError("query endpoints must lie inside the box")
     src, dst = (m, n) if m <= n else (n, m)
     g = BoxGraph(env, box)
-    value = g.distances_from(src)[g.row(dst)]
+    dist = g.distances_from(src)
+    value = dist[g.row(dst)]
     if not math.isfinite(value):
         raise RuntimeError("box disconnected; should be impossible for "
                            "ball-shaped regions")
     return DistanceResult(value=float(value), box_radius_used=box.radius,
-                          converged=False)
+                          converged=False,
+                          exact=bool(g.certified(dist, g.row(dst))))
 
 
-def exact_margin(floor: float, steps: int) -> float:
-    """The truncation certificate: boxed values strictly below this float
-    equal the unboxed values bit for bit, for searches from a source that
-    lies ``steps`` = R + 1 - |s - c|_1 steps from the outside of the ell-1
-    box of radius R around c, when no edge weighs less than ``floor``.
-
-    Derivation.  Let a = floor and k = steps.  Each step changes |x - c|_1
-    by one, so a path from s that leaves the box has at least k edges
-    before its first site outside.  The search weighs a path as the left
-    fold S_0 = 0, S_j = fl(S_{j-1} + w_j), and the unboxed value is the
-    least fold over all lattice paths.  Rounding to nearest is monotone
-    and fl(x + w) >= x for w >= 0, so the fold of a leaving path is at
-    least T_k, the fold of k copies of a.  With u = 2**-53, T_1 = a
-    exactly and T_j >= (T_{j-1} + a)(1 - u) (addition keeps that relative
-    error even for subnormal sums), so by induction
-    T_k >= k*a*(1 - u)**(k-1) >= k*a*(1 - (k-1)*u) >= a*k*(1 - k*2**-52).
-    A boxed value V below that bound is the unboxed value: a path of
-    smaller fold would have to leave the box, and every leaving path
-    weighs at least the bound.  The bound is evaluated exactly, as a ratio
-    of integers, and rounded down to a float, so its own rounding cannot
-    raise it; the margin is 0, and certifies nothing, unless a > 0 and
-    1 <= k < 2**52."""
-    if floor <= 0 or not 1 <= steps < 2 ** 52:
-        return 0.0
-    p, q = floor.as_integer_ratio()
-    num, den = p * steps * (2 ** 52 - steps), q * 2 ** 52
-    try:
-        margin = num / den  # integer true division rounds correctly
-    except OverflowError:
-        return sys.float_info.max
-    mp, mq = margin.as_integer_ratio()
-    return margin if mp * den <= num * mq else math.nextafter(margin, 0)
-
-
-def refine(evaluate, radius: int, cap: int, tol: float, floor: float = 0.0,
-           depth: int = 0):
+def refine(evaluate, radius: int, cap: int, tol: float):
     """Refine boxed values by doubling the radius of an ell-1 box, starting
     from radius and never passing cap.  Returns (values, radius_used,
     states): the last round's values, its radius and one state per value.
 
-    ``evaluate(radius, prev)`` computes the values in the box of that
-    radius; prev is None in the first round and the previous round's
-    values after it.  Boxed values only decrease as the box grows, so a
-    later round needs no search beyond max(prev).
+    ``evaluate(radius, prev)`` returns (values, exact): the values in the
+    box of that radius and the mask of those its search certifies (see
+    ``BoxGraph.certified``); prev is None in the first round and the
+    previous round's values after it.  Boxed values only decrease as the
+    box grows, so a later round needs no search beyond max(prev).
 
-    A value is EXACT when it lies strictly below the certificate margin
-    ``exact_margin(floor, radius + 1 - depth)``, for values searched from
-    a source at ell-1 distance depth from the box center in a field whose
-    weights are at least floor (with the default floor 0 nothing is
-    exact).  It is CONVERGED when prev - value < tol, and OPEN otherwise;
-    first-round values are exact or open.  Refinement stops as soon as no
-    value is open."""
-    def states(values, prev, radius):
+    A certified value is EXACT, else CONVERGED when prev - value < tol,
+    else OPEN.  Refinement stops as soon as no value is open."""
+    def states(values, exact, prev):
         out = np.full(np.shape(values), OPEN, dtype=np.int8)
         if prev is not None:
             out[prev - values < tol] = CONVERGED
-        out[values < exact_margin(floor, radius + 1 - depth)] = EXACT
+        out[exact] = EXACT
         return out
 
-    values = evaluate(radius, None)
-    state = states(values, None, radius)
+    values, exact = evaluate(radius, None)
+    state = states(values, exact, None)
     while (state == OPEN).any() and 2 * radius <= cap:
         radius *= 2
-        prev, values = values, evaluate(radius, values)
-        state = states(values, prev, radius)
+        prev, (values, exact) = values, evaluate(radius, values)
+        state = states(values, exact, prev)
     return values, radius, state
 
 
@@ -423,11 +414,12 @@ def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
         return DistanceResult(0.0, 0, True, True)
     if radius_cap is None:
         radius_cap = 32 * gap
-    # distance() searches from the lexicographically smaller endpoint
-    depth = norm1(sub(min(m, n), _midpoint_box(m, n, 0).center))
-    value, radius, state = refine(
-        lambda r, prev: np.array([distance(env, m, n, r).value]),
-        2 * gap, radius_cap, tol, env.model.floor(), depth)
+
+    def evaluate(r, prev):
+        res = distance(env, m, n, r)
+        return np.array([res.value]), np.array([res.exact])
+
+    value, radius, state = refine(evaluate, 2 * gap, radius_cap, tol)
     return DistanceResult(float(value[0]), radius, bool(state[0] != OPEN),
                           bool(state[0] == EXACT))
 
@@ -488,19 +480,20 @@ def structure_embed(env: Environment, sites: list[Site],
     rank = np.lexsort(points.T[::-1]).argsort()
     lex_le = rank[:, None] <= rank[None, :]
 
-    def all_pairs(r: int) -> np.ndarray:
+    def all_pairs(r: int, prev):
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
-        # out[i, j] = rho(sites[i], sites[j]) searched from sites[i]
-        out = g.distances_from(points)[:, g.rows(points)]
+        dist = g.distances_from(points)
+        # out[i, j] = rho(sites[i], sites[j]) searched from sites[i], and
+        # whether that search certifies it
+        rows = g.rows(points)
+        out, exact = dist[:, rows], g.certified(dist, rows)
         # keep the value searched from the lexicographically smaller
-        # endpoint, so the matrix is symmetric bit for bit
-        return np.where(lex_le, out, out.T)
+        # endpoint, so the matrix is symmetric bit for bit, and its bound
+        return np.where(lex_le, out, out.T), np.where(lex_le, exact, exact.T)
 
-    # the tolerance test only (no floor), with unlimited searches: the
-    # matrix mixes values searched from either end of a pair, so its rows
-    # are not the values of any one search
-    dist, radius, state = refine(lambda r, prev: all_pairs(r), 2 * spread,
-                                 radius_cap, tol)
+    # unlimited searches: the matrix mixes values searched from either end
+    # of a pair, so its rows are not the values of any one search
+    dist, radius, state = refine(all_pairs, 2 * spread, radius_cap, tol)
     if (state == OPEN).any():
         raise ConvergenceError(
             f"pairwise distances did not stabilize within radius cap "

@@ -45,12 +45,17 @@ class DirectionalSeries:
 # directional_constant's default convergence tolerance
 DIRECTIONAL_TOL = 1e-9
 
+# The bytes a sized collection of seeds takes per seed besides its searches
+# and profile values, which are reserved on their own: its sorted list and
+# an environment with its value (tracemalloc: about 220, maximal-tail).
+SEED_BYTES = 400
+
 
 def _direction_profile(env: Environment, theta: Site, n_max: int,
                        tol: float, radius_cap_factor: int = 16):
     """rho(0, k*theta) for k = 1..n_max from single-source searches in a
     common refining box.  Returns (values, states): one refine state per
-    value, certified against the model's weight floor."""
+    value, certified by each round's search (see BoxGraph.certified)."""
     theta = tuple(theta)
     zero = (0,) * env.dimension
     # per multiple its factor, its target and target row, and its value
@@ -64,10 +69,11 @@ def _direction_profile(env: Environment, theta: Site, n_max: int,
         # the graph is released on return, before the next round builds
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
         limit = math.inf if prev is None else float(np.max(prev))
-        return g.distances_from(zero, limit)[g.rows(targets)]
+        dist = g.distances_from(zero, limit)
+        rows = g.rows(targets)
+        return dist[rows], g.certified(dist, rows)
 
-    values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap,
-                               tol, env.model.floor(), norm1(center))
+    values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap, tol)
     return values, states
 
 
@@ -87,15 +93,15 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
         raise ValueError("n_max must be at least 4")
     d = dimension or len(theta)
     step = norm1(theta)
-    rows = []
-    flags = []
-    for seed in sorted(seeds):
+    reserve((SEED_BYTES + 9 * n_max) * len(seeds),
+            f"{len(seeds)} seeds' profile of {n_max} multiples of {theta}")
+    seeds = sorted(seeds)
+    rows = np.empty((len(seeds), n_max))
+    flags = np.empty((len(seeds), n_max), dtype=bool)
+    for i, seed in enumerate(seeds):
         env = Environment(model, seed=int(seed), dimension=d)
-        vals, states = _direction_profile(env, theta, n_max, tol)
-        rows.append(vals)
-        flags.append(states != OPEN)
-    rows = np.asarray(rows)
-    flags = np.asarray(flags)
+        rows[i], states = _direction_profile(env, theta, n_max, tol)
+        flags[i] = states != OPEN
     ks = np.arange(1, n_max + 1)
     means = np.empty(n_max)
     stderrs = np.empty(n_max)
@@ -234,6 +240,7 @@ def sample_maximal_stats(model: WeightModel, seeds, window_radius: int,
     if big:
         raise ValueError(f"lambda {float(big[0])!r} to the power "
                          f"{dimension} overflows")
+    reserve(SEED_BYTES * len(seeds), f"the environments of {len(seeds)} seeds")
     envs = [Environment(model, seed=int(seed), dimension=dimension)
             for seed in sorted(seeds)]
     return MaximalStats(window_radius=window_radius,

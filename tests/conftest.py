@@ -4,8 +4,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the one profile of the property tests, each of which sets its own
+# max_examples: the same examples on every run, and no deadline, since
+# an example's box size sets its time
+settings.register_profile("properties", derandomize=True, deadline=None)
 
 
 def pytest_configure(config):

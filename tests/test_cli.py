@@ -352,12 +352,20 @@ def test_lorentz_box_above_edge_limit_exits_3(tmp_path, capsys, monkeypatch):
     assert "above the memory budget of 50000000 bytes" in err
 
 
-def test_shape_without_converged_distances_exits_3(tmp_path, capsys):
+def test_shape_without_converged_distances_exits_3(tmp_path, capsys,
+                                                   monkeypatch):
+    # a radius cap of one round leaves the k=4 distance of this seed open,
+    # and tolerance 0 converges nothing
+    from functools import partial
+    from shapelab import shape
+
+    monkeypatch.setattr(shape, "_direction_profile", partial(
+        shape._direction_profile, radius_cap_factor=2))
     doc = {
         "command": "shape",
         "dimension": 2,
         "model": {"kind": "exponential", "rate": 1.0},
-        "seeds": {"start": 0, "count": 1},
+        "seeds": {"start": 9, "count": 1},
         "directions": [[1, 0]],
         "n_max": 4,
         "tolerance": 0,
@@ -366,7 +374,7 @@ def test_shape_without_converged_distances_exits_3(tmp_path, capsys):
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3
-    assert "Traceback" not in err and "no converged distances" in err
+    assert "Traceback" not in err and "no converged distances at k=4" in err
 
 
 @pytest.mark.parametrize("command", ["lyapunov", "schrodinger-scan"])
@@ -620,31 +628,67 @@ def test_two_valued_shape_with_zero_tolerance_is_certified(tmp_path):
     assert [float(ln.split(",")[excluded]) for ln in lines[1:]] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("make, what", [
+    (_shape_doc, "1048576 seeds' profile of 4 multiples of (0, 1)"),
+    (_maximal_tail_doc, "the environments of 1048576 seeds"),
+], ids=["shape", "maximal-tail"])
+def test_seed_list_above_the_budget_exits_3_before_any_environment(
+        tmp_path, capsys, monkeypatch, make, what):
+    # 2**20 seeds take more than the 256 MiB budget at 400 bytes each, and
+    # are refused before their list or any environment is built
+    from shapelab.environment import Environment
+
+    def made(self):
+        raise AssertionError("an environment was made")
+
+    monkeypatch.setattr(Environment, "__post_init__", made)
+    code = _run(tmp_path, make(tmp_path, seeds={"start": 5,
+                                                "count": 2 ** 20}))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert what + " needs" in err
+
+
+def test_exponential_shape_with_zero_tolerance_is_certified(tmp_path):
+    # no value ever moves by less than 0, but the search of each round
+    # certifies exponential distances too, so none is excluded
+    doc = _shape_doc(tmp_path, model={"kind": "exponential", "rate": 1.0},
+                     seeds={"start": 0, "count": 3}, tolerance=0)
+    assert _run(tmp_path, doc) == 0
+    lines = [ln for ln in (tmp_path / "shape.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    excluded = lines[0].split(",").index("excluded")
+    assert [float(ln.split(",")[excluded]) for ln in lines[1:]] == [0.0, 0.0]
+
+
 def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
-    # exponential distances never certify and tolerance 0 never converges,
-    # so refinement runs to radius 96 = 16 * gap, a ball of 1198337 sites
-    # whose graph takes about 68 MB
+    # tolerance 0 never converges, and at this seed the exponential
+    # distances along each axis are certified only in the second round, at
+    # radius 24 = 4 * gap: a ball of 19649 sites whose graph takes about
+    # 4.9 MB, above this budget, while the first round's 2625 sites take
+    # 3.9 MB
     from shapelab import lattice
     from shapelab.lattice import BoxRegion
 
     build = BoxRegion.site_array
 
     def guarded(self):
-        if self.radius > 48:
+        if self.radius > 12:
             raise RuntimeError("site array built above the budget")
         return build(self)
 
     monkeypatch.setattr(BoxRegion, "site_array", guarded)
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 5 * 10 ** 7)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 45 * 10 ** 5)
     doc = _shape_doc(tmp_path, dimension=3,
                      model={"kind": "exponential", "rate": 1.0},
                      directions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                     n_max=6, tolerance=0)
+                     seeds={"start": 8, "count": 1}, n_max=6, tolerance=0)
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err
-    assert "box graph of 1198337 sites needs" in err
+    assert "box graph of 19649 sites needs" in err
 
 
 def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys,

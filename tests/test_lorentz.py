@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from shapelab import lattice
 
 from shapelab.environment import Environment, Exponential
 from shapelab.lorentz import (StepFunction, WeightedSample, lorentz_norm,
@@ -176,3 +179,29 @@ def test_sample_from_environment_takes_the_field_weights_in_order():
     edges = box_edges((1, -1), 4)
     assert s.values.tolist() == [env.edge_weight(e) for e in edges]
     assert np.all(s.masses == 1.0 / len(edges))
+
+
+@pytest.mark.parametrize("d, radius", [(1, 200001), (2, 300)])
+def test_sample_and_its_norms_peak_below_their_reservation(monkeypatch, d,
+                                                           radius):
+    # exponential weights are all distinct, so the rearrangement has a
+    # step per edge; at d = 1 the norms outweigh the graph and its sample
+    asked = []
+    reserve = lattice.reserve
+
+    def spy(nbytes, what, power=(1, 0)):
+        asked.append(nbytes * power[0] ** power[1])
+        reserve(nbytes, what, power)
+
+    monkeypatch.setattr(lattice, "reserve", spy)
+    env = Environment(Exponential(1.0), seed=0, dimension=d)
+    tracemalloc.start()
+    try:
+        sample = sample_from_environment(env, (0,) * d, radius)
+        for p, q in [(1.0, 1.0), (2.0, 3.0), (1.5, math.inf)]:
+            lorentz_norm(sample, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sample.values) > 400000
+    assert peak < max(asked)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapelab.environment import (Constant, Environment, Exponential,
-                                  MovingAverage, Pareto, Rotation, TwoValued)
+                                  MovingAverage, Pareto, Rotation, TwoValued,
+                                  WeightModel)
 from shapelab import lattice, percolation
 from shapelab.lattice import BoxRegion, norm1, sub
 from shapelab.percolation import (EXACT, OPEN, BoxGraph,
                                   ConvergenceError, distance,
-                                  distance_converged, exact_margin, refine,
+                                  distance_converged, refine,
                                   structure_embed)
 
 from conftest import box_edges, brute_force_distance
@@ -107,10 +108,12 @@ def test_two_valued_converged_fixture():
 
 def test_nonconvergence_flag_honored():
     # a radius cap below the first refinement must flag, never truncate
-    # silently; the value is the last computed one
-    env = Environment(Pareto(0.8), seed=0, dimension=2)
+    # silently; the value is the last computed one, here above its
+    # certificate (25.743 against 22.964 for a path that leaves the box
+    # and comes back)
+    env = Environment(Pareto(0.8), seed=8, dimension=2)
     r = distance_converged(env, (0, 0), (4, 0), radius_cap=9)
-    assert not r.converged
+    assert not r.converged and not r.exact
     assert math.isfinite(r.value) and r.box_radius_used == 8
 
 
@@ -140,7 +143,7 @@ def test_box_graph_row_lookup(d, norm):
             g.distances_from(outside[-1])
 
 
-@settings(derandomize=True, deadline=None, max_examples=700)
+@settings(settings.get_profile("properties"), max_examples=700)
 @given(st.data())
 def test_rows_and_neighbours_match_a_dict_of_tuples(data):
     # ell-1 and ell-inf balls, and rectangles of side 1..4 (d <= 3)
@@ -305,9 +308,10 @@ def test_certified_values_match_enumeration_oracle(model):
 
         def evaluate(r, prev):
             graphs.append(BoxGraph(env, BoxRegion((0, 0), r, "l1")))
-            return graphs[-1].distances_from((0, 0))
+            dist = graphs[-1].distances_from((0, 0))
+            return dist, graphs[-1].certified(dist, np.arange(len(dist)))
 
-        values, radius, states = refine(evaluate, 2, 2, 1e-9, model.floor())
+        values, radius, states = refine(evaluate, 2, 2, 1e-9)
         oracle = _enumeration_oracle(env, (0, 0), square,
                                      _box_weight_table(env, square))
         exact = states == EXACT
@@ -335,33 +339,100 @@ def test_certified_distance_equals_the_4r_box():
     assert r.exact and r.box_radius_used == 10 and r.value == 5.0
 
 
-def test_exponential_distance_is_never_exact():
+def test_exponential_distance_is_certified_and_equals_the_4r_box():
+    # floor 0: the certificate is built from the box's own weights alone
     assert Exponential(1.0).floor() == 0.0
-    assert exact_margin(0.0, 100) == 0.0
+    certified = 0
     for seed in range(4):
         env = Environment(Exponential(1.0), seed=seed, dimension=2)
         r = distance_converged(env, (0, 0), (2, 1))
-        assert r.converged and not r.exact
+        far = distance(env, (0, 0), (2, 1), 4 * r.box_radius_used)
+        assert r.converged and far.exact and r.value == far.value
+        certified += r.exact
+    assert certified == 4
 
 
-@pytest.mark.parametrize("floor", [1.0, 0.1, 1.0 / 3.0, 0.7, 5e-324, 1e300,
-                                   1.7e308])
-def test_exact_margin_is_below_the_fold_of_its_steps(floor):
-    from fractions import Fraction
+class _Corridor(WeightModel):
+    """Weight 3 on the edges of the ell-1 ball of radius 3 around the
+    origin, 1 on the edges that leave it and 0.01 outside it: a cheap
+    corridor just outside the box of radius 3."""
 
-    fold = 0.0
-    for k in range(1, 3001):
-        fold += floor
-        m = exact_margin(floor, k)
-        bound = Fraction(floor) * k * (1 - Fraction(k, 2**52))
-        # the largest float at or below the bound, which the fold of k
-        # copies of the floor never undercuts
-        up = math.nextafter(m, math.inf)
-        assert Fraction(m) <= bound
-        assert up == math.inf or Fraction(up) > bound
-        assert m <= fold
-    assert exact_margin(floor, 0) == 0.0 == exact_margin(floor, -3)
-    assert exact_margin(1.0, 10) < exact_margin(1.0, 11)
+    kind = "corridor"
+
+    def weights(self, seed, bases, axes):
+        step = np.eye(bases.shape[1], dtype=np.int64)[axes]
+        inside = ((np.abs(bases).sum(axis=1) <= 3).astype(int)
+                  + (np.abs(bases + step).sum(axis=1) <= 3))
+        return np.array([0.01, 1.0, 3.0])[inside]
+
+    def floor(self):
+        return 0.01
+
+
+@settings(settings.get_profile("properties"), max_examples=150)
+@given(st.data())
+def test_certified_values_equal_the_2r_and_4r_boxes(data):
+    # every model and the corridor, d = 1..3, a random centre, radius and
+    # sources; one source, k sources or a stack of environments, with or
+    # without a limit: a value its search certifies in the box of radius R
+    # is, bit for bit, its value in the boxes of radius 2R and 4R
+    d = data.draw(st.integers(1, 3), label="d")
+    model = data.draw(st.sampled_from(ORACLE_MODELS + [_Corridor()]),
+                      label="model")
+    radius = data.draw(st.integers(1, (12, 5, 3)[d - 1]), label="radius")
+    center = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d,
+                                      max_size=d), label="center"))
+    kind = data.draw(st.sampled_from(["one", "sources", "stack"]),
+                     label="kind")
+    seeds = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=3,
+                               unique=True), label="seeds")
+    sites = BoxRegion(center, radius, "l1").site_array()
+    picks = data.draw(st.lists(st.integers(0, len(sites) - 1), min_size=1,
+                               max_size=3, unique=True), label="sources")
+    envs = [Environment(model, seed=s, dimension=d) for s in seeds]
+    env = envs if kind == "stack" else envs[0]
+    source = sites[picks] if kind == "sources" else tuple(sites[picks[0]])
+
+    def search(r, limit=math.inf):
+        g = BoxGraph(env, BoxRegion(center, r, "l1"))
+        return g, g.distances_from(source, limit)
+
+    g, dist = search(radius)
+    if data.draw(st.booleans(), label="limited"):
+        at = data.draw(st.floats(0, 1), label="limit quantile")
+        ranked = np.sort(dist, axis=None)
+        g, dist = search(radius, float(ranked[int(at * (ranked.size - 1))]))
+    rows = g.rows(sites)
+    exact = g.certified(dist, rows)
+    for factor in (2, 4):
+        big, far = search(factor * radius)
+        assert (far[..., big.rows(sites)][exact].tobytes()
+                == dist[..., rows][exact].tobytes())
+
+
+def test_certificate_refuses_a_value_that_a_corridor_outside_undercuts():
+    env = Environment(_Corridor(), seed=0, dimension=2)
+    box = BoxRegion((0, 0), 3, "l1")
+    g = BoxGraph(env, box)
+    dist = g.distances_from((2, 0))
+    boxed = distance(env, (2, 0), (-2, 0), 0, box=box)
+    # out at (3, 0), around the corridor, and back in at (-3, 0)
+    far = distance(env, (2, 0), (-2, 0), 0, box=BoxRegion((0, 0), 12, "l1"))
+    assert boxed.value == 12.0 and far.value < 8.2
+    assert not boxed.exact
+    assert not g.certified(dist, g.row((-2, 0)))
+    # leaving costs at least 3 + 0.01 and coming back 0.01 more, then 3
+    # per inner edge: it certifies the source and its four neighbours,
+    # and the three sites at 6 and the three at 9 that lie one and two
+    # inner edges inside every row with a missing neighbour
+    big = BoxGraph(env, BoxRegion((0, 0), 12, "l1"))
+    rows = big.rows(g.sites)
+    exact = g.certified(dist, np.arange(len(dist)))
+    assert exact.sum() == 11
+    assert sorted(dist[exact].tolist()) == ([0.0] + [3.0] * 4 + [6.0] * 3
+                                           + [9.0] * 3)
+    assert np.array_equal(big.distances_from((2, 0))[rows][exact],
+                          dist[exact])
 
 
 def test_limited_search_equals_unlimited_on_reached_sites():
@@ -558,6 +629,33 @@ def test_builds_and_searches_peak_below_their_reservation(monkeypatch, d,
             del g
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, radius", [(1, 1000), (2, 3), (2, 120),
+                                       (3, 2), (3, 20)])
+@pytest.mark.parametrize("kind", ["one", "sources", "stack"])
+def test_certificate_peaks_below_its_reservation(monkeypatch, d, radius,
+                                                 kind):
+    # every row picked, so the second search, from every row with a
+    # missing neighbour, runs as far as the largest weight; small boxes
+    # are nearly all such rows
+    origin = (0,) * d
+    envs = [Environment(MovingAverage((0.3, 0.7)), seed=s, dimension=d)
+            for s in range(3)]
+    env = envs if kind == "stack" else envs[0]
+    source = [origin, (1,) + origin[1:]] if kind == "sources" else origin
+    asked = _reserved(monkeypatch)
+    tracemalloc.start()
+    try:
+        g = BoxGraph(env, BoxRegion(origin, radius, "l1"))
+        dist = g.distances_from(source)
+        asked.clear()
+        tracemalloc.reset_peak()
+        exact = g.certified(dist, np.arange(dist.shape[-1]))
+        assert tracemalloc.get_traced_memory()[1] <= asked[-1]
+    finally:
+        tracemalloc.stop()
+    assert exact.shape == dist.shape and exact.any() and not exact.all()
 
 
 @pytest.mark.parametrize("d, radius", [(2, 120), (3, 30)])

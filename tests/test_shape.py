@@ -271,16 +271,26 @@ def test_certified_profile_values_equal_the_4r_box(model):
     assert certified > 0
 
 
-def test_exponential_profile_is_never_exact():
-    for seed in range(3):
+def test_exponential_profile_is_certified_and_equals_the_4r_box():
+    # floor 0, yet every value is certified in one round at R = 2 * gap
+    # and equals, bit for bit, that of the box of radius 4R
+    theta, n_max = (1, 1), 6
+    targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
+    center = tuple(c // 2 for c in targets[-1].tolist())
+    for seed in range(2):
         env = Environment(Exponential(1.0), seed=seed, dimension=2)
-        values, states = shape._direction_profile(env, (1, 1), 6, 1e-9)
-        assert not np.any(states == EXACT) and not np.any(states == OPEN)
+        values, states = shape._direction_profile(
+            env, theta, n_max, 1e-9, radius_cap_factor=2)
+        g = BoxGraph(env, BoxRegion(center, 8 * norm1(theta) * n_max, "l1"))
+        far = g.distances_from((0, 0))[g.rows(targets)]
+        assert np.all(states == EXACT)
+        assert values.tobytes() == far.tobytes()
 
 
 def test_later_rounds_keep_unlimited_values(monkeypatch):
-    # with tolerance 0 an exponential profile runs every round up to its
-    # cap; its limited searches must give what unlimited searches give
+    # with tolerance 0 an exponential profile runs until every value is
+    # certified, here in two rounds; its limited second search must give
+    # what an unlimited search gives
     env = Environment(Exponential(1.0), seed=5, dimension=2)
     search = BoxGraph.distances_from
     limits = []
@@ -291,7 +301,7 @@ def test_later_rounds_keep_unlimited_values(monkeypatch):
 
     monkeypatch.setattr(BoxGraph, "distances_from", spy)
     limited = shape._direction_profile(env, (1, 0), 5, 0.0)
-    assert limits[0] == math.inf and len(limits) == 4
+    assert limits[0] == math.inf and len(limits) == 2
     assert all(math.isfinite(v) for v in limits[1:])
     monkeypatch.setattr(BoxGraph, "distances_from",
                         lambda self, source, limit=math.inf:
@@ -302,9 +312,10 @@ def test_later_rounds_keep_unlimited_values(monkeypatch):
 
 
 def test_excluded_fraction_is_the_open_share(monkeypatch):
-    # a radius cap of one round leaves some two-valued distances above
-    # their certificate margin: only those are excluded
-    model, theta, n_max, seeds = TwoValued(1.0, 3.0, 0.5), (1, 0), 6, range(8)
+    # a radius cap of one round leaves a two-valued distance of this
+    # contrast uncertified: only that one is excluded
+    model, theta, n_max = TwoValued(1.0, 10.0, 0.5), (1, 0), 6
+    seeds = range(8)
     capped = functools.partial(shape._direction_profile, radius_cap_factor=2)
     profiles = [capped(Environment(model, seed=s, dimension=2), theta, n_max,
                        1e-9) for s in seeds]
