@@ -637,7 +637,8 @@ def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
         "sup_norm_defect": sup_defect,
         "additivity_defect": add_defect,
     })
-    if max(sup_defect, add_defect) > 1e-9:
+    # the identities hold to rounding, which scales with the distances
+    if max(sup_defect, add_defect) > 1e-9 * max(1.0, float(dist.max())):
         raise AssertionError("structure embedding identities violated")
 
 

@@ -10,12 +10,13 @@ certificate (``BoxGraph.certified``), which every model has, shows that
 no path leaving the box and coming back weighs less: then it is the
 unboxed value, bit for bit.  A value is converged when it
 moved by less than a tolerance since the previous round, and open
-otherwise.  Refinement stops once no value is open, or at its radius cap.
-Later rounds search only as far as the previous round's largest value,
-since no value can rise.  A box graph reserves the bytes of its tables
-(see ``lattice.reserve``) before it builds any site, and a search the
-bytes of its graph, its per-node arrays and its passes' transients before
-it allocates, so either is refused above ``lattice.MEMORY_BUDGET``.
+otherwise.  A row of values stops refining once none of them is open, or
+at the radius cap.  Later rounds search only as far as the previous
+round's largest value, since no value can rise.  A box graph reserves the
+bytes of its tables (see ``lattice.reserve``) before it builds any site,
+and a search the bytes of its graph, its per-node arrays and its passes'
+transients before it allocates, so either is refused above
+``lattice.MEMORY_BUDGET``.
 
 A box graph numbers the box's sites in lexicographic order, the rows of
 ``BoxRegion.site_array``, which it reads once and keeps only as runs
@@ -375,17 +376,20 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
 
 def refine(evaluate, radius: int, cap: int, tol: float):
     """Refine boxed values by doubling the radius of an ell-1 box, starting
-    from radius and never passing cap.  Returns (values, radius_used,
-    states): the last round's values, its radius and one state per value.
+    from radius and never passing cap.  Each row of the values' leading
+    axis refines on its own and leaves once none of its values is open.
+    Returns (values, radii, states): per row its last values, their radius
+    and their states.
 
-    ``evaluate(radius, prev)`` returns (values, exact): the values in the
-    box of that radius and the mask of those its search certifies (see
-    ``BoxGraph.certified``); prev is None in the first round and the
-    previous round's values after it.  Boxed values only decrease as the
-    box grows, so a later round needs no search beyond max(prev).
+    ``evaluate(radius, live, prev)`` returns (values, exact) for the rows
+    live, every row when live and prev are None (the first round): the
+    values in the box of that radius and the mask of those its search
+    certifies (see ``BoxGraph.certified``); prev is the rows' previous
+    values.  Boxed values only decrease as the box grows, so a later round
+    needs no search beyond max(prev).
 
     A certified value is EXACT, else CONVERGED when prev - value < tol,
-    else OPEN.  Refinement stops as soon as no value is open."""
+    else OPEN."""
     def states(values, exact, prev):
         out = np.full(np.shape(values), OPEN, dtype=np.int8)
         if prev is not None:
@@ -393,13 +397,20 @@ def refine(evaluate, radius: int, cap: int, tol: float):
         out[exact] = EXACT
         return out
 
-    values, exact = evaluate(radius, None)
+    values, exact = evaluate(radius, None, None)
     state = states(values, exact, None)
-    while (state == OPEN).any() and 2 * radius <= cap:
+    radii = np.full(len(values), radius)
+    live, inner = np.arange(len(values)), tuple(range(1, np.ndim(values)))
+    while 2 * radius <= cap:
+        live = live[(state[live] == OPEN).any(axis=inner)]
+        if not live.size:
+            break
         radius *= 2
-        prev, (values, exact) = values, evaluate(radius, values)
-        state = states(values, exact, prev)
-    return values, radius, state
+        prev = values[live]
+        values[live], exact = evaluate(radius, live, prev)
+        state[live] = states(values[live], exact, prev)
+        radii[live] = radius
+    return values, radii, state
 
 
 def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
@@ -415,13 +426,13 @@ def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
     if radius_cap is None:
         radius_cap = 32 * gap
 
-    def evaluate(r, prev):
+    def evaluate(r, live, prev):  # one row
         res = distance(env, m, n, r)
         return np.array([res.value]), np.array([res.exact])
 
     value, radius, state = refine(evaluate, 2 * gap, radius_cap, tol)
-    return DistanceResult(float(value[0]), radius, bool(state[0] != OPEN),
-                          bool(state[0] == EXACT))
+    return DistanceResult(float(value[0]), int(radius[0]),
+                          bool(state[0] != OPEN), bool(state[0] == EXACT))
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +491,7 @@ def structure_embed(env: Environment, sites: list[Site],
     rank = np.lexsort(points.T[::-1]).argsort()
     lex_le = rank[:, None] <= rank[None, :]
 
-    def all_pairs(r: int, prev):
+    def all_pairs(r: int, live, prev):
         g = BoxGraph(env, BoxRegion(center, r, "l1"))
         dist = g.distances_from(points)
         # out[i, j] = rho(sites[i], sites[j]) searched from sites[i], and
@@ -488,8 +499,10 @@ def structure_embed(env: Environment, sites: list[Site],
         rows = g.rows(points)
         out, exact = dist[:, rows], g.certified(dist, rows)
         # keep the value searched from the lexicographically smaller
-        # endpoint, so the matrix is symmetric bit for bit, and its bound
-        return np.where(lex_le, out, out.T), np.where(lex_le, exact, exact.T)
+        # endpoint, so the matrix is symmetric bit for bit, and its bound;
+        # one row of refine, as its symmetry needs one radius
+        return (np.where(lex_le, out, out.T)[None],
+                np.where(lex_le, exact, exact.T)[None])
 
     # unlimited searches: the matrix mixes values searched from either end
     # of a pair, so its rows are not the values of any one search
@@ -498,5 +511,5 @@ def structure_embed(env: Environment, sites: list[Site],
         raise ConvergenceError(
             f"pairwise distances did not stabilize within radius cap "
             f"{radius_cap}")
-    return StructureEmbedding(sites=tuple(sites), dist=dist,
-                              box_radius_used=radius)
+    return StructureEmbedding(sites=tuple(sites), dist=dist[0],
+                              box_radius_used=int(radius[0]))

@@ -50,37 +50,103 @@ DIRECTIONAL_TOL = 1e-9
 # an environment with its value (tracemalloc: about 220, maximal-tail).
 SEED_BYTES = 400
 
+# Maximal functions and direction profiles search their seeds in stacks of
+# environments over one box (see BoxGraph), of at most this many sites in
+# all; a box larger than this is searched alone.  This sets speed, not
+# memory: every stack is reserved against lattice.MEMORY_BUDGET, as any
+# box graph is, and a profile splits a stack that it refuses.  Building
+# and searching a stack takes about 40 (d=2) to 80 (d=3) bytes of peak
+# memory per site (tracemalloc: 30 boxes of 545 sites, 19 of 833), and up
+# to about 200 in a stack of a few larger boxes, which hashes each box's
+# edges in one call (180 in a profile's four boxes of 3281 sites).  A
+# search costs mostly its passes, whose number does not grow with the
+# stack, so larger stacks pay off (2-core x86_64): 500 seeds of a 545-site
+# box (d=2, W=8) take a median 0.24 s in stacks of 16384 sites against
+# 0.34 s in stacks of 4096, for 1.4 MB more peak memory, and the d=2 scan
+# of 8 two-valued seeds along 4 directions (n_max 10) takes 0.064 s
+# against 0.109 s one seed at a time (best of 9), for 0.23 MB more.
+STACK_SITES = 16384
 
-def _direction_profile(env: Environment, theta: Site, n_max: int,
-                       tol: float, radius_cap_factor: int = 16):
+
+def _direction_profile(env: Environment | Sequence[Environment],
+                       theta: Site, n_max: int, tol: float,
+                       radius_cap_factor: int = 16):
     """rho(0, k*theta) for k = 1..n_max from single-source searches in a
     common refining box.  Returns (values, states): one refine state per
-    value, certified by each round's search (see BoxGraph.certified)."""
+    value, certified by each round's search (see BoxGraph.certified).
+
+    For a sequence of environments, (E, n_max) arrays, one row each, from
+    stacked searches: each round searches the environments that still have
+    an open value, in stacks of at most STACK_SITES sites, and splits a
+    stack that the memory budget refuses, down to one environment.  A row
+    is what that environment's own refinement gives, bit for bit: a
+    stack's search limit is the largest of its rows' limits, each row's
+    targets lie at or below its own, and a stack's rows equal separate
+    searches.  One environment is the one-row case of the same search."""
+    envs = [env] if isinstance(env, Environment) else list(env)
     theta = tuple(theta)
-    zero = (0,) * env.dimension
-    # per multiple its factor, its target and target row, and its value
-    reserve((8 * len(theta) + 24) * n_max,
+    zero = (0,) * len(theta)
+    # per multiple its factor, its target and target row, and per row and
+    # multiple its value, previous value, certificate and state
+    reserve((8 * len(theta) + 16 + 18 * len(envs)) * n_max,
             f"profile of {n_max} multiples of {theta}")
     targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
     gap = norm1(theta) * n_max
     center = tuple(c // 2 for c in targets[-1].tolist())
 
-    def profile(r: int, prev) -> np.ndarray:
-        # the graph is released on return, before the next round builds
-        g = BoxGraph(env, BoxRegion(center, r, "l1"))
-        limit = math.inf if prev is None else float(np.max(prev))
+    def search(box: BoxRegion, stack, limit: float):
+        # the stack's graph is released on return, before the next builds
+        g = BoxGraph(stack, box)
         dist = g.distances_from(zero, limit)
         rows = g.rows(targets)
-        return dist[rows], g.certified(dist, rows)
+        return dist[:, rows], g.certified(dist, rows)
+
+    def profile(r: int, live, prev):
+        box = BoxRegion(center, r, "l1")
+        stack = envs if live is None else [envs[i] for i in live]
+        limits = (np.full(len(stack), math.inf) if prev is None
+                  else prev.max(axis=1))
+        values = np.empty((len(stack), n_max))
+        exact = np.empty(values.shape, dtype=bool)
+        size = max(1, STACK_SITES // box.site_count())
+        todo = [(i, min(i + size, len(stack)))
+                for i in range(0, len(stack), size)]
+        while todo:
+            lo, hi = todo.pop()
+            try:
+                values[lo:hi], exact[lo:hi] = search(
+                    box, stack[lo:hi], float(limits[lo:hi].max()))
+            except MemoryError:
+                if hi - lo == 1:
+                    raise
+                mid = (lo + hi) // 2
+                todo += [(lo, mid), (mid, hi)]
+        return values, exact
 
     values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap, tol)
+    if isinstance(env, Environment):
+        return values[0], states[0]
     return values, states
+
+
+def _stderr(col: np.ndarray) -> float:
+    """The standard error of the mean of col, from col scaled by an exact
+    power of two that puts its largest magnitude in [1/2, 1): the scaling
+    commutes with every rounding of the mean and deviations, so the
+    result is the unscaled one bit for bit wherever that one neither
+    overflows nor underflows, and it is finite for any finite col."""
+    if len(col) < 2:
+        return 0.0
+    exp = math.frexp(float(np.max(np.abs(col))))[1]
+    scaled = np.ldexp(col, -exp)
+    return math.ldexp(float(scaled.std(ddof=1)), exp) / math.sqrt(len(col))
 
 
 def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
                          dimension: int | None = None,
                          tol: float = DIRECTIONAL_TOL) -> DirectionalSeries:
-    """The per-direction convergence series and its inf-of-means limit.
+    """The per-direction convergence series and its inf-of-means limit,
+    from one stacked profile of all the seeds (see _direction_profile).
 
     Distances that refinement leaves open (neither certified exact nor
     converged within tol) are excluded from the means and counted; a
@@ -95,13 +161,10 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
     step = norm1(theta)
     reserve((SEED_BYTES + 9 * n_max) * len(seeds),
             f"{len(seeds)} seeds' profile of {n_max} multiples of {theta}")
-    seeds = sorted(seeds)
-    rows = np.empty((len(seeds), n_max))
-    flags = np.empty((len(seeds), n_max), dtype=bool)
-    for i, seed in enumerate(seeds):
-        env = Environment(model, seed=int(seed), dimension=d)
-        rows[i], states = _direction_profile(env, theta, n_max, tol)
-        flags[i] = states != OPEN
+    envs = [Environment(model, seed=int(seed), dimension=d)
+            for seed in sorted(seeds)]
+    rows, states = _direction_profile(envs, theta, n_max, tol)
+    flags = states != OPEN
     ks = np.arange(1, n_max + 1)
     means = np.empty(n_max)
     stderrs = np.empty(n_max)
@@ -111,7 +174,7 @@ def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
             raise ConvergenceError(
                 f"no converged distances at k={ks[i]} along {theta}")
         means[i] = col.mean()
-        stderrs[i] = col.std(ddof=1) / math.sqrt(len(col)) if len(col) > 1 else 0.0
+        stderrs[i] = _stderr(col)
     excluded = 1.0 - float(flags.mean())
     return DirectionalSeries(direction=theta, ks=ks, means=means,
                              stderrs=stderrs, excluded_fraction=excluded,
@@ -172,21 +235,6 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 # maximal function and its tail
 
 
-# Maximal functions are searched in stacks of environments over one box
-# (see BoxGraph), of at most this many sites in all; a box larger than
-# this is searched alone.  This sets speed, not memory: every stack is
-# reserved against lattice.MEMORY_BUDGET, as any box graph is.  Building
-# and searching a stack takes about 40 (d=2) to 80 (d=3) bytes of peak
-# memory per site (tracemalloc: 30 boxes of 545 sites, 19 of 833), and up
-# to about 200 in a stack of a few larger boxes, which hashes each box's
-# edges in one call.  A search costs
-# mostly its passes, whose number does not grow with the stack, so larger
-# stacks pay off: 500 seeds of a 545-site box (d=2, W=8) take a median
-# 0.24 s in stacks of 16384 sites against 0.34 s in stacks of 4096, for
-# 1.4 MB more peak memory.
-STACK_SITES = 16384
-
-
 def maximal_function(env: Environment | Sequence[Environment],
                      window_radius: int):
     """max over 0 < |n| <= W of rho(0, n)/|n|, from one multi-target
@@ -204,10 +252,14 @@ def maximal_function(env: Environment | Sequence[Environment],
     values = []
     for i in range(0, len(envs), size):
         g = BoxGraph(envs[i:i + size], box)
+        if not i:
+            # the window's rows and their norms, the same for every stack,
+            # read once the budget has taken the first stack's graph
+            r = np.abs(g.sites).sum(axis=1)
+            window = (r > 0) & (r <= window_radius)
+            r = r[window]
         dist = g.distances_from(zero)
-        r = np.abs(g.sites).sum(axis=1)
-        window = (r > 0) & (r <= window_radius)
-        values.append(np.max(dist[:, window] / r[window], axis=1))
+        values.append(np.max(dist[:, window] / r, axis=1))
     values = np.maximum(0.0, np.concatenate(values))
     return float(values[0]) if isinstance(env, Environment) else values
 

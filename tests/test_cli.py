@@ -843,6 +843,62 @@ def test_embed_check_of_huge_accepted_weights_warns_of_nothing(tmp_path,
     assert capsys.readouterr().err == ""
 
 
+def test_shape_of_huge_two_valued_weights_has_finite_stderrs(tmp_path):
+    # per-step means of about 1e300, whose deviations square past the
+    # float range unless each column is scaled first
+    doc = _shape_doc(tmp_path, model={"kind": "two_valued", "low": 1.0e300,
+                                      "high": 2.0e300},
+                     seeds={"start": 0, "count": 6})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, doc) == 0
+    header, *rows = _body(doc["output"]).splitlines()
+    col = header.split(",").index("stderr")
+    stderrs = [float(row.split(",")[col]) for row in rows]
+    assert len(stderrs) == 2 and all(map(math.isfinite, stderrs))
+    assert max(stderrs) > 1e298
+
+
+_HUGE_EMBED = {"model": {"kind": "exponential", "rate": 1.0e-300}, "seed": 42,
+               "sites": [[0, 0], [2, 1], [-1, 2], [1, -2], [3, 0], [-2, -1]]}
+
+
+def test_embed_check_of_huge_weights_judges_defects_by_their_scale(
+        tmp_path):
+    # distances of up to about 4e300 leave defects of about 6e284, a
+    # rounding-sized 1.5e-16 of them
+    doc = _embed_doc(tmp_path, **_HUGE_EMBED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(tmp_path, doc) == 0
+    payload = json.loads(Path(doc["output"]).read_text())["payload"]
+    largest = max(map(max, payload["embedding"]["dist"]))
+    assert largest > 1e300
+    assert 0 < payload["sup_norm_defect"] <= 1e-15 * largest
+
+
+def test_embed_check_of_huge_non_metric_matrix_exits_4(tmp_path, capsys,
+                                                       monkeypatch):
+    # the same distances with one pair tripled: no longer a metric, and
+    # its defects are of the distances' own size
+    from dataclasses import replace
+
+    from shapelab import percolation
+
+    embed = percolation.structure_embed
+
+    def broken(*args, **kwargs):
+        emb = embed(*args, **kwargs)
+        dist = emb.dist.copy()
+        dist[0, 1] = dist[1, 0] = 3 * dist[0, 1]
+        return replace(emb, dist=dist)
+
+    monkeypatch.setattr(percolation, "structure_embed", broken)
+    doc = _embed_doc(tmp_path, **_HUGE_EMBED)
+    assert _run(tmp_path, doc) == 4
+    assert "structure embedding identities violated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("make, key, value, named", [
     (_maximal_tail_doc, "seeds", {"start": "abc", "count": 3}, "start"),
     (_maximal_tail_doc, "seeds", {"start": 0, "count": "abc"}, "count"),

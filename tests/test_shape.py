@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapelab import lattice, shape
+from shapelab import lattice, percolation, shape
 from shapelab.environment import (Constant, Environment, Exponential,
                                   MovingAverage, Pareto, Rotation, TwoValued)
 from shapelab.lattice import BoxRegion, norm1
@@ -332,6 +333,148 @@ def test_excluded_fraction_is_the_open_share(monkeypatch):
     ks = np.arange(1, n_max + 1)
     means = [(values[kept[:, i], i] / ks[i]).mean() for i in range(n_max)]
     assert np.array_equal(series.means, means)
+
+
+PROFILE_MODELS = [Constant(1.0), TwoValued(1.0, 2.0, 0.5), Exponential(1.0),
+                  Pareto(2.5), MovingAverage((0.3, 0.7)),
+                  Rotation(profiles="shifted")]
+
+# zero weights, critical in d=2, leave some seeds' values uncertified for
+# more rounds than others', so that rows leave a stack one by one.  They
+# are drawn in d <= 2 and with a positive tolerance only: at tolerance 0
+# their values stay open up to the radius cap, and in d=3, supercritical,
+# they take rounds of some 10**5 sites to converge
+ZERO_WEIGHTS = TwoValued(0.0, 1.0, 0.5)
+
+
+@settings(settings.get_profile("properties"), max_examples=120)
+@given(st.data())
+def test_stacked_profile_equals_separate_profiles(data):
+    # every model, d = 1..3, 1-12 seeds, a random direction, n_max 4-8,
+    # one-round and deep radius caps, tolerance 0 and 1e-9, and stacks of
+    # the default size or of one or a few boxes
+    d = data.draw(st.integers(1, 3), label="d")
+    tol = data.draw(st.sampled_from([0.0, 1e-9]), label="tol")
+    model = data.draw(st.sampled_from(PROFILE_MODELS), label="model")
+    if tol and d < 3 and data.draw(st.booleans(), label="zero weights"):
+        model = ZERO_WEIGHTS
+    reach = (2, 1, 1)[d - 1]
+    theta = data.draw(st.lists(st.integers(-reach, reach), min_size=d,
+                               max_size=d), label="theta")
+    axis = data.draw(st.integers(0, d - 1), label="nonzero axis")
+    theta[axis] = data.draw(st.sampled_from([-1, 1]), label="its sign")
+    theta = tuple(theta)
+    # first-round boxes of at most 19649 sites (d=3, radius 24)
+    n_max = data.draw(st.integers(4, max(4, min(8, (64, 32, 12)[d - 1]
+                                                 // norm1(theta)))),
+                      label="n_max")
+    cap = data.draw(st.sampled_from([2, 16]), label="radius_cap_factor")
+    seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=12,
+                               unique=True), label="seeds")
+    stack_sites = data.draw(st.sampled_from([shape.STACK_SITES, 1, 2000]),
+                            label="STACK_SITES")
+    envs = [Environment(model, seed=s, dimension=d) for s in seeds]
+    default, shape.STACK_SITES = shape.STACK_SITES, stack_sites
+    try:
+        values, states = shape._direction_profile(envs, theta, n_max, tol,
+                                                  radius_cap_factor=cap)
+    finally:
+        shape.STACK_SITES = default
+    assert values.shape == states.shape == (len(envs), n_max)
+    for env, got, state in zip(envs, values, states):
+        want, want_states = shape._direction_profile(env, theta, n_max, tol,
+                                                     radius_cap_factor=cap)
+        assert got.tobytes() == want.tobytes()
+        assert state.tolist() == want_states.tolist()
+
+
+BENCHMARK_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (2, 1)]
+
+
+def _builds(monkeypatch):
+    """The environment counts of the box graphs built from here on."""
+    builds = []
+    build = BoxGraph.__init__
+
+    def spy(self, env, box):
+        builds.append(1 if isinstance(env, Environment) else len(env))
+        build(self, env, box)
+
+    monkeypatch.setattr(BoxGraph, "__init__", spy)
+    return builds
+
+
+def test_rows_leave_the_stack_one_by_one(monkeypatch):
+    # zero weights: all eight seeds stay open after the first round, and
+    # one after the second, which is searched alone in the third
+    model, theta, n_max = ZERO_WEIGHTS, (1, 0), 5
+    envs = [Environment(model, seed=s, dimension=2) for s in range(8)]
+    builds = _builds(monkeypatch)
+    values, states = shape._direction_profile(envs, theta, n_max, 1e-9)
+    assert builds == [8, 8, 1]
+    for env, got, state in zip(envs, values, states):
+        want, want_states = shape._direction_profile(env, theta, n_max, 1e-9)
+        assert got.tobytes() == want.tobytes()
+        assert state.tolist() == want_states.tolist()
+
+
+def test_benchmark_scan_builds_a_stack_per_round(monkeypatch):
+    # eight two-valued seeds, n_max 10: each direction's seeds are certified
+    # in one round, in stacks of four boxes of up to 3281 sites
+    model = TwoValued(1.0, 2.0, 0.5)
+    builds = _builds(monkeypatch)
+    for theta in BENCHMARK_DIRECTIONS:
+        directional_constant(model, range(8), theta, 10, dimension=2)
+    assert len(builds) <= 8
+    builds.clear()
+    for seed in range(8):
+        env = Environment(model, seed=seed, dimension=2)
+        for theta in BENCHMARK_DIRECTIONS:
+            shape._direction_profile(env, theta, 10, shape.DIRECTIONAL_TOL)
+    assert len(builds) == 32
+
+
+def test_stacks_split_down_to_one_seed_at_the_budget_edge(monkeypatch):
+    # the budget that the largest reservation of any one seed's own profile
+    # just fits refuses every stack of several seeds, which is split until
+    # each seed is searched alone, to the same series
+    model, theta, n_max, seeds = Exponential(1.0), (2, 1), 6, range(8)
+    want = directional_constant(model, seeds, theta, n_max, dimension=2)
+    reserve, sizes = lattice.reserve, []
+
+    def spy(nbytes, what, power=(1, 0)):
+        sizes.append(nbytes * power[0] ** power[1])
+        reserve(nbytes, what, power)
+
+    for module in (lattice, percolation, shape):
+        monkeypatch.setattr(module, "reserve", spy)
+    for seed in seeds:
+        shape._direction_profile(Environment(model, seed=seed, dimension=2),
+                                 theta, n_max, shape.DIRECTIONAL_TOL)
+    edge = max(sizes)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge)
+    builds = _builds(monkeypatch)
+    got = directional_constant(model, seeds, theta, n_max, dimension=2)
+    assert max(builds) > 1 and 1 in builds
+    for field in ("means", "stderrs"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.excluded_fraction == want.excluded_fraction
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge - 1)
+    with pytest.raises(MemoryError):
+        directional_constant(model, seeds, theta, n_max, dimension=2)
+
+
+def test_stderr_is_the_unscaled_one_and_finite_for_huge_columns():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 8, 24):
+        for scale in (1.0, 1e-3, 7.5):
+            col = rng.uniform(1.0, 2.0, n) * scale
+            want = col.std(ddof=1) / math.sqrt(n)
+            assert shape._stderr(col) == want
+    assert shape._stderr(np.array([1.5])) == 0.0
+    huge = np.array([1e300, 2e300, 1.5e300])
+    assert shape._stderr(huge) == pytest.approx(
+        (huge / 1e300).std(ddof=1) / math.sqrt(3) * 1e300, rel=1e-15)
 
 
 def _separate_maximal(env, W):
