@@ -371,7 +371,7 @@ _TABLES = {
             lambda dirs: all(map(any, dirs)), "a list of nonzero vectors")),
             None),
         "direction_richness": (Int(1), 1),
-        "tolerance": (Float(0), shape.DIRECTIONAL_TOL),
+        "tolerance": (Float(0), percolation.REFINE_TOL),
         "polytope_output": (STR, None)},
     "maximal-tail": lambda: {
         **_lattice(), "seeds": SEEDS, "window_radius": Int(1),
@@ -398,7 +398,7 @@ _TABLES = {
         **_lattice(), "seed": _SEED, "radius_cap": (Int(1), None),
         "sites": List(_SITE, nonempty=True, where=(
             lambda s: len(set(s)) == len(s), "a list of distinct sites")),
-        "tolerance": (Float(0), percolation.EMBED_TOL)},
+        "tolerance": (Float(0), percolation.REFINE_TOL)},
     "path-family-audit": lambda: {"dimension": Int(1), "max_norm": Int(1)},
 }
 COMMANDS = tuple(_TABLES)
@@ -619,8 +619,11 @@ def _run_rkhs_walk(cfg: Config, offset: int, jobs: int) -> None:
 def _run_embed_check(cfg: Config, offset: int, jobs: int) -> None:
     env = environment.Environment(cfg["model"], seed=cfg["seed"] + offset,
                                   dimension=cfg["dimension"])
-    emb = percolation.structure_embed(env, list(cfg["sites"]), tol=cfg["tolerance"],
-                          radius_cap=cfg["radius_cap"])
+    # a cap below the first radius is refused before any search
+    with _blame("radius_cap"):
+        emb = percolation.structure_embed(env, list(cfg["sites"]),
+                                          tol=cfg["tolerance"],
+                                          radius_cap=cfg["radius_cap"])
     dist = emb.dist
     sup_defect = add_defect = 0.0
     # row j of dist[i] - dist.T is emb.vector(i, j): one (k, k) table per

@@ -390,5 +390,5 @@ class Environment:
         d = self.dimension
         lattice.reserve(percolation.graph_bytes(n, d, runs) + 9 * n * d,
                         f"the edge sample of a box graph of {n} sites")
-        wt = percolation.BoxGraph(self, box)._wt[0]
+        wt = percolation.BoxGraph([self], box)._wt[0]
         return wt[np.isfinite(wt)]

@@ -33,14 +33,14 @@ found from one row interval and offset per run and axis, and a search
 computes its targets from the neighbour rows, so neither builds nor
 searches holds a transient table the size of the box.
 
-A box graph can also hold a stack of E environments over one box, for
-statistics over many seeds.  The runs and the neighbour table are built
-once, each environment fills its own block of edge weights, and one
-search from the source's row in every block returns an (E, n) array
-equal, bit for bit, to E separate searches.  The budget
-counts the whole stack; the shape module sizes its stacks by
-``shape.STACK_SITES``.  In the same way one search from k sources of a
-one-environment graph returns the (k, n) array of k separate searches.
+Every box graph holds a stack of E environments over one box, and one
+environment is the stack [env].  The runs and the neighbour table are
+built once, each environment fills its own block of edge weights, and
+every search returns a 2-D array: one search from the source's row in
+every block returns an (E, n) array equal, bit for bit, to E separate
+searches, and one search from k sources of a one-environment graph the
+(k, n) array of k separate searches.  The budget counts the whole stack;
+the shape module sizes its stacks by ``shape.STACK_SITES``.
 
 Every search is ``_search``, a bucketed label-correcting search over
 those two tables, and it returns weights only.  Its weights are the least
@@ -83,14 +83,6 @@ EDGE_CHUNK = 16384
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    box_radius_used: int
-    converged: bool
-    exact: bool = False
 
 
 # a path whose fold passes the float range weighs inf, as fl(x + w) rounds
@@ -182,8 +174,8 @@ def graph_bytes(n: int, d: int, runs: int, blocks: int = 1) -> int:
 
 
 class BoxGraph:
-    """Weighted nearest-neighbor graph on the sites of one box, for one
-    environment or a stack of them.
+    """Weighted nearest-neighbor graph on the sites of one box, for a
+    stack of environments ([env] for one).
 
     Row i of every distance array belongs to the i-th site of the box in
     lexicographic order; ``rows`` maps points to rows, and ``sites``
@@ -198,14 +190,12 @@ class BoxGraph:
     at most EDGE_CHUNK edges each, that ``SiteRuns.edges`` yields, one
     ``edge_weights`` call per environment and chunk (one for an edgeless
     box), and written straight into the table, so no list of the box's
-    edges or sites, and no count per row, is built.  A stack of E
-    environments shares the runs and the neighbour table, and environment
-    e fills weight block e."""
+    edges or sites, and no count per row, is built.  The E environments
+    share the runs and the neighbour table, and environment e fills
+    weight block e."""
 
-    def __init__(self, env: Environment | Sequence[Environment],
-                 box: BoxRegion):
-        self.stacked = not isinstance(env, Environment)
-        self.envs = tuple(env) if self.stacked else (env,)
+    def __init__(self, envs: Sequence[Environment], box: BoxRegion):
+        self.envs = tuple(envs)
         if not self.envs:
             raise ValueError("a stack needs at least one environment")
         # any region whose site_array() falls into runs can be searched; a
@@ -273,12 +263,12 @@ class BoxGraph:
 
     def distances_from(self, source: Site | Sequence[Site],
                        limit: float = math.inf) -> np.ndarray:
-        """Exact shortest-path weights from source to every box site: an
-        (n,) array, for a stack an (E, n) array whose row e is searched in
-        environment e, and for a sequence of k sources (one environment
-        only) a (k, n) array whose row i is searched from source i.  With a
-        limit the search stops there: weights at or below it are the same
-        bit for bit, and the sites beyond it read inf.
+        """Exact shortest-path weights from source to every box site: for
+        one source an (E, n) array whose row e is searched in environment
+        e, and for a sequence of k sources (one environment only) a (k, n)
+        array whose row i is searched from source i.  With a limit the
+        search stops there: weights at or below it are the same bit for
+        bit, and the sites beyond it read inf.
 
         Every row is the least left fold S_0 = 0, S_j = fl(S_{j-1} + w_j)
         over the box paths from its source, whatever order the search
@@ -292,10 +282,10 @@ class BoxGraph:
         of the same graph.  ``certified`` tells which weights are the
         unboxed ones."""
         sources = np.asarray(source)
-        many = sources.ndim == 2
-        if many and self.stacked:
-            raise ValueError("several sources need a one-environment graph")
-        if many:
+        if sources.ndim == 2:
+            if len(self.envs) > 1:
+                raise ValueError(
+                    "several sources need a one-environment graph")
             rows = self.rows(sources)
             if (rows < 0).any():
                 raise ValueError(f"sources outside box {self.box}")
@@ -310,12 +300,11 @@ class BoxGraph:
                 f"search of {len(rows)} blocks of {n} sites")
         dist = np.full((len(rows), n), np.inf)
         dist[np.arange(len(rows)), rows] = 0.0
-        out = _search(self._nbr, self._wt, self._width, dist, limit)
-        return out if self.stacked or many else out[0]
+        return _search(self._nbr, self._wt, self._width, dist, limit)
 
     @np.errstate(over="ignore")  # fl(x + a) may round to inf, still a bound
     def certified(self, dist: np.ndarray, rows) -> np.ndarray:
-        """Which weights dist[..., rows] of a ``distances_from`` result are
+        """Which weights dist[:, rows] of a ``distances_from`` result are
         the unboxed weights, bit for bit: those below the certificate B.  A
         path that leaves the box first reaches an edge row (one with a
         missing neighbour) along a box path, then takes an edge of at least
@@ -328,28 +317,28 @@ class BoxGraph:
         beyond a search's limit read inf, still a bound, as every weight
         the search reports lies at or below its limit."""
         n, d = self._wt.shape[1:]
-        table, picks = dist.reshape(-1, n), np.atleast_1d(rows)
+        picks = np.atleast_1d(rows)
         # the caller's weights and the second search's, the edge rows, and
         # the picked weights with their masks
-        reserve(self._bytes + table.size * (17 + 32 * d) + (5 + 2 * d) * n
-                + 32 * len(table) * picks.size,
-                f"certificate of {len(table)} searches of {n} sites")
+        reserve(self._bytes + dist.size * (17 + 32 * d) + (5 + 2 * d) * n
+                + 32 * len(dist) * picks.size,
+                f"certificate of {len(dist)} searches of {n} sites")
         own = np.arange(n, dtype=np.int32)
         edge = (self._nbr == own[:, None]).any(axis=1)
-        floors = np.array([env.model.floor() for env in self.envs])
-        floor = floors[:, None] if self.stacked else floors[0]
-        start = np.full(table.shape, np.inf)
-        start[:, edge] = table[:, edge].min(axis=1)[:, None] + floor + floor
-        values = table[:, picks]
+        # per block its model's floor, one block for k sources
+        floor = np.array([[env.model.floor()] for env in self.envs])
+        start = np.full(dist.shape, np.inf)
+        start[:, edge] = dist[:, edge].min(axis=1)[:, None] + floor + floor
+        values = dist[:, picks]
         finite = values[values < math.inf]
         back = _search(self._nbr, self._wt, self._width, start,
                        float(finite.max()) if finite.size else -math.inf)
-        return (values < back[:, picks]).reshape(dist.shape[:-1]
+        return (values < back[:, picks]).reshape((len(dist),)
                                                  + np.shape(rows))
 
 
 def distance(env: Environment, m: Site, n: Site, box_radius: int,
-             box: BoxRegion | None = None) -> DistanceResult:
+             box: BoxRegion | None = None) -> float:
     """Exact minimum path weight between m and n among paths confined to
     the box (canonically, the ell-1 ball of the given radius around the
     floor midpoint of m and n).
@@ -363,23 +352,25 @@ def distance(env: Environment, m: Site, n: Site, box_radius: int,
     if not (box.contains(m) and box.contains(n)):
         raise ValueError("query endpoints must lie inside the box")
     src, dst = (m, n) if m <= n else (n, m)
-    g = BoxGraph(env, box)
-    dist = g.distances_from(src)
-    value = dist[g.row(dst)]
+    g = BoxGraph([env], box)
+    value = g.distances_from(src)[0, g.row(dst)]
     if not math.isfinite(value):
         raise RuntimeError("box disconnected; should be impossible for "
                            "ball-shaped regions")
-    return DistanceResult(value=float(value), box_radius_used=box.radius,
-                          converged=False,
-                          exact=bool(g.certified(dist, g.row(dst))))
+    return float(value)
+
+
+# every refinement's default convergence tolerance (see refine)
+REFINE_TOL = 1e-9
 
 
 def refine(evaluate, radius: int, cap: int, tol: float):
     """Refine boxed values by doubling the radius of an ell-1 box, starting
-    from radius and never passing cap.  Each row of the values' leading
-    axis refines on its own and leaves once none of its values is open.
-    Returns (values, radii, states): per row its last values, their radius
-    and their states.
+    from radius and never passing cap, which raises ValueError when it
+    lies below radius.  Each row of the values' leading axis refines on
+    its own and leaves once none of its values is open.  Returns (values,
+    radii, states): per row its last values, their radius and their
+    states.
 
     ``evaluate(radius, live, prev)`` returns (values, exact) for the rows
     live, every row when live and prev are None (the first round): the
@@ -397,6 +388,9 @@ def refine(evaluate, radius: int, cap: int, tol: float):
         out[exact] = EXACT
         return out
 
+    if cap < radius:
+        raise ValueError(f"radius cap {cap} lies below the first radius "
+                         f"{radius}")
     values, exact = evaluate(radius, None, None)
     state = states(values, exact, None)
     radii = np.full(len(values), radius)
@@ -411,28 +405,6 @@ def refine(evaluate, radius: int, cap: int, tol: float):
         state[live] = states(values[live], exact, prev)
         radii[live] = radius
     return values, radii, state
-
-
-def distance_converged(env: Environment, m: Site, n: Site, tol: float = 1e-9,
-                       radius_cap: int | None = None) -> DistanceResult:
-    """Refine the boxed distance by doubling the radius until the value is
-    certified exact or two successive values agree within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m, n = tuple(m), tuple(n)
-    gap = norm1(sub(n, m))
-    if gap == 0:
-        return DistanceResult(0.0, 0, True, True)
-    if radius_cap is None:
-        radius_cap = 32 * gap
-
-    def evaluate(r, live, prev):  # one row
-        res = distance(env, m, n, r)
-        return np.array([res.value]), np.array([res.exact])
-
-    value, radius, state = refine(evaluate, 2 * gap, radius_cap, tol)
-    return DistanceResult(float(value[0]), int(radius[0]),
-                          bool(state[0] != OPEN), bool(state[0] == EXACT))
 
 
 # --------------------------------------------------------------------------
@@ -463,16 +435,14 @@ class StructureEmbedding:
         }, separators=(",", ":"))
 
 
-# structure_embed's default convergence tolerance
-EMBED_TOL = 1e-9
-
-
 def structure_embed(env: Environment, sites: list[Site],
-                    tol: float = EMBED_TOL,
+                    tol: float = REFINE_TOL,
                     radius_cap: int | None = None) -> StructureEmbedding:
-    """Pairwise converged distances on a common box, packaged as the
-    embedding tables.  Raises ConvergenceError if the refinement cap is hit
-    before all pairwise values stabilize."""
+    """Pairwise refined distances on a common box, packaged as the
+    embedding tables; for two sites, the refined distance of one pair.
+    Raises ConvergenceError if the refinement cap is hit before all
+    pairwise values stabilize, and ValueError for a cap below the first
+    radius, twice the sites' spread (see refine)."""
     sites = [tuple(s) for s in sites]
     if len(sites) < 1:
         raise ValueError("need at least one site")
@@ -492,7 +462,7 @@ def structure_embed(env: Environment, sites: list[Site],
     lex_le = rank[:, None] <= rank[None, :]
 
     def all_pairs(r: int, live, prev):
-        g = BoxGraph(env, BoxRegion(center, r, "l1"))
+        g = BoxGraph([env], BoxRegion(center, r, "l1"))
         dist = g.distances_from(points)
         # out[i, j] = rho(sites[i], sites[j]) searched from sites[i], and
         # whether that search certifies it

@@ -18,7 +18,8 @@ import numpy as np
 
 from .environment import Environment, WeightModel
 from .lattice import BoxRegion, Site, norm1, reserve, reserve_count
-from .percolation import OPEN, BoxGraph, ConvergenceError, refine
+from .percolation import (OPEN, REFINE_TOL, BoxGraph, ConvergenceError,
+                          refine)
 
 @dataclass(frozen=True)
 class DirectionalSeries:
@@ -42,48 +43,65 @@ class DirectionalSeries:
         return float(self.stderrs[int(np.argmin(self.means))])
 
 
-# directional_constant's default convergence tolerance
-DIRECTIONAL_TOL = 1e-9
-
 # The bytes a sized collection of seeds takes per seed besides its searches
 # and profile values, which are reserved on their own: its sorted list and
 # an environment with its value (tracemalloc: about 220, maximal-tail).
 SEED_BYTES = 400
 
-# Maximal functions and direction profiles search their seeds in stacks of
-# environments over one box (see BoxGraph), of at most this many sites in
-# all; a box larger than this is searched alone.  This sets speed, not
-# memory: every stack is reserved against lattice.MEMORY_BUDGET, as any
-# box graph is, and a profile splits a stack that it refuses.  Building
-# and searching a stack takes about 40 (d=2) to 80 (d=3) bytes of peak
-# memory per site (tracemalloc: 30 boxes of 545 sites, 19 of 833), and up
-# to about 200 in a stack of a few larger boxes, which hashes each box's
-# edges in one call (180 in a profile's four boxes of 3281 sites).  A
-# search costs mostly its passes, whose number does not grow with the
-# stack, so larger stacks pay off (2-core x86_64): 500 seeds of a 545-site
-# box (d=2, W=8) take a median 0.24 s in stacks of 16384 sites against
-# 0.34 s in stacks of 4096, for 1.4 MB more peak memory, and the d=2 scan
-# of 8 two-valued seeds along 4 directions (n_max 10) takes 0.064 s
-# against 0.109 s one seed at a time (best of 9), for 0.23 MB more.
+# Every box graph is a stack of environments over one box (see BoxGraph),
+# one seed a stack of one.  Maximal functions and direction profiles take
+# sequences of environments only, and _in_stacks searches them in stacks of
+# at most this many sites in all; a box larger than this is searched
+# alone.  This sets speed, not memory: every stack is reserved against
+# lattice.MEMORY_BUDGET, as any box graph is, and a stack that it refuses is
+# halved, down to one environment.  Building and searching a stack takes
+# about 40 (d=2) to 80 (d=3) bytes of peak memory per site (tracemalloc: 30
+# boxes of 545 sites, 19 of 833), and up to about 200 in a stack of a few
+# larger boxes, which hashes each box's edges in one call (180 in a
+# profile's four boxes of 3281 sites).  A search costs mostly its passes,
+# whose number does not grow with the stack, so larger stacks pay off
+# (2-core x86_64): 500 seeds of a 545-site box (d=2, W=8) take a median 0.24
+# s in stacks of 16384 sites against 0.34 s in stacks of 4096, for 1.4 MB
+# more peak memory, and the d=2 scan of 8 two-valued seeds along 4
+# directions (n_max 10) takes 0.064 s against 0.109 s one seed at a time
+# (best of 9), for 0.23 MB more.
 STACK_SITES = 16384
 
 
-def _direction_profile(env: Environment | Sequence[Environment],
-                       theta: Site, n_max: int, tol: float,
-                       radius_cap_factor: int = 16):
-    """rho(0, k*theta) for k = 1..n_max from single-source searches in a
-    common refining box.  Returns (values, states): one refine state per
-    value, certified by each round's search (see BoxGraph.certified).
+def _in_stacks(count: int, box: BoxRegion, search) -> list:
+    """search(lo, hi) for consecutive stacks [lo, hi) of count
+    environments over box, of at most STACK_SITES sites each, one
+    environment when a box is larger; the results in order.  A stack
+    whose search the memory budget refuses is split in halves, down to
+    one environment, whose refusal is raised."""
+    size = max(1, STACK_SITES // box.site_count())
+    todo = [(lo, min(lo + size, count))
+            for lo in reversed(range(0, count, size))]
+    done = []
+    while todo:
+        lo, hi = todo.pop()
+        try:
+            done.append(search(lo, hi))
+        except MemoryError:
+            if hi - lo == 1:
+                raise
+            mid = (lo + hi) // 2
+            todo += [(mid, hi), (lo, mid)]
+    return done
 
-    For a sequence of environments, (E, n_max) arrays, one row each, from
-    stacked searches: each round searches the environments that still have
-    an open value, in stacks of at most STACK_SITES sites, and splits a
-    stack that the memory budget refuses, down to one environment.  A row
-    is what that environment's own refinement gives, bit for bit: a
-    stack's search limit is the largest of its rows' limits, each row's
-    targets lie at or below its own, and a stack's rows equal separate
-    searches.  One environment is the one-row case of the same search."""
-    envs = [env] if isinstance(env, Environment) else list(env)
+
+def _direction_profile(envs: Sequence[Environment], theta: Site, n_max: int,
+                       tol: float, radius_cap_factor: int = 16):
+    """rho(0, k*theta) for k = 1..n_max in each environment, from
+    single-source searches in a common refining box.  Returns (values,
+    states), (E, n_max) arrays, one row per environment: one refine state
+    per value, certified by each round's search (see BoxGraph.certified).
+
+    Each round searches the environments that still have an open value,
+    in stacks (see _in_stacks).  A row is what that environment's own
+    refinement gives, bit for bit: a stack's search limit is the largest
+    of its rows' limits, each row's targets lie at or below its own, and a
+    stack's rows equal separate searches."""
     theta = tuple(theta)
     zero = (0,) * len(theta)
     # per multiple its factor, its target and target row, and per row and
@@ -94,38 +112,23 @@ def _direction_profile(env: Environment | Sequence[Environment],
     gap = norm1(theta) * n_max
     center = tuple(c // 2 for c in targets[-1].tolist())
 
-    def search(box: BoxRegion, stack, limit: float):
-        # the stack's graph is released on return, before the next builds
-        g = BoxGraph(stack, box)
-        dist = g.distances_from(zero, limit)
-        rows = g.rows(targets)
-        return dist[:, rows], g.certified(dist, rows)
-
     def profile(r: int, live, prev):
         box = BoxRegion(center, r, "l1")
         stack = envs if live is None else [envs[i] for i in live]
         limits = (np.full(len(stack), math.inf) if prev is None
                   else prev.max(axis=1))
-        values = np.empty((len(stack), n_max))
-        exact = np.empty(values.shape, dtype=bool)
-        size = max(1, STACK_SITES // box.site_count())
-        todo = [(i, min(i + size, len(stack)))
-                for i in range(0, len(stack), size)]
-        while todo:
-            lo, hi = todo.pop()
-            try:
-                values[lo:hi], exact[lo:hi] = search(
-                    box, stack[lo:hi], float(limits[lo:hi].max()))
-            except MemoryError:
-                if hi - lo == 1:
-                    raise
-                mid = (lo + hi) // 2
-                todo += [(lo, mid), (mid, hi)]
-        return values, exact
+
+        def search(lo: int, hi: int):
+            # the stack's graph is released on return, before the next builds
+            g = BoxGraph(stack[lo:hi], box)
+            dist = g.distances_from(zero, float(limits[lo:hi].max()))
+            rows = g.rows(targets)
+            return dist[:, rows], g.certified(dist, rows)
+
+        values, exact = zip(*_in_stacks(len(stack), box, search))
+        return np.concatenate(values), np.concatenate(exact)
 
     values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap, tol)
-    if isinstance(env, Environment):
-        return values[0], states[0]
     return values, states
 
 
@@ -144,7 +147,7 @@ def _stderr(col: np.ndarray) -> float:
 
 def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
                          dimension: int | None = None,
-                         tol: float = DIRECTIONAL_TOL) -> DirectionalSeries:
+                         tol: float = REFINE_TOL) -> DirectionalSeries:
     """The per-direction convergence series and its inf-of-means limit,
     from one stacked profile of all the seeds (see _direction_profile).
 
@@ -221,7 +224,7 @@ def check_directions(directions, d: int) -> None:
 
 def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
                    dimension: int | None = None,
-                   tol: float = DIRECTIONAL_TOL) -> ShapeEstimate:
+                   tol: float = REFINE_TOL) -> ShapeEstimate:
     directions = [tuple(t) for t in directions]
     d = dimension or len(directions[0])
     check_directions(directions, d)
@@ -235,33 +238,31 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
 # maximal function and its tail
 
 
-def maximal_function(env: Environment | Sequence[Environment],
-                     window_radius: int):
-    """max over 0 < |n| <= W of rho(0, n)/|n|, from one multi-target
-    search on the box of radius 2W.  For a sequence of environments, the
-    array of their values, from stacked searches of at most STACK_SITES
-    sites each; one environment is the one-seed case of the same search."""
+def maximal_function(envs: Sequence[Environment],
+                     window_radius: int) -> np.ndarray:
+    """max over 0 < |n| <= W of rho(0, n)/|n| in each environment, from
+    one multi-target search on the box of radius 2W, in stacks (see
+    _in_stacks)."""
     if window_radius < 1:
         raise ValueError("window radius must be at least 1")
-    envs = [env] if isinstance(env, Environment) else list(env)
     if not envs:
         return np.zeros(0)
     zero = (0,) * envs[0].dimension
     box = BoxRegion(zero, 2 * window_radius, "l1")
-    size = max(1, STACK_SITES // box.site_count())
-    values = []
-    for i in range(0, len(envs), size):
-        g = BoxGraph(envs[i:i + size], box)
-        if not i:
+    window = norms = None
+
+    def search(lo: int, hi: int):
+        nonlocal window, norms
+        g = BoxGraph(envs[lo:hi], box)
+        if window is None:
             # the window's rows and their norms, the same for every stack,
             # read once the budget has taken the first stack's graph
-            r = np.abs(g.sites).sum(axis=1)
-            window = (r > 0) & (r <= window_radius)
-            r = r[window]
-        dist = g.distances_from(zero)
-        values.append(np.max(dist[:, window] / r, axis=1))
-    values = np.maximum(0.0, np.concatenate(values))
-    return float(values[0]) if isinstance(env, Environment) else values
+            norms = np.abs(g.sites).sum(axis=1)
+            window = (norms > 0) & (norms <= window_radius)
+            norms = norms[window]
+        return np.max(g.distances_from(zero)[:, window] / norms, axis=1)
+
+    return np.maximum(0.0, np.concatenate(_in_stacks(len(envs), box, search)))
 
 
 @dataclass(frozen=True)

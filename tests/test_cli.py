@@ -220,6 +220,27 @@ def test_convergence_failure_exit_code(tmp_path):
     assert _run(tmp_path, doc) == 3
 
 
+@pytest.mark.parametrize("cap", [1, 6])
+def test_embed_radius_cap_below_the_first_box_exits_2(tmp_path, capsys, cap):
+    # the six shipped sites lie 3 from their midpoint, so the first box has
+    # radius 6: a cap below it is refused before any search
+    doc = yaml.safe_load((CONFIG_DIR / "embed_check.yaml").read_text())
+    out = tmp_path / "emb.json"
+    doc.update(model={"kind": "constant", "value": 1.0}, radius_cap=cap,
+               output=str(out))
+    code = _run(tmp_path, doc)
+    err = capsys.readouterr().err
+    if cap == 1:
+        assert code == 2 and not out.exists()
+        assert err.startswith("config error: invalid 'radius_cap': radius "
+                              "cap 1 lies below the first radius 6")
+        assert "Traceback" not in err
+    else:
+        assert code == 0 and err == ""
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["embedding"]["box_radius_used"] == 6
+
+
 def _assert_config_error(tmp_path, capsys, doc, key):
     code = _run(tmp_path, doc)
     err = capsys.readouterr().err

@@ -112,21 +112,21 @@ def test_default_directions_refuse_a_huge_dimension_at_once():
 
 def test_maximal_function_constant_and_bounded():
     env = Environment(Constant(1.5), seed=0, dimension=2)
-    assert maximal_function(env, 4) == 1.5
+    assert maximal_function([env], 4).tolist() == [1.5]
     envb = Environment(TwoValued(1.0, 2.0), seed=3, dimension=2)
-    assert maximal_function(envb, 6) <= 2.0
+    assert maximal_function([envb], 6)[0] <= 2.0
 
 
 def test_maximal_function_matches_per_target_queries():
     env = Environment(Exponential(1.0), seed=16, dimension=2)
     W = 4
-    got = maximal_function(env, W)
+    (got,) = maximal_function([env], W)
     box = BoxRegion((0, 0), 2 * W, "l1")
     best = 0.0
     for site in BoxRegion((0, 0), W, "l1").sites():
         if site == (0, 0):
             continue
-        d = distance(env, (0, 0), site, 0, box=box).value
+        d = distance(env, (0, 0), site, 0, box=box)
         best = max(best, d / norm1(site))
     assert got == best
 
@@ -174,7 +174,7 @@ def test_domination_single_step_case():
     env = Environment(Exponential(1.0), seed=8, dimension=2)
     n = (1, 0)
     lhs = distance(env, (0, 0), n, 0,
-                   box=BoxRegion((0, 0), 2, "l1")).value
+                   box=BoxRegion((0, 0), 2, "l1"))
     f0 = generator_sup_field(env, [(0, 0)])[0]
     assert lhs <= f0
     rhs = maximal_bound_rhs(env, n, DOMINATION_CONSTANT[2])
@@ -198,7 +198,7 @@ def test_domination_random_grid():
             continue
         N = norm1(n)
         lhs = distance(env, (0, 0), n, 0,
-                       box=BoxRegion((0, 0), 2 * N, "l1")).value / N
+                       box=BoxRegion((0, 0), 2 * N, "l1")) / N
         assert maximal_bound_rhs(env, n, DOMINATION_CONSTANT[2]) >= lhs
 
 
@@ -263,9 +263,9 @@ def test_certified_profile_values_equal_the_4r_box(model):
         for seed in range(4):
             env = Environment(model, seed=seed, dimension=d)
             values, states = shape._direction_profile(
-                env, theta, n_max, 1e-9, radius_cap_factor=2)
-            g = BoxGraph(env, BoxRegion(center, 4 * R, "l1"))
-            far = g.distances_from((0,) * d)[g.rows(targets)]
+                [env], theta, n_max, 1e-9, radius_cap_factor=2)
+            g = BoxGraph([env], BoxRegion(center, 4 * R, "l1"))
+            far = g.distances_from((0,) * d)[:, g.rows(targets)]
             exact = states == EXACT
             assert np.array_equal(values[exact], far[exact])
             certified += int(exact.sum())
@@ -281,9 +281,9 @@ def test_exponential_profile_is_certified_and_equals_the_4r_box():
     for seed in range(2):
         env = Environment(Exponential(1.0), seed=seed, dimension=2)
         values, states = shape._direction_profile(
-            env, theta, n_max, 1e-9, radius_cap_factor=2)
-        g = BoxGraph(env, BoxRegion(center, 8 * norm1(theta) * n_max, "l1"))
-        far = g.distances_from((0, 0))[g.rows(targets)]
+            [env], theta, n_max, 1e-9, radius_cap_factor=2)
+        g = BoxGraph([env], BoxRegion(center, 8 * norm1(theta) * n_max, "l1"))
+        far = g.distances_from((0, 0))[:, g.rows(targets)]
         assert np.all(states == EXACT)
         assert values.tobytes() == far.tobytes()
 
@@ -301,13 +301,13 @@ def test_later_rounds_keep_unlimited_values(monkeypatch):
         return search(self, source, limit)
 
     monkeypatch.setattr(BoxGraph, "distances_from", spy)
-    limited = shape._direction_profile(env, (1, 0), 5, 0.0)
+    limited = shape._direction_profile([env], (1, 0), 5, 0.0)
     assert limits[0] == math.inf and len(limits) == 2
     assert all(math.isfinite(v) for v in limits[1:])
     monkeypatch.setattr(BoxGraph, "distances_from",
                         lambda self, source, limit=math.inf:
                         search(self, source))
-    unlimited = shape._direction_profile(env, (1, 0), 5, 0.0)
+    unlimited = shape._direction_profile([env], (1, 0), 5, 0.0)
     assert np.array_equal(limited[0], unlimited[0])
     assert np.array_equal(limited[1], unlimited[1])
 
@@ -318,10 +318,9 @@ def test_excluded_fraction_is_the_open_share(monkeypatch):
     model, theta, n_max = TwoValued(1.0, 10.0, 0.5), (1, 0), 6
     seeds = range(8)
     capped = functools.partial(shape._direction_profile, radius_cap_factor=2)
-    profiles = [capped(Environment(model, seed=s, dimension=2), theta, n_max,
-                       1e-9) for s in seeds]
-    values = np.array([v for v, _ in profiles])
-    kept = np.array([states != OPEN for _, states in profiles])
+    values, states = capped([Environment(model, seed=s, dimension=2)
+                             for s in seeds], theta, n_max, 1e-9)
+    kept = states != OPEN
     assert 0 < kept.mean() < 1 and kept.any(axis=0).all()
 
     monkeypatch.setattr(shape, "_direction_profile", capped)
@@ -382,8 +381,8 @@ def test_stacked_profile_equals_separate_profiles(data):
         shape.STACK_SITES = default
     assert values.shape == states.shape == (len(envs), n_max)
     for env, got, state in zip(envs, values, states):
-        want, want_states = shape._direction_profile(env, theta, n_max, tol,
-                                                     radius_cap_factor=cap)
+        (want,), (want_states,) = shape._direction_profile(
+            [env], theta, n_max, tol, radius_cap_factor=cap)
         assert got.tobytes() == want.tobytes()
         assert state.tolist() == want_states.tolist()
 
@@ -396,9 +395,9 @@ def _builds(monkeypatch):
     builds = []
     build = BoxGraph.__init__
 
-    def spy(self, env, box):
-        builds.append(1 if isinstance(env, Environment) else len(env))
-        build(self, env, box)
+    def spy(self, envs, box):
+        builds.append(len(envs))
+        build(self, envs, box)
 
     monkeypatch.setattr(BoxGraph, "__init__", spy)
     return builds
@@ -413,7 +412,8 @@ def test_rows_leave_the_stack_one_by_one(monkeypatch):
     values, states = shape._direction_profile(envs, theta, n_max, 1e-9)
     assert builds == [8, 8, 1]
     for env, got, state in zip(envs, values, states):
-        want, want_states = shape._direction_profile(env, theta, n_max, 1e-9)
+        (want,), (want_states,) = shape._direction_profile([env], theta,
+                                                            n_max, 1e-9)
         assert got.tobytes() == want.tobytes()
         assert state.tolist() == want_states.tolist()
 
@@ -430,7 +430,7 @@ def test_benchmark_scan_builds_a_stack_per_round(monkeypatch):
     for seed in range(8):
         env = Environment(model, seed=seed, dimension=2)
         for theta in BENCHMARK_DIRECTIONS:
-            shape._direction_profile(env, theta, 10, shape.DIRECTIONAL_TOL)
+            shape._direction_profile([env], theta, 10, percolation.REFINE_TOL)
     assert len(builds) == 32
 
 
@@ -449,8 +449,8 @@ def test_stacks_split_down_to_one_seed_at_the_budget_edge(monkeypatch):
     for module in (lattice, percolation, shape):
         monkeypatch.setattr(module, "reserve", spy)
     for seed in seeds:
-        shape._direction_profile(Environment(model, seed=seed, dimension=2),
-                                 theta, n_max, shape.DIRECTIONAL_TOL)
+        shape._direction_profile([Environment(model, seed=seed, dimension=2)],
+                                 theta, n_max, percolation.REFINE_TOL)
     edge = max(sizes)
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge)
     builds = _builds(monkeypatch)
@@ -481,8 +481,8 @@ def _separate_maximal(env, W):
     """The maximal function from its own one-environment graph, as
     computed before searches were stacked."""
     zero = (0,) * env.dimension
-    g = BoxGraph(env, BoxRegion(zero, 2 * W, "l1"))
-    dist = g.distances_from(zero)
+    g = BoxGraph([env], BoxRegion(zero, 2 * W, "l1"))
+    (dist,) = g.distances_from(zero)
     r = np.abs(g.sites).sum(axis=1)
     window = (r > 0) & (r <= W)
     return max(0.0, float(np.max(dist[window] / r[window])))
@@ -531,19 +531,47 @@ def test_stack_size_constant_with_a_benchmark_window():
 
 def test_maximal_function_is_the_one_seed_stack(monkeypatch):
     env = Environment(Exponential(1.0), seed=7, dimension=2)
-    stacked = []
+    stacks = []
     search = BoxGraph.distances_from
 
     def spy(self, source, limit=math.inf):
-        stacked.append(self.stacked)
+        stacks.append(len(self.envs))
         return search(self, source, limit)
 
+    want = _separate_maximal(env, 5)
     monkeypatch.setattr(BoxGraph, "distances_from", spy)
-    got = maximal_function(env, 5)
-    assert stacked == [True]
-    assert got == _separate_maximal(env, 5)
-    assert maximal_function([env], 5).tolist() == [got]
+    assert maximal_function([env], 5).tolist() == [want]
+    assert stacks == [1]
     assert maximal_function([], 5).shape == (0,)
+
+
+def test_maximal_stacks_split_down_to_one_seed_at_the_budget_edge(
+        monkeypatch):
+    # the budget that the largest reservation of any one seed's own call
+    # just fits refuses every stack of several seeds, which is split until
+    # each seed is searched alone, to the same values
+    envs = [Environment(Exponential(1.0), seed=s, dimension=2)
+            for s in range(8)]
+    want = maximal_function(envs, 3)
+    reserve, sizes = lattice.reserve, []
+
+    def spy(nbytes, what, power=(1, 0)):
+        sizes.append(nbytes * power[0] ** power[1])
+        reserve(nbytes, what, power)
+
+    for module in (lattice, percolation, shape):
+        monkeypatch.setattr(module, "reserve", spy)
+    for env in envs:
+        maximal_function([env], 3)
+    edge = max(sizes)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge)
+    builds = _builds(monkeypatch)
+    got = maximal_function(envs, 3)
+    assert max(builds) == 8 and 1 in builds
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge - 1)
+    with pytest.raises(MemoryError):
+        maximal_function(envs, 3)
 
 
 def test_maximal_window_above_the_site_limit_builds_no_site(monkeypatch):
@@ -556,6 +584,6 @@ def test_maximal_window_above_the_site_limit_builds_no_site(monkeypatch):
     # W=46: the radius-92 box holds 1055425 sites, a graph of about 60 MB
     refused = r"box graph of 1055425 sites needs \d+ bytes, .* of 50000000"
     with pytest.raises(MemoryError, match=refused):
-        maximal_function(env, 46)
+        maximal_function([env], 46)
     with pytest.raises(MemoryError, match=refused):
         sample_maximal_stats(Exponential(1.0), range(3), 46, [1.0], 3)

@@ -1,8 +1,9 @@
 """The library's public surface: every module-level function and class of
 a library module is used by the package, wrapped by the benchmark's
 tracer, or kept on purpose for a reason named here, which names the
-acceptance criterion or frozen constant that reads it; and no library
-module imports the command-line driver."""
+acceptance criterion or frozen constant that reads it; no library module
+imports the command line's module, ``cli``; and every name the README
+quotes exists."""
 
 import ast
 import importlib.util
@@ -20,8 +21,8 @@ KEEP = {
                                     "identity",
     "lorentz.lp_norm": "criterion 09: the L^p side of the diagonal-index "
                        "identity",
-    "percolation.distance_converged": "GOLDEN_TWO_VALUED_DISTANCE: the "
-                                      "converged two-valued distance",
+    "percolation.distance": "criterion 01: the public boxed distance, "
+                            "evaluated from either end",
     "rkhs.kernel_metric": "criterion 15: the squared kernel metric",
     "rkhs.hyperbolic_distance": "criterion 15: the Poincare distance",
     "shape.estimate_shape": "criterion 04: the constant-weight limit shape",
@@ -159,3 +160,26 @@ def test_every_kept_name_is_read_by_the_reader_its_reason_names():
         if not any(key.split(".")[1] in _referenced([t]) for t in readers):
             unread.append(key)
     assert unread == []
+
+
+# YAML spellings the README quotes as config values, not names
+YAML_LITERALS = {"true", "false", "null"}
+
+
+def test_every_name_the_readme_quotes_is_a_word_of_the_sources():
+    # a backticked identifier, dotted or called with no arguments, names a
+    # word of src/: a module, function, class, attribute or comment, or a
+    # config key, which the schema tables of cli.py spell; "shapelab." is
+    # dropped and every dotted part must be such a word
+    words = {w for path in SRC.glob("*.py")
+             for w in re.findall(r"[A-Za-z_]\w*", path.read_text())}
+    unknown = []
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        name = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?",
+                            span)
+        if name is None or span in YAML_LITERALS:
+            continue
+        parts = name[1].removeprefix("shapelab.").split(".")
+        if not set(parts) <= words:
+            unknown.append(span)
+    assert unknown == []
