@@ -497,10 +497,9 @@ def _run_shape(cfg: Config, offset: int, jobs: int) -> None:
     if cfg["polytope_output"]:
         with _blame("directions"):
             shape.check_directions(dirs, d)
-    job = partial(shape.directional_constant, cfg["model"], seeds,
-                  n_max=n_max, dimension=d, tol=cfg["tolerance"])
-    est = shape.ShapeEstimate(directions=tuple(dirs),
-                              series=tuple(_pmap(job, dirs, jobs)))
+    series = shape.directional_constant(cfg["model"], seeds, dirs, n_max,
+                                        dimension=d, tol=cfg["tolerance"])
+    est = shape.ShapeEstimate(directions=tuple(dirs), series=tuple(series))
     if cfg["polytope_output"]:
         with np.errstate(all="ignore"):
             vertices = est.unit_ball_vertices()

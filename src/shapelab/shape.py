@@ -3,6 +3,10 @@
 The directional constant along an integer direction is the infimum of the
 per-step means over increasing multiples, matching the inf-of-means
 characterization of the subadditive limit rather than any curve fit.
+As in the shape theorem, every direction reads its multiples from one
+object, the passage times from the origin: each refinement round
+searches one ell-1 box around the origin per stack of seeds, and that
+search serves every direction's targets and certificates.
 Maximal functions are computed on finite windows; the window always
 travels with the reported statistics so truncation stays auditable.
 """
@@ -57,14 +61,14 @@ SEED_BYTES = 400
 # halved, down to one environment.  Building and searching a stack takes
 # about 40 (d=2) to 80 (d=3) bytes of peak memory per site (tracemalloc: 30
 # boxes of 545 sites, 19 of 833), and up to about 200 in a stack of a few
-# larger boxes, which hashes each box's edges in one call (180 in a
-# profile's four boxes of 3281 sites).  A search costs mostly its passes,
-# whose number does not grow with the stack, so larger stacks pay off
+# larger boxes, which hashes each box's edges in one call (160 in a
+# profile's stack of two boxes of 7321 sites).  A search costs mostly its
+# passes, whose number does not grow with the stack, so larger stacks pay off
 # (2-core x86_64): 500 seeds of a 545-site box (d=2, W=8) take a median 0.24
 # s in stacks of 16384 sites against 0.34 s in stacks of 4096, for 1.4 MB
 # more peak memory, and the d=2 scan of 8 two-valued seeds along 4
-# directions (n_max 10) takes 0.064 s against 0.109 s one seed at a time
-# (best of 9), for 0.23 MB more.
+# directions (n_max 10), four stacks of two boxes, takes 0.033 s against
+# 0.043 s one seed at a time (best of 9), for 0.23 MB more.
 STACK_SITES = 16384
 
 
@@ -90,30 +94,37 @@ def _in_stacks(count: int, box: BoxRegion, search) -> list:
     return done
 
 
-def _direction_profile(envs: Sequence[Environment], theta: Site, n_max: int,
+def _direction_profile(envs: Sequence[Environment], directions, n_max: int,
                        tol: float, radius_cap_factor: int = 16):
-    """rho(0, k*theta) for k = 1..n_max in each environment, from
-    single-source searches in a common refining box.  Returns (values,
-    states), (E, n_max) arrays, one row per environment: one refine state
-    per value, certified by each round's search (see BoxGraph.certified).
+    """rho(0, k*theta) for k = 1..n_max along each direction theta in each
+    environment, from single-source searches of one refining ell-1 box
+    around the origin, which serves every direction: its first radius is
+    twice the largest gap |theta| n_max, and its cap radius_cap_factor
+    times that gap.  Returns (values, states), (E, D, n_max) arrays, one
+    row per environment: one refine state per value, certified by each
+    round's search (see BoxGraph.certified).
 
     Each round searches the environments that still have an open value,
-    in stacks (see _in_stacks).  A row is what that environment's own
-    refinement gives, bit for bit: a stack's search limit is the largest
-    of its rows' limits, each row's targets lie at or below its own, and a
-    stack's rows equal separate searches."""
-    theta = tuple(theta)
-    zero = (0,) * len(theta)
-    # per multiple its factor, its target and target row, and per row and
-    # multiple its value, previous value, certificate and state
-    reserve((8 * len(theta) + 16 + 18 * len(envs)) * n_max,
-            f"profile of {n_max} multiples of {theta}")
-    targets = np.arange(1, n_max + 1)[:, None] * np.asarray(theta)
-    gap = norm1(theta) * n_max
-    center = tuple(c // 2 for c in targets[-1].tolist())
+    in stacks (see _in_stacks), and reads every direction's targets from
+    the one search.  A row is what that environment's own refinement
+    gives, bit for bit: a stack's search limit is the largest of its rows'
+    limits, each row's targets lie at or below its own, and a stack's rows
+    equal separate searches.  A certified value is the unboxed value
+    whatever box certified it, so it does not depend on the other
+    directions either."""
+    directions = [tuple(t) for t in directions]
+    zero = (0,) * len(directions[0])
+    count = len(directions) * n_max
+    # per target its factor, its point and row, and per row and target
+    # its value, previous value, certificate and state
+    reserve((8 * len(zero) + 16 + 18 * len(envs)) * count,
+            f"profile of {n_max} multiples of each of {directions}")
+    targets = (np.asarray(directions)[:, None]
+               * np.arange(1, n_max + 1)[:, None]).reshape(count, -1)
+    gap = max(map(norm1, directions)) * n_max
 
     def profile(r: int, live, prev):
-        box = BoxRegion(center, r, "l1")
+        box = BoxRegion(zero, r, "l1")
         stack = envs if live is None else [envs[i] for i in live]
         limits = (np.full(len(stack), math.inf) if prev is None
                   else prev.max(axis=1))
@@ -129,7 +140,8 @@ def _direction_profile(envs: Sequence[Environment], theta: Site, n_max: int,
         return np.concatenate(values), np.concatenate(exact)
 
     values, _, states = refine(profile, 2 * gap, radius_cap_factor * gap, tol)
-    return values, states
+    size = (len(envs), len(directions), n_max)
+    return values.reshape(size), states.reshape(size)
 
 
 def _stderr(col: np.ndarray) -> float:
@@ -145,43 +157,52 @@ def _stderr(col: np.ndarray) -> float:
     return math.ldexp(float(scaled.std(ddof=1)), exp) / math.sqrt(len(col))
 
 
-def directional_constant(model: WeightModel, seeds, theta: Site, n_max: int,
+def directional_constant(model: WeightModel, seeds, directions, n_max: int,
                          dimension: int | None = None,
-                         tol: float = REFINE_TOL) -> DirectionalSeries:
-    """The per-direction convergence series and its inf-of-means limit,
-    from one stacked profile of all the seeds (see _direction_profile).
+                         tol: float = REFINE_TOL) -> list[DirectionalSeries]:
+    """Per direction its convergence series and inf-of-means limit, in
+    order, from one stacked profile of all the seeds along every
+    direction (see _direction_profile); each seed's environment is made
+    once.
 
     Distances that refinement leaves open (neither certified exact nor
     converged within tol) are excluded from the means and counted; a
     series with more than 10% exclusions is flagged.
     """
-    theta = tuple(theta)
-    if all(t == 0 for t in theta):
+    directions = [tuple(t) for t in directions]
+    if not directions:
+        raise ValueError("need at least one direction")
+    if any(all(t == 0 for t in theta) for theta in directions):
         raise ValueError("direction must be nonzero")
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
-    d = dimension or len(theta)
-    step = norm1(theta)
-    reserve((SEED_BYTES + 9 * n_max) * len(seeds),
-            f"{len(seeds)} seeds' profile of {n_max} multiples of {theta}")
+    d = dimension or len(directions[0])
+    reserve((SEED_BYTES + 9 * len(directions) * n_max) * len(seeds),
+            f"{len(seeds)} seeds' profile of {n_max} multiples of each of "
+            f"{directions}")
     envs = [Environment(model, seed=int(seed), dimension=d)
             for seed in sorted(seeds)]
-    rows, states = _direction_profile(envs, theta, n_max, tol)
-    flags = states != OPEN
+    values, states = _direction_profile(envs, directions, n_max, tol)
     ks = np.arange(1, n_max + 1)
-    means = np.empty(n_max)
-    stderrs = np.empty(n_max)
-    for i in range(n_max):
-        col = rows[flags[:, i], i] / (ks[i] * step)
-        if len(col) == 0:
-            raise ConvergenceError(
-                f"no converged distances at k={ks[i]} along {theta}")
-        means[i] = col.mean()
-        stderrs[i] = _stderr(col)
-    excluded = 1.0 - float(flags.mean())
-    return DirectionalSeries(direction=theta, ks=ks, means=means,
-                             stderrs=stderrs, excluded_fraction=excluded,
-                             flagged=excluded > 0.10)
+    out = []
+    for theta, rows, flags in zip(directions, values.swapaxes(0, 1),
+                                  (states != OPEN).swapaxes(0, 1)):
+        step = norm1(theta)
+        means = np.empty(n_max)
+        stderrs = np.empty(n_max)
+        for i in range(n_max):
+            col = rows[flags[:, i], i] / (ks[i] * step)
+            if len(col) == 0:
+                raise ConvergenceError(
+                    f"no converged distances at k={ks[i]} along {theta}")
+            means[i] = col.mean()
+            stderrs[i] = _stderr(col)
+        excluded = 1.0 - float(flags.mean())
+        out.append(DirectionalSeries(direction=theta, ks=ks, means=means,
+                                     stderrs=stderrs,
+                                     excluded_fraction=excluded,
+                                     flagged=excluded > 0.10))
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,10 +249,9 @@ def estimate_shape(model: WeightModel, seeds, directions, n_max: int,
     directions = [tuple(t) for t in directions]
     d = dimension or len(directions[0])
     check_directions(directions, d)
-    series = tuple(
-        directional_constant(model, seeds, theta, n_max, dimension=d, tol=tol)
-        for theta in directions)
-    return ShapeEstimate(directions=tuple(directions), series=series)
+    series = directional_constant(model, seeds, directions, n_max,
+                                  dimension=d, tol=tol)
+    return ShapeEstimate(directions=tuple(directions), series=tuple(series))
 
 
 # --------------------------------------------------------------------------

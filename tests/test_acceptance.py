@@ -200,8 +200,8 @@ def test_criterion_04_constant_weight_shape():
 
 
 def test_criterion_05_shape_convergence_diagnostic():
-    series = directional_constant(TwoValued(1.0, 2.0, 0.5), range(100),
-                                  (1, 0), 32, dimension=2)
+    (series,) = directional_constant(TwoValued(1.0, 2.0, 0.5), range(100),
+                                     [(1, 0)], 32, dimension=2)
     a = series.means
     ref = a[31]
     rel = np.abs(a[15:] - ref) / ref

@@ -149,6 +149,25 @@ def test_jobs_flag_does_not_change_output(tmp_path):
     assert _body(tmp_path / "s.csv") == serial
 
 
+def test_shape_jobs_start_no_worker(tmp_path, monkeypatch):
+    # one scan serves every direction, in this process: --jobs 3 starts no
+    # worker and writes the bytes of --jobs 1
+    import concurrent.futures
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    doc = yaml.safe_load((CONFIG_DIR / "shape_two_valued.yaml").read_text())
+    outputs = []
+    for jobs in ("1", "3"):
+        doc["output"] = str(tmp_path / f"jobs{jobs}.csv")
+        assert _run(tmp_path, doc, extra_args=["--jobs", jobs]) == 0
+        outputs.append(_body(doc["output"]).encode())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refused)
+    assert outputs[0] == outputs[1]
+
+
 def test_full_round_trip_floats(tmp_path):
     doc = {
         "command": "rkhs-walk",
@@ -650,7 +669,8 @@ def test_two_valued_shape_with_zero_tolerance_is_certified(tmp_path):
 
 
 @pytest.mark.parametrize("make, what", [
-    (_shape_doc, "1048576 seeds' profile of 4 multiples of (0, 1)"),
+    (_shape_doc, "1048576 seeds' profile of 4 multiples of each of "
+                 "[(0, 1), (1, 0)]"),
     (_maximal_tail_doc, "the environments of 1048576 seeds"),
 ], ids=["shape", "maximal-tail"])
 def test_seed_list_above_the_budget_exits_3_before_any_environment(
@@ -733,7 +753,7 @@ def test_embed_check_search_above_site_limit_exits_3(tmp_path, capsys,
                          ids=["huge", "mid"])
 @pytest.mark.parametrize("command, key, what", [
     ("kingman", "length", "Kingman decomposition of length {}"),
-    ("shape", "n_max", "profile of {} multiples of (1, 0)"),
+    ("shape", "n_max", "profile of {} multiples of each of [(1, 0)]"),
 ], ids=["kingman", "shape"])
 def test_array_length_from_the_config_is_reserved_first(tmp_path, capsys,
                                                          monkeypatch, size,

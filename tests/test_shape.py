@@ -22,21 +22,22 @@ from frozen import DOMINATION_CONSTANT
 
 
 def test_constant_weights_flat_series():
-    s = directional_constant(Constant(2.0), range(3), (1, 0), 6, dimension=2)
+    (s,) = directional_constant(Constant(2.0), range(3), [(1, 0)], 6,
+                                dimension=2)
     assert np.all(s.means == 2.0)
     assert s.estimate == 2.0 and not s.flagged
 
 
 def test_lower_bound_from_minimum_weight():
-    s = directional_constant(TwoValued(1.0, 2.0), range(6), (1, 1), 6,
-                             dimension=2)
+    (s,) = directional_constant(TwoValued(1.0, 2.0), range(6), [(1, 1)], 6,
+                                dimension=2)
     assert s.estimate >= 1.0
 
 
 def test_inf_of_means_monotone_in_horizon():
     model = TwoValued(1.0, 2.0)
-    short = directional_constant(model, range(8), (1, 0), 6, dimension=2)
-    long = directional_constant(model, range(8), (1, 0), 12, dimension=2)
+    (short,) = directional_constant(model, range(8), [(1, 0)], 6, dimension=2)
+    (long,) = directional_constant(model, range(8), [(1, 0)], 12, dimension=2)
     assert long.estimate <= short.estimate + 1e-12
 
 
@@ -224,8 +225,8 @@ def test_bound_ball_is_counted_against_the_site_limit(monkeypatch):
 def test_exponential_axis_spread_shrinks():
     # empirical form of the shape convergence: the spread of the tail of
     # the series around its limit tightens as the start index grows
-    series = directional_constant(Exponential(1.0), range(100), (1, 0), 32,
-                                  dimension=2)
+    (series,) = directional_constant(Exponential(1.0), range(100), [(1, 0)],
+                                     32, dimension=2)
     a = series.means
     L = series.estimate
     spread_from_8 = float(np.max(np.abs(a[7:] - L)))
@@ -238,9 +239,9 @@ def test_two_valued_self_oracle_at_scale():
     # a short run must agree, within combined confidence bands, with an
     # independent run at 4x the horizon and 4x the seeds
     model = TwoValued(1.0, 2.0, 0.5)
-    small = directional_constant(model, range(200, 225), (1, 0), 8,
-                                 dimension=2)
-    big = directional_constant(model, range(100), (1, 0), 32, dimension=2)
+    (small,) = directional_constant(model, range(200, 225), [(1, 0)], 8,
+                                    dimension=2)
+    (big,) = directional_constant(model, range(100), [(1, 0)], 32, dimension=2)
     gap = abs(small.estimate - big.estimate)
     band = 1.96 * (small.estimate_stderr + big.estimate_stderr)
     # the short horizon also carries a small systematic excess, since the
@@ -263,7 +264,8 @@ def test_certified_profile_values_equal_the_4r_box(model):
         for seed in range(4):
             env = Environment(model, seed=seed, dimension=d)
             values, states = shape._direction_profile(
-                [env], theta, n_max, 1e-9, radius_cap_factor=2)
+                [env], [theta], n_max, 1e-9, radius_cap_factor=2)
+            values, states = values[:, 0], states[:, 0]
             g = BoxGraph([env], BoxRegion(center, 4 * R, "l1"))
             far = g.distances_from((0,) * d)[:, g.rows(targets)]
             exact = states == EXACT
@@ -281,11 +283,11 @@ def test_exponential_profile_is_certified_and_equals_the_4r_box():
     for seed in range(2):
         env = Environment(Exponential(1.0), seed=seed, dimension=2)
         values, states = shape._direction_profile(
-            [env], theta, n_max, 1e-9, radius_cap_factor=2)
+            [env], [theta], n_max, 1e-9, radius_cap_factor=2)
         g = BoxGraph([env], BoxRegion(center, 8 * norm1(theta) * n_max, "l1"))
         far = g.distances_from((0, 0))[:, g.rows(targets)]
         assert np.all(states == EXACT)
-        assert values.tobytes() == far.tobytes()
+        assert values.tobytes() == far[:, None].tobytes()
 
 
 def test_later_rounds_keep_unlimited_values(monkeypatch):
@@ -301,13 +303,13 @@ def test_later_rounds_keep_unlimited_values(monkeypatch):
         return search(self, source, limit)
 
     monkeypatch.setattr(BoxGraph, "distances_from", spy)
-    limited = shape._direction_profile([env], (1, 0), 5, 0.0)
+    limited = shape._direction_profile([env], [(1, 0)], 5, 0.0)
     assert limits[0] == math.inf and len(limits) == 2
     assert all(math.isfinite(v) for v in limits[1:])
     monkeypatch.setattr(BoxGraph, "distances_from",
                         lambda self, source, limit=math.inf:
                         search(self, source))
-    unlimited = shape._direction_profile([env], (1, 0), 5, 0.0)
+    unlimited = shape._direction_profile([env], [(1, 0)], 5, 0.0)
     assert np.array_equal(limited[0], unlimited[0])
     assert np.array_equal(limited[1], unlimited[1])
 
@@ -319,13 +321,14 @@ def test_excluded_fraction_is_the_open_share(monkeypatch):
     seeds = range(8)
     capped = functools.partial(shape._direction_profile, radius_cap_factor=2)
     values, states = capped([Environment(model, seed=s, dimension=2)
-                             for s in seeds], theta, n_max, 1e-9)
+                             for s in seeds], [theta], n_max, 1e-9)
+    values, states = values[:, 0], states[:, 0]
     kept = states != OPEN
     assert 0 < kept.mean() < 1 and kept.any(axis=0).all()
 
     monkeypatch.setattr(shape, "_direction_profile", capped)
-    series = shape.directional_constant(model, seeds, theta, n_max,
-                                        dimension=2)
+    (series,) = shape.directional_constant(model, seeds, [theta], n_max,
+                                           dimension=2)
     assert series.excluded_fraction == pytest.approx(1 - kept.mean(),
                                                      abs=1e-15)
     assert series.flagged == (series.excluded_fraction > 0.10)
@@ -349,7 +352,7 @@ ZERO_WEIGHTS = TwoValued(0.0, 1.0, 0.5)
 @settings(settings.get_profile("properties"), max_examples=120)
 @given(st.data())
 def test_stacked_profile_equals_separate_profiles(data):
-    # every model, d = 1..3, 1-12 seeds, a random direction, n_max 4-8,
+    # every model, d = 1..3, 1-12 seeds, 1-3 random directions, n_max 4-8,
     # one-round and deep radius caps, tolerance 0 and 1e-9, and stacks of
     # the default size or of one or a few boxes
     d = data.draw(st.integers(1, 3), label="d")
@@ -358,14 +361,17 @@ def test_stacked_profile_equals_separate_profiles(data):
     if tol and d < 3 and data.draw(st.booleans(), label="zero weights"):
         model = ZERO_WEIGHTS
     reach = (2, 1, 1)[d - 1]
-    theta = data.draw(st.lists(st.integers(-reach, reach), min_size=d,
-                               max_size=d), label="theta")
-    axis = data.draw(st.integers(0, d - 1), label="nonzero axis")
-    theta[axis] = data.draw(st.sampled_from([-1, 1]), label="its sign")
-    theta = tuple(theta)
+    directions = []
+    for j in range(data.draw(st.integers(1, 3), label="directions")):
+        theta = data.draw(st.lists(st.integers(-reach, reach), min_size=d,
+                                   max_size=d), label=f"theta {j}")
+        axis = data.draw(st.integers(0, d - 1), label="nonzero axis")
+        theta[axis] = data.draw(st.sampled_from([-1, 1]), label="its sign")
+        directions.append(tuple(theta))
     # first-round boxes of at most 19649 sites (d=3, radius 24)
+    step = max(map(norm1, directions))
     n_max = data.draw(st.integers(4, max(4, min(8, (64, 32, 12)[d - 1]
-                                                 // norm1(theta)))),
+                                                 // step))),
                       label="n_max")
     cap = data.draw(st.sampled_from([2, 16]), label="radius_cap_factor")
     seeds = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=12,
@@ -373,18 +379,26 @@ def test_stacked_profile_equals_separate_profiles(data):
     stack_sites = data.draw(st.sampled_from([shape.STACK_SITES, 1, 2000]),
                             label="STACK_SITES")
     envs = [Environment(model, seed=s, dimension=d) for s in seeds]
+    profile = functools.partial(shape._direction_profile, n_max=n_max,
+                                tol=tol, radius_cap_factor=cap)
     default, shape.STACK_SITES = shape.STACK_SITES, stack_sites
     try:
-        values, states = shape._direction_profile(envs, theta, n_max, tol,
-                                                  radius_cap_factor=cap)
+        values, states = profile(envs, directions)
     finally:
         shape.STACK_SITES = default
-    assert values.shape == states.shape == (len(envs), n_max)
+    size = (len(envs), len(directions), n_max)
+    assert values.shape == states.shape == size
     for env, got, state in zip(envs, values, states):
-        (want,), (want_states,) = shape._direction_profile(
-            [env], theta, n_max, tol, radius_cap_factor=cap)
+        (want,), (want_states,) = profile([env], directions)
         assert got.tobytes() == want.tobytes()
         assert state.tolist() == want_states.tolist()
+    # a certified value is the unboxed one, whichever box certified it: a
+    # value certified both here and in its direction's own profile (whose
+    # rows are the seeds' own, as above) is the same bit for bit
+    for j, theta in enumerate(directions):
+        alone, alone_states = profile(envs, [theta])
+        both = (states[:, j] == EXACT) & (alone_states[:, 0] == EXACT)
+        assert values[:, j][both].tobytes() == alone[:, 0][both].tobytes()
 
 
 BENCHMARK_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (2, 1)]
@@ -409,29 +423,38 @@ def test_rows_leave_the_stack_one_by_one(monkeypatch):
     model, theta, n_max = ZERO_WEIGHTS, (1, 0), 5
     envs = [Environment(model, seed=s, dimension=2) for s in range(8)]
     builds = _builds(monkeypatch)
-    values, states = shape._direction_profile(envs, theta, n_max, 1e-9)
+    values, states = shape._direction_profile(envs, [theta], n_max, 1e-9)
     assert builds == [8, 8, 1]
     for env, got, state in zip(envs, values, states):
-        (want,), (want_states,) = shape._direction_profile([env], theta,
+        (want,), (want_states,) = shape._direction_profile([env], [theta],
                                                             n_max, 1e-9)
         assert got.tobytes() == want.tobytes()
         assert state.tolist() == want_states.tolist()
 
 
-def test_benchmark_scan_builds_a_stack_per_round(monkeypatch):
-    # eight two-valued seeds, n_max 10: each direction's seeds are certified
-    # in one round, in stacks of four boxes of up to 3281 sites
-    model = TwoValued(1.0, 2.0, 0.5)
+@pytest.mark.parametrize("model, seeds, directions, n_max, stacks, alone", [
+    (TwoValued(1.0, 2.0, 0.5), range(8), BENCHMARK_DIRECTIONS, 10, 4, 32),
+    (Exponential(1.0), range(1), [(1, 0, 0), (1, 1, 0), (1, 1, 1)], 4, 1, 4),
+], ids=["d2", "d3"])
+def test_benchmark_scan_builds_a_stack_per_round(monkeypatch, model, seeds,
+                                                  directions, n_max, stacks,
+                                                  alone):
+    # the benchmark's shape scans are certified in one round of one origin
+    # box for every direction: in d=2 in stacks of two boxes of 7321 sites,
+    # in d=3 one box of 19649 sites.  Searched one seed and direction at a
+    # time they take a box per seed and direction, and in d=3 one
+    # direction takes two rounds
     builds = _builds(monkeypatch)
-    for theta in BENCHMARK_DIRECTIONS:
-        directional_constant(model, range(8), theta, 10, dimension=2)
-    assert len(builds) <= 8
+    directional_constant(model, seeds, directions, n_max,
+                         dimension=len(directions[0]))
+    assert len(builds) == stacks
     builds.clear()
-    for seed in range(8):
-        env = Environment(model, seed=seed, dimension=2)
-        for theta in BENCHMARK_DIRECTIONS:
-            shape._direction_profile([env], theta, 10, percolation.REFINE_TOL)
-    assert len(builds) == 32
+    for seed in seeds:
+        env = Environment(model, seed=seed, dimension=len(directions[0]))
+        for theta in directions:
+            shape._direction_profile([env], [theta], n_max,
+                                     percolation.REFINE_TOL)
+    assert len(builds) == alone
 
 
 def test_stacks_split_down_to_one_seed_at_the_budget_edge(monkeypatch):
@@ -439,7 +462,7 @@ def test_stacks_split_down_to_one_seed_at_the_budget_edge(monkeypatch):
     # just fits refuses every stack of several seeds, which is split until
     # each seed is searched alone, to the same series
     model, theta, n_max, seeds = Exponential(1.0), (2, 1), 6, range(8)
-    want = directional_constant(model, seeds, theta, n_max, dimension=2)
+    (want,) = directional_constant(model, seeds, [theta], n_max, dimension=2)
     reserve, sizes = lattice.reserve, []
 
     def spy(nbytes, what, power=(1, 0)):
@@ -450,18 +473,18 @@ def test_stacks_split_down_to_one_seed_at_the_budget_edge(monkeypatch):
         monkeypatch.setattr(module, "reserve", spy)
     for seed in seeds:
         shape._direction_profile([Environment(model, seed=seed, dimension=2)],
-                                 theta, n_max, percolation.REFINE_TOL)
+                                 [theta], n_max, percolation.REFINE_TOL)
     edge = max(sizes)
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge)
     builds = _builds(monkeypatch)
-    got = directional_constant(model, seeds, theta, n_max, dimension=2)
+    (got,) = directional_constant(model, seeds, [theta], n_max, dimension=2)
     assert max(builds) > 1 and 1 in builds
     for field in ("means", "stderrs"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert got.excluded_fraction == want.excluded_fraction
     monkeypatch.setattr(lattice, "MEMORY_BUDGET", edge - 1)
     with pytest.raises(MemoryError):
-        directional_constant(model, seeds, theta, n_max, dimension=2)
+        directional_constant(model, seeds, [theta], n_max, dimension=2)
 
 
 def test_stderr_is_the_unscaled_one_and_finite_for_huge_columns():
