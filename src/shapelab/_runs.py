@@ -19,6 +19,10 @@ import numpy as np
 
 from .lattice import run_sites
 
+# SiteRuns checks the steps of its sites in slices of this many sites,
+# whose transients take about 11 bytes per site
+STEP_SLICE = 1 << 15
+
 
 class SiteRuns:
     """Distinct lattice sites in lexicographic order, held as their runs.
@@ -40,9 +44,14 @@ class SiteRuns:
         new[0] = True
         for k in range(d - 1):
             new[1:] |= sites[1:, k] != sites[:-1, k]
-        if np.any((np.diff(sites[:, -1]) != 1) & ~new[1:]):
-            raise ValueError("a region's sites must fall into runs of "
-                             "consecutive last coordinates")
+        # within a run the last coordinates step by one; checked in slices,
+        # so the check holds no int64 array per site
+        last = sites[:, -1]
+        for a in range(1, n, STEP_SLICE):
+            b = min(a + STEP_SLICE, n)
+            if np.any((last[a:b] - last[a - 1:b - 1] != 1) & ~new[a:b]):
+                raise ValueError("a region's sites must fall into runs of "
+                                 "consecutive last coordinates")
         begin = np.flatnonzero(new)
         self.head = sites[begin, :-1]
         self.start = np.append(begin, n)
@@ -94,15 +103,28 @@ class SiteRuns:
         site-major order with axes in order, in chunks of max(1, size // d)
         whole rows, so of at most size steps when size >= d: per chunk the
         rows i, the axes k, the rows reached and the (m, d) int64 sites of
-        the rows i.  A one-site region yields one empty chunk.  Each step's
-        end is found from one row offset per run and axis, so nothing the
-        size of all the rows or steps is built."""
+        the rows i, each a fresh int64 array that the caller may write to.
+        A one-site region yields one empty chunk.  Each step's end is found
+        from one row offset per run and axis, so nothing the size of all
+        the rows or steps is built, and nothing of a chunk is held once it
+        is yielded."""
+        d = self.head.shape[1] + 1
+        # found by a helper, so their transients are gone before the first
+        # chunk
+        lo, hi, off = self._steps()
+        n = int(self.start[-1])
+        count = max(1, size // d)
+        for first in range(0, n, count):
+            yield self._chunk(lo, hi, off, first, min(first + count, n))
+
+    def _steps(self) -> tuple[np.ndarray, ...]:
+        """Per run and axis, the (runs, d) int64 bounds lo, hi and offset
+        off: rows lo..hi-1 of the run step along the axis to the row off
+        further on.  Along the last axis that is every row but the run's
+        last, along axis k the rows whose last coordinate the run of
+        head + e_k also holds."""
         d = self.head.shape[1] + 1
         start, stop = self.start[:-1], self.start[1:]
-        # rows lo..hi-1 of each run step along each axis to the row off
-        # further on: along the last axis every row but the run's last,
-        # along axis k the rows whose last coordinate the run of head + e_k
-        # also holds
         lo = np.empty((len(start), d), dtype=np.int64)
         hi, off = np.empty_like(lo), np.empty_like(lo)
         lo[:, -1], hi[:, -1], off[:, -1] = start, stop - 1, 1
@@ -115,16 +137,39 @@ class SiteRuns:
             off[:, k] = self.base[j] - self.base
             lo[:, k] = np.clip(self.start[j] - off[:, k], start, stop)
             hi[:, k] = np.clip(self.start[j + 1] - off[:, k], lo[:, k], stop)
-        n = int(self.start[-1])
-        count = max(1, size // d)
-        for first in range(0, n, count):
-            rows = np.arange(first, min(first + count, n))
-            run = np.searchsorted(self.start, rows, side="right") - 1
-            step = (lo[run] <= rows[:, None]) & (rows[:, None] < hi[run])
-            rows, axes = np.divmod(np.flatnonzero(step), d)
-            run = run[rows]
-            rows += first
-            bases = np.empty((len(rows), d), dtype=np.int64)
-            bases[:, :-1] = self.head[run]
-            bases[:, -1] = rows - self.base[run]
-            yield rows, axes, rows + off[run, axes], bases
+        return lo, hi, off
+
+    def _chunk(self, lo, hi, off, first: int, last: int):
+        """The steps of rows first..last-1 (see edges).  Per-run bounds are
+        gathered with take, the steps' rows and axes split off their flat
+        positions in place, and each temporary is released once read."""
+        d = self.head.shape[1] + 1
+        rows = np.arange(first, last)
+        run = np.searchsorted(self.start, rows, side="right")
+        run -= 1
+        # per row and axis: its run's bound, then its run's offset
+        bound = np.take(lo, run, axis=0)
+        step = bound <= rows[:, None]
+        np.take(hi, run, axis=0, out=bound)
+        step &= rows[:, None] < bound
+        np.take(off, run, axis=0, out=bound)
+        # each step's flat position row * d + axis, counted from first
+        at = np.flatnonzero(step)
+        reach = np.take(bound, at)
+        del bound
+        rows = at // d
+        axes = rows * d
+        np.subtract(at, axes, out=axes)
+        del at
+        run = np.take(run, rows)
+        rows += first
+        reach += rows
+        # column by column: take into a strided column is fast only for
+        # one-dimensional arrays
+        bases = np.empty((len(rows), d), dtype=np.int64)
+        for k in range(d - 1):
+            np.take(self.head[:, k], run, out=bases[:, k], mode="clip")
+        last_coord = bases[:, -1]
+        np.take(self.base, run, out=last_coord, mode="clip")
+        np.subtract(rows, last_coord, out=last_coord)
+        return rows, axes, reach, bases

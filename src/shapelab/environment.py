@@ -19,10 +19,10 @@ import numpy as np
 Site = tuple[int, ...]
 Edge = tuple[Site, int]  # (base site, axis index in 0..d-1); joins base and base+e_axis
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV53 = float(2.0 ** -53)
 _U_MAX = 1.0 - _INV53  # the largest variate counter_uniform returns
 
@@ -32,29 +32,50 @@ _U_MAX = 1.0 - _INV53  # the largest variate counter_uniform returns
 ORBIT_CHUNK = 1024
 
 
-def _mix(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    h = (h ^ (h >> np.uint64(30))) * _M1
-    h = (h ^ (h >> np.uint64(27))) * _M2
-    return h ^ (h >> np.uint64(31))
+def _mix(h: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on a uint64 array, with a uint64
+    scratch array of the same shape."""
+    np.right_shift(h, _S30, out=scratch)
+    h ^= scratch
+    h *= _M1
+    np.right_shift(h, _S27, out=scratch)
+    h ^= scratch
+    h *= _M2
+    np.right_shift(h, _S31, out=scratch)
+    h ^= scratch
 
 
 def counter_uniform(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform [0,1) variates indexed by integer counter rows.
 
     counters: (n, k) int64 array; each row is an independent stream index.
-    The same row always yields the same variate for a given seed.
+    The same row always yields the same variate for a given seed: the
+    splitmix64 fold h_0 = seed, h_j = mix((h_{j-1} + gamma) ^ c_j) in
+    integers mod 2**64, whose top 53 bits scale into [0, 1).  The fold
+    runs in place on one uint64 accumulator and one scratch array, whose
+    memory then takes the variates: 16 bytes per row beyond the counters,
+    with no other temporary of their size.
     """
     counters = np.atleast_2d(np.asarray(counters, dtype=np.int64))
     h = np.full(counters.shape[0], np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    scratch = np.empty_like(h)
     for j in range(counters.shape[1]):
-        h = _mix((h + _GAMMA) ^ counters[:, j].view(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+        h += _GAMMA
+        h ^= counters[:, j].view(np.uint64)
+        _mix(h, scratch)
+    h >>= _S11
+    # cast by assignment, which needs no buffer, then scaled
+    u = scratch.view(np.float64)
+    u[...] = h
+    u *= _INV53
+    return u
 
 
 def _edge_counters(bases: np.ndarray, axes: np.ndarray, tag: int) -> np.ndarray:
+    """The counter rows (tag, *base, axis) of the edges, column-major, so
+    that counter_uniform reads each column contiguously."""
     n, d = bases.shape
-    out = np.empty((n, d + 2), dtype=np.int64)
+    out = np.empty((n, d + 2), dtype=np.int64, order="F")
     out[:, 0] = tag
     out[:, 1:-1] = bases
     out[:, -1] = axes
@@ -69,6 +90,9 @@ class WeightModel:
     """Base class: maps canonical edges to nonnegative weights, per seed."""
 
     def weights(self, seed: int, bases: np.ndarray, axes: np.ndarray) -> np.ndarray:
+        """The weights of the edges (bases[i], axes[i]) as a fresh float
+        array, which the caller may write to; bases and axes are read
+        only, as they may be the caller's own arrays."""
         raise NotImplementedError
 
     def floor(self) -> float:
@@ -128,8 +152,13 @@ class Exponential(WeightModel):
         self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
+        # -log1p(-u) / rate, in place
         u = counter_uniform(seed, _edge_counters(bases, axes, 1))
-        return -np.log1p(-u) / self.rate
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u /= self.rate
+        return u
 
     def ceiling(self):
         # weights() at the largest variate: log1p, the division and their
@@ -154,8 +183,12 @@ class Pareto(WeightModel):
         self._refuse_overflow()
 
     def weights(self, seed, bases, axes):
+        # scale * (1 - u)**(-1 / shape), in place
         u = counter_uniform(seed, _edge_counters(bases, axes, 2))
-        return self.scale * np.power(1.0 - u, -1.0 / self.shape)
+        np.subtract(1.0, u, out=u)
+        np.power(u, -1.0 / self.shape, out=u)
+        u *= self.scale
+        return u
 
     def floor(self):
         # the power of 1 - u in (0, 1] to a negative exponent is at least 1
@@ -185,7 +218,10 @@ class TwoValued(WeightModel):
 
     def weights(self, seed, bases, axes):
         u = counter_uniform(seed, _edge_counters(bases, axes, 3))
-        return np.where(u < self.prob_low, float(self.low), float(self.high))
+        low = u < self.prob_low
+        u.fill(self.high)
+        u[low] = self.low
+        return u
 
     def floor(self):
         return float(min(self.low, self.high))
@@ -299,12 +335,17 @@ class MovingAverage(WeightModel):
 
     def weights(self, seed, bases, axes):
         out = np.zeros(len(bases), dtype=float)
-        shifted = np.array(bases, copy=True)
+        # one copy of the bases, stepped by one along each edge's axis per
+        # kernel entry: its flat index base * d + axis
+        shifted = np.array(bases, dtype=np.int64, order="C")
+        step = np.arange(0, shifted.size, shifted.shape[1])
+        step += axes
         for j, coef in enumerate(self.kernel):
             if j > 0:
-                shifted = np.array(bases, copy=True)
-                shifted[np.arange(len(bases)), axes] += j
-            out += coef * self.base.weights(seed, shifted, axes)
+                np.add.at(shifted.reshape(-1), step, 1)
+            w = self.base.weights(seed, shifted, axes)
+            w *= coef
+            out += w
         return out
 
     def check_dimension(self, d):
@@ -363,16 +404,20 @@ class Environment:
             np.asarray([base], dtype=np.int64), np.asarray([axis]))[0])
 
     def edge_weights(self, bases: np.ndarray, axes: np.ndarray) -> np.ndarray:
-        """Vectorized weights for canonical edges (base + e_axis)."""
+        """Vectorized weights for canonical edges (base + e_axis), as a
+        fresh float array.  An unshifted environment hands bases to its
+        model uncopied."""
         bases = np.asarray(bases, dtype=np.int64)
         axes = np.asarray(axes, dtype=np.int64)
         if bases.ndim != 2 or bases.shape[1] != self.dimension:
             raise ValueError("bases must be (n, d)")
         if axes.min(initial=0) < 0 or axes.max(initial=0) >= self.dimension:
             raise ValueError("axis out of range")
-        shifted = bases + np.asarray(self.origin_offset, dtype=np.int64)
-        w = self.model.weights(self.seed, shifted, axes)
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if any(self.origin_offset):
+            bases = bases + np.asarray(self.origin_offset, dtype=np.int64)
+        w = self.model.weights(self.seed, bases, axes)
+        # min and max propagate NaN, which fails both comparisons
+        if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < math.inf):
             raise ValueError("weight model produced a negative or nonfinite value")
         return w
 

@@ -29,7 +29,10 @@ forward edge weights, one per edge, which a search also reads for the
 edge's backward direction.  Both are allocated first, and the weights
 are hashed in chunks of whole rows, at most ``EDGE_CHUNK`` edges each,
 straight into their table.  A chunk's edges and their neighbours are
-found from one row interval and offset per run and axis, and a search
+found from one row interval and offset per run and axis, its table
+slots are computed in place in its own arrays, and its weights are
+hashed in place (see ``environment.counter_uniform``), so a build peaks
+no higher than the search and certificate that follow it; a search
 computes its targets from the neighbour rows, so neither builds nor
 searches holds a transient table the size of the box.
 
@@ -73,13 +76,18 @@ WHOLE_FRONTIER = 512
 
 # A box graph hashes its edge weights in chunks of EDGE_CHUNK // d whole
 # rows (at least one), so of at most this many edges, straight into its
-# weight table.  A chunk's transients take about 130 to 230 bytes per edge
-# by model and dimension, 2 to 4 MB at any box size (9 to 15 MB at 65536
-# edges, more than the 7.3 MB of the largest built box's tables), and a
-# call of this size hashes no slower per edge than a larger one.  A box of
+# weight table.  A chunk's transients take 45 to 145 bytes per edge by
+# model and dimension (see graph_bytes), at most 0.45 MB at any box size,
+# so building the first boxes of a shape scan peaks below certifying
+# their targets: 1.37 against 1.49 MB on a d=3 radius-24 box, 0.61
+# against 0.67 MB on a stack of two d=2 radius-60 boxes (tracemalloc; at
+# 4096 edges the d=2 stack's build peaks at 0.69 MB).  Larger chunks hash
+# faster per edge, as a chunk costs about a hundred numpy calls whatever
+# its size: a d=2 radius-700 build takes 155 to 169 ms at this size and
+# about 132 ms at 16384 (best of 7, 2-core x86_64, numpy 2.4).  A box of
 # at most EDGE_CHUNK // d rows makes one edge_weights call per
 # environment.
-EDGE_CHUNK = 16384
+EDGE_CHUNK = 3072
 
 # per-value refinement states
 EXACT, CONVERGED, OPEN = 0, 1, 2
@@ -164,13 +172,15 @@ def graph_bytes(n: int, d: int, runs: int, blocks: int = 1) -> int:
     into runs runs, with blocks environments: by dtype, the int32
     neighbour rows and float64 forward weights of each block, the runs
     (int64 head, start, base and key), and the build's transients: the
-    per-run row bounds and offsets, one chunk of hashing transients
-    (tracemalloc: 88 + 32d bytes per edge at most, any model, d = 1..4),
-    and before the tables the int64 sites, as large as the neighbour rows,
-    with their run marks and step check, 10 bytes per site, which outweigh
-    one block of weights only at d = 1."""
-    return (n * (8 * d + max(8 * d * blocks, 10)) + runs * (64 * d + 64)
-            + EDGE_CHUNK * (128 + 32 * d))
+    per-run row bounds and offsets, and one chunk of hashing transients,
+    96 + 24d bytes per edge (tracemalloc: at most 97, 120, 139 and 145
+    bytes per edge at d = 1..4, set by MovingAverage; 65 to 97 for the
+    other hashed models).  Before the tables the build holds the int64
+    sites, as large as the neighbour rows, with their run marks, 2 bytes
+    per site, and one slice of their step check (``_runs.STEP_SLICE``
+    sites of about 11 bytes), less than one chunk of hashing."""
+    return (8 * d * (1 + blocks) * n + runs * (64 * d + 64)
+            + EDGE_CHUNK * (96 + 24 * d))
 
 
 class BoxGraph:
@@ -220,15 +230,28 @@ class BoxGraph:
         # an edgeless box still makes its one call per environment
         for rows, axes, reach, bases in self._runs.edges(EDGE_CHUNK):
             m += len(rows)
-            # each edge's slots in the flattened tables: forward from its
-            # base row, backward from the row it reaches
-            nbr[rows * (2 * d) + axes] = reach
-            nbr[reach * (2 * d) + axes + d] = rows
+            # each edge's slots in the flattened tables, computed in place
+            # in the chunk's own arrays: forward from its base row in the
+            # neighbour rows, backward from the row it reaches, and its
+            # forward weight
+            slot = rows * (2 * d)
+            slot += axes
+            nbr[slot] = reach
+            np.multiply(reach, 2 * d, out=slot)
+            slot += axes
+            slot += d
+            nbr[slot] = rows
+            del slot, reach
+            rows *= d
+            rows += axes
             for w, env in zip(wt, self.envs):
-                w[rows * d + axes] = weights = env.edge_weights(bases, axes)
+                w[rows] = weights = env.edge_weights(bases, axes)
                 # scaled in place, after the table took its copy
                 weights *= 2.0 ** -64
                 total += weights.sum()
+                del weights
+            # no chunk is held while the next one is found
+            del rows, axes, bases
         # the bucket width of every search: the mean edge weight, which
         # only schedules the passes.  The weights are summed scaled by the
         # exact 2**-64, so a sum of finite weights stays finite, and the

@@ -60,10 +60,10 @@ SEED_BYTES = 400
 # lattice.MEMORY_BUDGET, as any box graph is, and a stack that it refuses is
 # halved, down to one environment.  Building and searching a stack takes
 # about 40 (d=2) to 80 (d=3) bytes of peak memory per site (tracemalloc: 30
-# boxes of 545 sites, 19 of 833), and up to about 200 in a stack of a few
-# larger boxes, which hashes each box's edges in one call (160 in a
-# profile's stack of two boxes of 7321 sites).  A search costs mostly its
-# passes, whose number does not grow with the stack, so larger stacks pay off
+# boxes of 545 sites, 19 of 833), and about 42 in a profile's stack of
+# two boxes of 7321 sites, whose edges are hashed in chunks of at most
+# percolation.EDGE_CHUNK edges.  A search costs mostly its passes, whose
+# number does not grow with the stack, so larger stacks pay off
 # (2-core x86_64): 500 seeds of a 545-site box (d=2, W=8) take a median 0.24
 # s in stacks of 16384 sites against 0.34 s in stacks of 4096, for 1.4 MB
 # more peak memory, and the d=2 scan of 8 two-valued seeds along 4

@@ -707,8 +707,8 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
     # tolerance 0 never converges, and at this seed the exponential
     # distances along each axis are certified only in the second round, at
     # radius 24 = 4 * gap: a ball of 19649 sites whose graph takes about
-    # 4.9 MB, above this budget, while the first round's 2625 sites take
-    # 3.9 MB
+    # 1.9 MB, above this budget, while the first round's 2625 sites take
+    # at most 1.2 MB (their certificate)
     from shapelab import lattice
     from shapelab.lattice import BoxRegion
 
@@ -720,7 +720,7 @@ def test_shape_box_above_site_limit_exits_3(tmp_path, capsys, monkeypatch):
         return build(self)
 
     monkeypatch.setattr(BoxRegion, "site_array", guarded)
-    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 45 * 10 ** 5)
+    monkeypatch.setattr(lattice, "MEMORY_BUDGET", 16 * 10 ** 5)
     doc = _shape_doc(tmp_path, dimension=3,
                      model={"kind": "exponential", "rate": 1.0},
                      directions=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],

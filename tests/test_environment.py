@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapelab.environment import (Constant, Environment, Exponential,
-                                  MovingAverage, Pareto, Rotation, TwoValued)
+                                  MovingAverage, Pareto, Rotation, TwoValued,
+                                  counter_uniform)
 
 from conftest import box_edges
-from frozen import GOLDEN_EXPONENTIAL_SEED42
+from frozen import (GOLDEN_COUNTER_UNIFORM, GOLDEN_EDGE_WEIGHTS,
+                    GOLDEN_EXPONENTIAL_SEED42, HASH_ROWS, HASH_SEED)
 
 MODELS = [
     Constant(2.5),
@@ -83,6 +86,65 @@ def test_exponential_golden_fixture():
     env = Environment(Exponential(1.0), seed=42, dimension=2)
     for edge, expect in GOLDEN_EXPONENTIAL_SEED42.items():
         assert env.edge_weight(edge) == expect
+
+
+GOLDEN_MODELS = {
+    "exponential": Exponential(1.0),
+    "two_valued": TwoValued(1.0, 2.0, 0.5),
+    "pareto": Pareto(2.5),
+    "moving_average": MovingAverage((0.5, 0.25, 0.25)),
+    "rotation": Rotation(),
+}
+
+
+@pytest.mark.parametrize("k", sorted(GOLDEN_COUNTER_UNIFORM))
+def test_counter_uniform_golden_bits(k):
+    counters = np.array([row[:k] for row in HASH_ROWS], dtype=np.int64)
+    got = counter_uniform(HASH_SEED, counters)
+    assert got.dtype == np.float64
+    assert got.tolist() == list(GOLDEN_COUNTER_UNIFORM[k])
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_EDGE_WEIGHTS))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_edge_weight_golden_bits(kind, d):
+    env = Environment(GOLDEN_MODELS[kind], seed=HASH_SEED, dimension=d)
+    base = (3, -2, 5, -7)[:d]
+    got = [env.edge_weight(((base[0] + j,) + base[1:], j % d))
+           for j in range(4)]
+    assert got == list(GOLDEN_EDGE_WEIGHTS[kind][d])
+
+
+_U64 = 2 ** 64
+
+
+def _splitmix_fold(seed: int, row) -> float:
+    """counter_uniform's fold of one counter row, in Python integers mod
+    2**64."""
+    def mix(h):
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) % _U64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) % _U64
+        return h ^ (h >> 31)
+
+    h = seed % _U64
+    for c in row:
+        h = mix(((h + 0x9E3779B97F4A7C15) % _U64) ^ (c % _U64))
+    return (h >> 11) * 2.0 ** -53
+
+
+@settings(settings.get_profile("properties"), max_examples=600)
+@given(data=st.data())
+def test_counter_uniform_is_the_integer_splitmix_fold(data):
+    seed = data.draw(st.integers(-2 ** 64, 2 ** 65))
+    k = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, 12))
+    counters = data.draw(st.lists(
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=k,
+                 max_size=k), min_size=n, max_size=n))
+    table = np.array(counters, dtype=np.int64).reshape(n, k)
+    got = counter_uniform(seed, table)
+    assert got.shape == (n,)
+    assert got.tolist() == [_splitmix_fold(seed, row) for row in counters]
 
 
 def test_moving_average_is_kernel_sum():
